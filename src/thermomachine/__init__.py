@@ -23,7 +23,6 @@ from .core import (
 from .dynamics import (
     DLevelSample,
     ProbeState,
-    TriadState,
     build_triad_hamiltonian,
     collide_analytic,
     collide_oracle,
@@ -33,7 +32,6 @@ from .dynamics import (
     reduce_d_level,
     steady_population,
     transient_population,
-    triad_product_state,
 )
 from .estimation import (
     DEFAULT_SEED,
@@ -86,7 +84,6 @@ __all__ = [
     "tune_config",
     "DLevelSample",
     "ProbeState",
-    "TriadState",
     "build_triad_hamiltonian",
     "collide_analytic",
     "collide_oracle",
@@ -96,7 +93,6 @@ __all__ = [
     "reduce_d_level",
     "steady_population",
     "transient_population",
-    "triad_product_state",
     "DEFAULT_SEED",
     "EstimationReport",
     "MeasurementRecord",

@@ -12,7 +12,7 @@ fastest), so the two states coupled by the interaction sit at indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .core import (
     CollisionParams,
     MachineConfig,
     collision_params,
-    stable_logistic,
     thermal_population,
 )
 
@@ -32,8 +31,24 @@ COUPLED_STATES = (1, 6)
 _UNDERFLOW_EXPONENT = 745.2
 
 
-def contraction_power(r: float, k: int) -> float:
-    """(1 - r)^k in log space, exact at k = 0 and clean at underflow."""
+def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
+    """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
+
+    An integer ndarray ``k`` gives a float array equal to the scalar calls
+    bit for bit, so each element goes through libm ``math.exp``: numpy's
+    ``exp`` can be one ulp off, which the k = 1 transient sensitivity
+    amplifies some 4,400-fold.
+    """
+    if isinstance(k, np.ndarray):
+        if np.any(k < 0):
+            raise ValueError("k must be >= 0")
+        if r >= 1.0:
+            return np.where(k == 0, 1.0, 0.0)
+        exponent = k * math.log1p(-r)
+        q = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size)
+        q = q.reshape(k.shape)
+        q[exponent < -_UNDERFLOW_EXPONENT] = 0.0
+        return q
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -58,37 +73,6 @@ class ProbeState:
             raise ValueError("p0 must lie in [0, 1]")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-
-
-@dataclass(frozen=True)
-class TriadState:
-    """Populations of the 8-dimensional probe x sample x ancilla space.
-
-    ``rho`` optionally carries the full 8x8 matrix for the oracle path
-    with coherences; when absent the state is diagonal by construction.
-    """
-
-    populations: np.ndarray
-    rho: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        pops = np.asarray(self.populations, dtype=float)
-        if pops.shape != (8,):
-            raise ValueError("populations must have shape (8,)")
-        if abs(float(pops.sum()) - 1.0) > 1e-12:
-            raise ValueError("populations must sum to 1 within 1e-12")
-        if np.any(pops < -1e-15):
-            raise ValueError("populations must be nonnegative")
-
-
-def triad_product_state(probe_p0: float, config: MachineConfig) -> TriadState:
-    """Diagonal product state  probe (x) sample Gibbs (x) ancilla Gibbs."""
-    sample = thermal_population(config.eps_s, config.T)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    p_probe = np.array([probe_p0, 1.0 - probe_p0])
-    p_sample = np.array([sample.p0, sample.p1])
-    p_ancilla = np.array([ancilla.p0, ancilla.p1])
-    return TriadState(populations=np.kron(np.kron(p_probe, p_sample), p_ancilla))
 
 
 def build_triad_hamiltonian(config: MachineConfig, detuning: float = 0.0) -> np.ndarray:
@@ -159,7 +143,7 @@ def collide_analytic(p0: float, params: CollisionParams) -> float:
 
 
 def transient_population(k: int, p00: float, params: CollisionParams) -> float:
-    """Probe ground population after k completed collisions.
+    """Probe ground population after k (int or integer array) collisions.
 
     p0_k = [1 - (1-r)^k] p0_inf + (1-r)^k p00; k = 0 returns p00.
     """
@@ -242,11 +226,8 @@ def reduce_d_level(
             "config.eps_s must equal the addressed pair gap "
             f"(got {config.eps_s}, pair gap {gap})"
         )
-    pair_qubit = thermal_population(gap, sample.temperature)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    r_pair = pair_qubit.p1 * ancilla.p0 + pair_qubit.p0 * ancilla.p1
-    x = gap / sample.temperature - config.eps_v / config.T_v
-    return sample.pair_weight, CollisionParams(r=r_pair, p0_inf=stable_logistic(-x))
+    # The pair then acts as the machine's own sample qubit at the sample's T.
+    return sample.pair_weight, collision_params(replace(config, T=sample.temperature))
 
 
 def collide_oracle_dlevel(

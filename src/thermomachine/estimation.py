@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import MachineConfig, collision_params, stable_logistic
 from .dynamics import steady_population, transient_population
-from .metrology import snr_steady, snr_transient
+from .metrology import _golden_section_max, snr_steady, snr_transient
 
 #: Fixed default master seed so bare invocations are reproducible.
 DEFAULT_SEED = 0x5EED
@@ -171,24 +171,9 @@ def _maximize_likelihood(
     grid = np.linspace(lo, hi, grid_points)
     values = [_log_likelihood(record, model(t)) for t in grid]
     best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _log_likelihood(record, model(c))
-    fd = _log_likelihood(record, model(d))
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _log_likelihood(record, model(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _log_likelihood(record, model(d))
-        if b - a < 1e-13 * (hi - lo):
-            break
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+    f = lambda t: _log_likelihood(record, model(t))  # noqa: E731
+    a, b = _golden_section_max(f, a, b, lambda b: 1e-13 * (hi - lo), 120)
     t_hat = 0.5 * (a + b)
     edge = 2e-12 * (hi - lo)
     clamped = t_hat <= lo + edge or t_hat >= hi - edge

@@ -8,12 +8,18 @@ cross-checks rather than duplicated as code paths.
 SNR means T / (estimation error), so larger is better and the Cramer-Rao
 bound for M independent binary energy measurements reads
 snr <= T * sqrt(M * F).
+
+The k-dependent forms also take an integer ndarray of collision counts;
+each element equals the scalar call bit for bit (``dynamics.contraction_power``
+says why).  An int k keeps the plain-float scalar path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import MachineConfig, collision_params, stable_logistic, thermal_population
 from .dynamics import contraction_power
@@ -49,16 +55,19 @@ def fisher_binary(p0: float, sensitivity: float) -> float:
     Boundary populations are the signaled singularity (math.inf, never
     NaN); an interior point with zero sensitivity carries no information.
     """
-    if p0 <= 0.0 or p0 >= 1.0:
-        return math.inf
-    if sensitivity == 0.0:
-        return 0.0
-    return sensitivity * sensitivity / (p0 * (1.0 - p0))
+    return _fisher_two_sided(p0, 1.0 - p0, sensitivity)
 
 
-def _fisher_two_sided(p0: float, p1: float, sensitivity: float) -> float:
+def _fisher_two_sided(p0, p1, sensitivity):
     # Same quantity as fisher_binary, but with the excited population given
-    # explicitly so exponential tails keep full relative precision.
+    # explicitly so exponential tails keep full relative precision.  Arrays
+    # take the scalar branches below as masks.
+    if isinstance(p0, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fisher = sensitivity * sensitivity / (p0 * p1)
+        fisher[sensitivity == 0.0] = 0.0
+        fisher[(p0 <= 0.0) | (p1 <= 0.0)] = math.inf
+        return fisher
     if p0 <= 0.0 or p1 <= 0.0:
         return math.inf
     if sensitivity == 0.0:
@@ -66,14 +75,21 @@ def _fisher_two_sided(p0: float, p1: float, sensitivity: float) -> float:
     return sensitivity * sensitivity / (p0 * p1)
 
 
-def _snr_point(
-    T: float, M: int, k: float, p0: float, p1: float, sensitivity: float
-) -> SnrPoint:
+def _sqrt(x):
+    # Both are correctly rounded, so an array matches the per-element floats.
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _below_one(x) -> bool:
+    return bool(np.any(x < 1)) if isinstance(x, np.ndarray) else x < 1
+
+
+def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
     if M < 1:
         raise ValueError("M must be >= 1")
     fisher = _fisher_two_sided(p0, p1, sensitivity)
-    singular = math.isinf(fisher)
-    snr = math.inf if singular else T * math.sqrt(M * fisher)
+    singular = fisher == math.inf
+    snr = T * _sqrt(M * fisher)  # inf where singular
     return SnrPoint(
         T=T, M=M, k=k, snr=snr, sensitivity=sensitivity, fisher=fisher, singular=singular
     )
@@ -99,18 +115,15 @@ def jump_rate_derivative(config: MachineConfig) -> float:
 
 
 def sensitivity_transient(k: int, p00: float, config: MachineConfig) -> float:
-    """d p0_k / dT after k completed collisions.
+    """d p0_k / dT after k (int or integer array) completed collisions.
 
     [1 - (1-r)^k] lambda_inf + k (p0_inf - p00) (dr/dT) (1-r)^(k-1);
     k = 0 returns 0 (the initial state carries no temperature information).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 0.0
     params = collision_params(config)
     q_k = contraction_power(params.r, k)
-    q_km1 = contraction_power(params.r, k - 1)
+    # At k = 0 the exponent k - 1 is clamped to 0; both terms are then +0.
+    q_km1 = contraction_power(params.r, k - (k > 0))
     lam_inf = sensitivity_steady(config)
     return (1.0 - q_k) * lam_inf + k * (params.p0_inf - p00) * jump_rate_derivative(
         config
@@ -140,7 +153,10 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
 
 
 def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrPoint:
-    """Transient SNR after k collisions from initial ground population p00."""
+    """Transient SNR after k collisions from initial ground population p00.
+
+    An integer array ``k`` gives a point whose fields (but T and M) are arrays.
+    """
     params = collision_params(config)
     q = contraction_power(params.r, k)
     p0_inf, p1_inf = _steady_pair(config)
@@ -149,7 +165,7 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
     return _snr_point(
         T=config.T,
         M=M,
-        k=float(k),
+        k=k.astype(float) if isinstance(k, np.ndarray) else float(k),
         p0=p0,
         p1=p1,
         sensitivity=sensitivity_transient(k, p00, config),
@@ -160,13 +176,13 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     """SNR of a probe fully thermalized at T with the given gap.
 
     Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T); evaluated via
-    the common population/sensitivity pipeline.
+    the common population/sensitivity pipeline.  M may be an integer array.
     """
-    if M < 1:
+    if _below_one(M):
         raise ValueError("M must be >= 1")
     qubit = thermal_population(gap, T)
     lam = qubit.p0 * qubit.p1 * gap / (T * T)
-    return T * math.sqrt(M * lam * gap / (T * T))
+    return T * _sqrt(M * lam * gap / (T * T))
 
 
 def max_thermal_snr(
@@ -179,24 +195,36 @@ def max_thermal_snr(
     """
     lo = gap_lo if gap_lo is not None else 1e-3 * T
     hi = gap_hi if gap_hi is not None else 20.0 * T
+    # The profile is flat to float resolution within ~sqrt(eps) of its peak,
+    # so a narrower bracket would only be decided by rounding.
+    f = lambda gap: snr_thermal(T, gap, M)  # noqa: E731
+    a, b = _golden_section_max(f, lo, hi, lambda b: 2.0**-26 * max(1.0, b), 200)  # sqrt(eps)
+    gap = 0.5 * (a + b)
+    return gap, snr_thermal(T, gap, M)
+
+
+def _golden_section_max(f, a: float, b: float, tol, max_iter: int) -> tuple[float, float]:
+    """Golden-section bracket [a, b] of the maximum of a unimodal ``f``.
+
+    Stops once b - a < tol(b) or after max_iter steps (at most max_iter + 2
+    calls of ``f``).
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = snr_thermal(T, c, M), snr_thermal(T, d, M)
-    for _ in range(200):
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = snr_thermal(T, c, M)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = snr_thermal(T, d, M)
-        if b - a < 1e-12 * max(1.0, b):
+            fd = f(d)
+        if b - a < tol(b):
             break
-    gap = 0.5 * (a + b)
-    return gap, snr_thermal(T, gap, M)
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -262,16 +290,16 @@ def noisy_peak_in_prior(config: MachineConfig, noisy: NoisyAncillaSpec) -> bool:
 
 
 def snr_sample_bound(k: int, T: float, eps_s: float) -> float:
-    """Best SNR of an energy measurement on k sample qubits directly.
+    """Best SNR of an energy measurement on k (int or integer array) sample qubits.
 
     sqrt(k e^(-eps_s/T)) / (1 + e^(-eps_s/T)) * (eps_s/T); any probe scheme
     that consumed k qubits is bounded by this.
     """
-    if k < 1:
+    if _below_one(k):
         raise ValueError("k must be >= 1")
     x = eps_s / T
     e = math.exp(-x)
-    return math.sqrt(k * e) / (1.0 + e) * x
+    return _sqrt(k * e) / (1.0 + e) * x
 
 
 def required_interactions(target_snr: float, T: float, eps_s: float) -> int:

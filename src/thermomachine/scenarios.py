@@ -33,7 +33,6 @@ from .metrology import (
     NoisyAncillaSpec,
     fisher_binary,
     sensitivity_steady,
-    sensitivity_transient,
     snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
@@ -163,8 +162,13 @@ def _temperature_grid(scenario: Scenario, t_prior: float) -> np.ndarray:
     return np.linspace(0.0, 2.0 * t_prior, scenario.points + 1)[1:]
 
 
-def _k_values(scenario: Scenario) -> range:
-    return range(scenario.k_min, scenario.k_max + 1, scenario.k_step)
+def _k_values(scenario: Scenario, k_lo: int) -> np.ndarray:
+    return np.arange(k_lo, scenario.k_max + 1, scenario.k_step)
+
+
+def _block(k: np.ndarray, *columns: float | np.ndarray) -> np.ndarray:
+    """One (T, p00) block of a k sweep; scalar columns repeat down the block."""
+    return np.column_stack([np.broadcast_to(c, k.shape) for c in columns])
 
 
 # ----------------------------------------------------------------------
@@ -208,18 +212,18 @@ def _run_transient_sweep(scenario: Scenario) -> ResultTable:
         raise ValueError("transient-sweep needs T or temps")
     p00s = scenario.p00_values or (scenario.p00,)
     u = scenario.eps_s
-    rows = []
+    k = _k_values(scenario, scenario.k_min)
+    blocks = []
     for T in temps:
         for p00 in p00s:
             config = _tuned(scenario, T, p00)
-            params = collision_params(config)
-            for k in _k_values(scenario):
-                p0_k = transient_population(k, p00, params)
-                lam = sensitivity_transient(k, p00, config)
-                point = snr_transient(k, p00, config, scenario.M)
-                rows.append((T / u, p00, float(k), p0_k, lam * u, point.snr))
+            point = snr_transient(k, p00, config, scenario.M)
+            p0_k = transient_population(k, p00, collision_params(config))
+            blocks.append(_block(k, T / u, p00, point.k, p0_k, point.sensitivity * u, point.snr))
     return make_table(
-        ("T", "p00", "k", "p0_k", "sensitivity", "snr"), rows, _base_meta(scenario)
+        ("T", "p00", "k", "p0_k", "sensitivity", "snr"),
+        np.vstack(blocks).tolist(),
+        _base_meta(scenario),
     )
 
 
@@ -227,22 +231,12 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
     if scenario.T is None:
         raise ValueError("cost-comparison needs T")
     config = _tuned(scenario, scenario.T)
-    k_lo = max(1, scenario.k_min)
-    rows = []
-    for k in range(k_lo, scenario.k_max + 1, scenario.k_step):
-        snr_m1 = snr_transient(k, scenario.p00, config, scenario.M).snr
-        snr_m2 = snr_transient(k, scenario.p00, config, scenario.M_alt).snr
-        bound = snr_sample_bound(k, scenario.T, scenario.eps_s)
-        rows.append(
-            (
-                float(k),
-                snr_m1,
-                snr_m2,
-                snr_thermal(scenario.T, scenario.eps_s, k),
-                bound,
-                snr_m1 / bound,
-            )
-        )
+    k = _k_values(scenario, max(1, scenario.k_min))
+    snr_m1 = snr_transient(k, scenario.p00, config, scenario.M)
+    snr_m2 = snr_transient(k, scenario.p00, config, scenario.M_alt).snr
+    bound = snr_sample_bound(k, scenario.T, scenario.eps_s)
+    thermal = snr_thermal(scenario.T, scenario.eps_s, k)
+    rows = _block(k, snr_m1.k, snr_m1.snr, snr_m2, thermal, bound, snr_m1.snr / bound)
     meta = _base_meta(scenario)
     meta["ref_sqrt_2_over_pi"] = SQRT_TWO_OVER_PI
     # The plateau the transient columns climb toward; the measurement-cost
@@ -258,7 +252,7 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
             "snr_sample_bound",
             "ratio_to_bound",
         ),
-        rows,
+        rows.tolist(),
         meta,
     )
 
@@ -268,30 +262,19 @@ def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
     if not temps:
         raise ValueError("heat-trajectory needs T or temps")
     p00s = scenario.p00_values or (scenario.p00,)
-    k_lo = max(1, scenario.k_min)
+    k = _k_values(scenario, max(1, scenario.k_min))
+    j = k - 1
     u = scenario.eps_s
-    rows = []
+    blocks = []
     for T in temps:
         for p00 in p00s:
-            config = _tuned(scenario, T, p00)
-            traj = perturbation_trajectory(scenario.k_max, p00, config)
-            for k in range(k_lo, scenario.k_max + 1, scenario.k_step):
-                j = k - 1
-                rows.append(
-                    (
-                        T / u,
-                        p00,
-                        float(k),
-                        traj.delta_p[j],
-                        traj.sample_p0[j],
-                        traj.ancilla_p0[j],
-                        traj.q_sample[j] / u,
-                        traj.q_ancilla[j] / u,
-                    )
-                )
+            traj = perturbation_trajectory(scenario.k_max, p00, _tuned(scenario, T, p00))
+            steps = (traj.delta_p, traj.sample_p0, traj.ancilla_p0)
+            heats = (traj.q_sample / u, traj.q_ancilla / u)
+            blocks.append(_block(k, T / u, p00, k.astype(float), *(c[j] for c in steps + heats)))
     return make_table(
         ("T", "p00", "k", "delta_p", "sample_p0", "ancilla_p0", "q_sample", "q_ancilla"),
-        rows,
+        np.vstack(blocks).tolist(),
         _base_meta(scenario),
     )
 

@@ -9,6 +9,7 @@ original float64 values bit for bit and re-export is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,7 +42,7 @@ def make_table(
 ) -> ResultTable:
     return ResultTable(
         columns=tuple(columns),
-        rows=tuple(tuple(float(x) for x in row) for row in rows),
+        rows=tuple(tuple(map(float, row)) for row in rows),
         meta=dict(meta or {}),
     )
 
@@ -64,15 +65,37 @@ def to_csv(table: ResultTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_row(row: tuple[float, ...]) -> tuple[float | None, ...]:
+    if all(map(math.isfinite, row)):
+        return row
+    return tuple(x if math.isfinite(x) else None for x in row)
+
+
 def to_json(table: ResultTable) -> str:
-    # allow_nan=False: an undefined cell (inf/nan, e.g. a degenerate SNR)
-    # must fail loudly instead of emitting non-standard JSON tokens.
+    """JSON export; a non-finite cell (the documented singular snr = inf) is null.
+
+    JSON has no token for inf or nan, so allow_nan=False still rejects a
+    non-finite meta value instead of emitting non-standard JSON.
+    """
     payload = {
         "meta": table.meta,
         "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
+        "rows": list(map(_json_row, table.rows)),
     }
     return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
+
+
+def _parse_meta_value(text: str) -> object:
+    # A number only when it re-formats to the same text, so re-export stays
+    # byte-identical; non-finite values stay text, as JSON cannot hold them.
+    for parse in (int, float):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        if _meta_value(value) == text and text not in ("inf", "-inf", "nan"):
+            return value
+    return text
 
 
 def from_csv(text: str) -> ResultTable:
@@ -82,7 +105,7 @@ def from_csv(text: str) -> ResultTable:
     for ln in lines:
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition("=")
-            meta[key.strip()] = value
+            meta[key.strip()] = _parse_meta_value(value)
         else:
             body.append(ln)
     if not body:
@@ -119,8 +142,10 @@ def validate_table_json(obj: object) -> None:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(columns):
             raise ValueError(f"row {i} is not an array of width {len(columns)}")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-            raise ValueError(f"row {i} contains a non-numeric cell")
+        if not all(
+            x is None or (isinstance(x, (int, float)) and not isinstance(x, bool)) for x in row
+        ):
+            raise ValueError(f"row {i} contains a cell that is neither a number nor null")
 
 
 def schema_text() -> str:

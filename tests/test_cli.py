@@ -83,7 +83,7 @@ def test_montecarlo_seed_hex_and_determinism(capsys):
     code2, out2, _ = run(args, capsys)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
-    assert from_csv(out1).meta["seed"] == str(0xBEEF)
+    assert from_csv(out1).meta["seed"] == 0xBEEF
     code3, out3, _ = run(["montecarlo", "--seed", "48879", "--set", "M=500", "--set", "trials=100"], capsys)
     assert out3 == out1  # 0xBEEF == 48879
 

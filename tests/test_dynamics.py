@@ -12,7 +12,6 @@ from thermomachine import (
     DLevelSample,
     MachineConfig,
     ProbeState,
-    TriadState,
     build_triad_hamiltonian,
     collide_analytic,
     collide_oracle,
@@ -23,7 +22,6 @@ from thermomachine import (
     reduce_d_level,
     steady_population,
     transient_population,
-    triad_product_state,
     tune_config,
 )
 from thermomachine.dynamics import COUPLED_STATES, contraction_power
@@ -105,13 +103,6 @@ def test_full_swap_exchanges_coupled_pair(config):
     h = build_triad_hamiltonian(config)
     free_phase = np.exp(-1j * h[a, a] * config.collision_time)
     assert u[b, a] == pytest.approx(-1j * free_phase, abs=1e-10)
-
-
-def test_triad_product_state_normalized(config):
-    state = triad_product_state(0.7, config)
-    assert state.populations.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        TriadState(populations=np.full(8, 0.2))
 
 
 def test_oracle_fixed_point(config):

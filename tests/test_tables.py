@@ -96,16 +96,44 @@ def test_unknown_format_rejected(tmp_path):
         export(small_table(), "yaml", tmp_path / "t.yaml")
 
 
-def test_json_refuses_non_finite_cells():
-    table = make_table(
-        ("a",), ((float("inf"),),), {"scenario": "x", "kind": "verify", "version": "0"}
-    )
-    with pytest.raises(ValueError):
-        to_json(table)
+def test_json_writes_non_finite_cells_as_null():
+    meta = {"scenario": "x", "kind": "verify", "version": "0"}
+    table = make_table(("a", "b"), ((float("inf"), 1.5), (2.0, float("nan"))), meta)
+    payload = json.loads(to_json(table))
+    assert payload["rows"] == [[None, 1.5], [2.0, None]]
+    validate_table_json(payload)
     assert "inf" in to_csv(table)  # CSV still carries the undefined marker
+    # The pure-start k = 0 rows of fig2a carry the documented snr = inf.
+    fig2a = json.loads(to_json(run_scenario(PRESETS["fig2a"])))
+    validate_table_json(fig2a)
+    assert sum(row.count(None) for row in fig2a["rows"]) == 3
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(payload, json.loads(schema_text()))
+    jsonschema.validate(fig2a, json.loads(schema_text()))
+    # JSON has no inf token, so a non-finite meta value is still refused.
+    with pytest.raises(ValueError):
+        to_json(make_table(("a",), ((1.0,),), dict(meta, bad=float("inf"))))
 
 
 def test_fig1b_round_trips_through_csv():
     table = run_scenario(PRESETS["fig1b"])
     back = from_csv(to_csv(table))
     assert back.rows == table.rows
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_csv_to_json_round_trip_is_schema_valid(name):
+    text = to_csv(run_scenario(PRESETS[name]))
+    back = from_csv(text)
+    assert to_csv(back) == text
+    assert back.meta["seed"] == PRESETS[name].seed
+    validate_table_json(json.loads(to_json(back)))
+
+
+def test_from_csv_parses_meta_only_when_it_reformats_exactly():
+    text = "# seed=7\n# x=0.25\n# v=0.1.0\n# pad=007\n# short=1e-05\n# big=inf\na\n1\n"
+    back = from_csv(text)
+    assert back.meta == {
+        "seed": 7, "x": 0.25, "v": "0.1.0", "pad": "007", "short": "1e-05", "big": "inf"
+    }
+    assert to_csv(back) == text
