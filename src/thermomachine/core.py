@@ -167,8 +167,21 @@ def collision_params(config: MachineConfig) -> CollisionParams:
     r = p1_s p0_v + p0_s p1_v from the sample and ancilla Gibbs states;
     p0_inf = 1 / (1 + e^(eps_s/T - eps_v/T_v)).
     """
-    sample = thermal_population(config.eps_s, config.T)
     ancilla = thermal_population(config.eps_v, config.T_v)
-    r = sample.p1 * ancilla.p0 + sample.p0 * ancilla.p1
-    x = config.eps_s / config.T - config.eps_v / config.T_v
-    return CollisionParams(r=r, p0_inf=stable_logistic(-x))
+    return _params_at(config.eps_s / config.T, ancilla, config.eps_v / config.T_v)
+
+
+def _params_at(x_s: float, ancilla: ThermalQubit, x_v: float) -> CollisionParams:
+    """(r, p0_inf) at sample exponent x_s = eps_s/T; ancilla and x_v = eps_v/T_v fixed.
+
+    The T-dependent half of :func:`collision_params`, so a model that varies
+    only T builds the ancilla state once.
+    """
+    sample_p0, sample_p1 = stable_logistic(x_s), stable_logistic(-x_s)
+    r = sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1
+    return CollisionParams(r=r, p0_inf=_fixed_point(x_s, x_v))
+
+
+def _fixed_point(x_s: float, x_v: float) -> float:
+    """Steady ground population 1 / (1 + e^(x_s - x_v)) from the two Gibbs exponents."""
+    return stable_logistic(x_v - x_s)

@@ -14,12 +14,12 @@ makes trials independent of execution order and safe to run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import MachineConfig, collision_params, stable_logistic
+from .core import MachineConfig, _fixed_point, _params_at, collision_params, thermal_population
 from .dynamics import steady_population, transient_population
 from .metrology import _golden_section_max, snr_steady, snr_transient
 
@@ -104,12 +104,7 @@ def ml_estimate(
     otherwise (transient models) the binomial log-likelihood is maximized
     on a dense grid and refined by golden-section search.
     """
-    lo, hi = interval
-    if not 0.0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
-    if monotone:
-        return _invert_monotone(record, model, lo, hi)
-    return _maximize_likelihood(record, model, lo, hi, grid_points)
+    return _estimator(model, interval, monotone, grid_points)(record)
 
 
 def _invert_monotone(
@@ -147,58 +142,90 @@ def _invert_monotone(
     return 0.5 * (a + b), False
 
 
-def _log_likelihood(record: MeasurementRecord, p0: float) -> float:
-    m0, m1 = record.m0, record.M - record.m0
+def _log_terms(p0: float) -> tuple[float, float]:
+    """(log p0, log(1 - p0)) through libm, -inf where the probability is 0."""
+    return (
+        math.log(p0) if p0 > 0.0 else -math.inf,
+        math.log1p(-p0) if p0 < 1.0 else -math.inf,
+    )
+
+
+def _log_likelihood(m0: int, m1: int, log_p, log_1mp):
+    """Binomial log-likelihood m0 log p0 + m1 log(1 - p0), float or array.
+
+    A term with a zero count is dropped (0 * -inf would be NaN); IEEE
+    multiply and add are correctly rounded, so an array gives each
+    element's float value bit for bit.
+    """
     ll = 0.0
     if m0 > 0:
-        if p0 <= 0.0:
-            return -math.inf
-        ll += m0 * math.log(p0)
+        ll += m0 * log_p
     if m1 > 0:
-        if p0 >= 1.0:
-            return -math.inf
-        ll += m1 * math.log1p(-p0)
+        ll += m1 * log_1mp
     return ll
 
 
-def _maximize_likelihood(
-    record: MeasurementRecord,
+def _estimator(
     model: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_points: int,
-) -> tuple[float, bool]:
-    grid = np.linspace(lo, hi, grid_points)
-    values = [_log_likelihood(record, model(t)) for t in grid]
-    best = int(np.argmax(values))
-    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
-    f = lambda t: _log_likelihood(record, model(t))  # noqa: E731
-    a, b = _golden_section_max(f, a, b, lambda b: 1e-13 * (hi - lo), 120)
-    t_hat = 0.5 * (a + b)
+    interval: tuple[float, float],
+    monotone: bool,
+    grid_points: int = 1024,
+) -> Callable[[MeasurementRecord], tuple[float, bool]]:
+    """record -> (T_hat, clamped) for a fixed model.
+
+    The record-free work is done here, once: for the likelihood search,
+    the model and its logs on the grid.  Each record then costs one array
+    scan plus the golden-section refinement.
+    """
+    lo, hi = interval
+    if not 0.0 < lo < hi:
+        raise ValueError("interval must satisfy 0 < lo < hi")
+    if monotone:
+        return lambda record: _invert_monotone(record, model, lo, hi)
+    grid = np.linspace(lo, hi, grid_points).tolist()
+    log_p, log_1mp = np.array([_log_terms(model(t)) for t in grid]).T.copy()
+    tol = 1e-13 * (hi - lo)
     edge = 2e-12 * (hi - lo)
-    clamped = t_hat <= lo + edge or t_hat >= hi - edge
-    if clamped:
-        t_hat = lo if t_hat <= lo + edge else hi
-    return t_hat, clamped
+
+    def estimate(record: MeasurementRecord) -> tuple[float, bool]:
+        m0, m1 = record.m0, record.M - record.m0
+        best = int(np.argmax(_log_likelihood(m0, m1, log_p, log_1mp)))
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+        f = lambda t: _log_likelihood(m0, m1, *_log_terms(model(t)))  # noqa: E731
+        a, b = _golden_section_max(f, a, b, lambda b: tol, 120)
+        t_hat = 0.5 * (a + b)
+        clamped = t_hat <= lo + edge or t_hat >= hi - edge
+        if clamped:
+            t_hat = lo if t_hat <= lo + edge else hi
+        return t_hat, clamped
+
+    return estimate
 
 
 def steady_model(config: MachineConfig) -> Callable[[float], float]:
     """T -> steady ground population, with all other machine knobs fixed."""
 
-    eps_s, eps_v, t_v = config.eps_s, config.eps_v, config.T_v
+    eps_s, x_v = config.eps_s, config.eps_v / config.T_v
 
     def p0_of(T: float) -> float:
-        return stable_logistic(eps_v / t_v - eps_s / T)
+        return _fixed_point(eps_s / T, x_v)
 
     return p0_of
 
 
 def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[float], float]:
-    """T -> probe ground population after k collisions from p00."""
+    """T -> probe ground population after k collisions from p00.
+
+    The ancilla state and eps_v/T_v are computed once; each call forms
+    (r, p0_inf) from T alone, bit for bit as ``collision_params`` would.
+    """
+    eps_s, x_v = config.eps_s, config.eps_v / config.T_v
+    ancilla = thermal_population(config.eps_v, config.T_v)
 
     def p0_of(T: float) -> float:
-        params = collision_params(replace(config, T=T))
-        return transient_population(k, p00, params)
+        if not T > 0.0:
+            raise ValueError(f"temperature must be > 0, got {T}")
+        return transient_population(k, p00, _params_at(eps_s / T, ancilla, x_v))
 
     return p0_of
 
@@ -242,12 +269,11 @@ def empirical_snr_study(
         crb = snr_transient(k, p00, config, M)
 
     singular = p_true <= 0.0 or p_true >= 1.0
-    interval = prior_interval(config)
+    estimate = _estimator(model, prior_interval(config), monotone)
     estimates = np.empty(trials)
     clamped = 0
     for i in range(trials):
-        record = sample_measurements(p_true, M, trial_seed(seed, i))
-        t_hat, was_clamped = ml_estimate(record, model, interval, monotone=monotone)
+        t_hat, was_clamped = estimate(sample_measurements(p_true, M, trial_seed(seed, i)))
         estimates[i] = t_hat
         clamped += was_clamped
 

@@ -41,22 +41,30 @@ from .metrology import (
 )
 from .tables import ResultTable, make_table
 
-KINDS = (
-    "steady-sweep",
-    "transient-sweep",
-    "cost-comparison",
-    "heat-trajectory",
-    "noisy-ancilla",
-    "montecarlo",
-    "verify",
-)
+_TUNING = ("eps_s", "T_prior", "T_v", "eps_I", "p00")
+_T_AXIS = ("points", "t_min", "t_max")
+_K_AXIS = ("k_min", "k_max", "k_step")
+
+#: Fields each kind's runner reads, besides name, kind and seed.
+_KIND_FIELDS = {
+    "steady-sweep": _TUNING + _T_AXIS + ("priors", "M"),
+    "transient-sweep": _TUNING + _K_AXIS + ("T", "temps", "p00_values", "M"),
+    "cost-comparison": _TUNING + _K_AXIS + ("T", "M", "M_alt"),
+    "heat-trajectory": _TUNING + _K_AXIS + ("T", "temps", "p00_values"),
+    "noisy-ancilla": _TUNING + _T_AXIS + ("delta_Tv_rel", "M"),
+    "montecarlo": _TUNING + ("T", "M", "trials", "model", "k_measure"),
+    "verify": ("samples",),
+}
+
+KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One runnable experiment description.
 
-    Only the fields relevant to ``kind`` are consulted; energies are in
+    Only the fields relevant to ``kind`` are consulted, and
+    :func:`apply_settings` refuses an override of any other; energies are in
     units of eps_s and temperature-like fields are set as fractions of
     eps_s.  Multi-valued fields (``priors``, ``temps``, ``p00_values``)
     produce long-format tables with one block per combination.
@@ -107,7 +115,6 @@ class Scenario:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
-
 def coerce_setting(name: str, raw: str) -> object:
     """Parse one ``key=value`` override with the field's declared type."""
     if name not in _FIELD_TYPES:
@@ -125,7 +132,12 @@ def coerce_setting(name: str, raw: str) -> object:
 
 
 def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
-    return replace(scenario, **settings)
+    """Override fields of ``scenario``, refusing any field its kind never reads."""
+    updated = replace(scenario, **settings)
+    unread = sorted(set(settings) - {"name", "kind", "seed"} - set(_KIND_FIELDS[updated.kind]))
+    if unread:
+        raise ValueError(f"{updated.kind} scenarios do not read {', '.join(unread)}")
+    return updated
 
 
 def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineConfig:
@@ -230,6 +242,11 @@ def _run_transient_sweep(scenario: Scenario) -> ResultTable:
 def _run_cost_comparison(scenario: Scenario) -> ResultTable:
     if scenario.T is None:
         raise ValueError("cost-comparison needs T")
+    if snr_sample_bound(1, scenario.T, scenario.eps_s) == 0.0:
+        raise ValueError(
+            f"eps_s/T = {scenario.eps_s / scenario.T:g} is past ~745, where e^(-eps_s/T) "
+            "underflows: the sample bound is 0 and ratio_to_bound undefined"
+        )
     config = _tuned(scenario, scenario.T)
     k = _k_values(scenario, max(1, scenario.k_min))
     snr_m1 = snr_transient(k, scenario.p00, config, scenario.M)

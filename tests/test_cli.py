@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 
-from thermomachine.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from thermomachine.cli import _DEFAULTS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from thermomachine.scenarios import PRESETS, Scenario, apply_settings
 from thermomachine.tables import from_csv, validate_table_json
 
 
@@ -144,3 +147,45 @@ def test_fig3_preset_has_expected_columns(capsys):
         "snr_sample_bound",
         "ratio_to_bound",
     )
+
+
+def test_cost_past_underflow_is_usage_error(capsys, recwarn):
+    # eps_s/T = 1000: e^(-eps_s/T) underflows and the sample bound is 0.
+    code, out, err = run(["cost", "--set", "T=0.001"], capsys)
+    assert code == EXIT_USAGE
+    assert "eps_s/T" in err
+    assert out == ""
+    assert not recwarn.list
+
+
+def test_cost_just_inside_underflow_is_finite(capsys, recwarn):
+    code, out, _ = run(["cost", "--set", "T=0.00136", "--set", "k_max=50"], capsys)
+    assert code == EXIT_OK
+    assert all(math.isfinite(x) for row in from_csv(out).rows for x in row)
+    assert not recwarn.list
+
+
+def test_setting_a_field_the_kind_never_reads_is_usage_error(tmp_path, capsys):
+    code, out, err = run(["steady", "--set", "k_max=5"], capsys)
+    assert code == EXIT_USAGE
+    assert "k_max" in err and "steady-sweep" in err
+    assert out == ""
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"T_prior": 0.2, "delta_Tv_rel": 0.1}))
+    code, _, err = run(["transient", "--config", str(cfg)], capsys)
+    assert code == EXIT_USAGE
+    assert "delta_Tv_rel" in err and "transient-sweep" in err
+    code, _, err = run(["preset", "fig3", "--set", "temps=0.1,0.2"], capsys)
+    assert code == EXIT_USAGE
+    assert "temps" in err and "cost-comparison" in err
+
+
+def test_defaults_and_presets_set_only_fields_their_kind_reads():
+    plain = {f.name: f.default for f in fields(Scenario)}
+    for scenario in [*_DEFAULTS.values(), *PRESETS.values()]:
+        changed = {
+            name: getattr(scenario, name)
+            for name in plain
+            if getattr(scenario, name) != plain[name]
+        }
+        assert apply_settings(scenario, changed) == scenario

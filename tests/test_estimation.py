@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermomachine import (
     MachineConfig,
+    MeasurementRecord,
+    collision_params,
     empirical_snr_study,
     ml_estimate,
     prior_interval,
@@ -15,9 +22,11 @@ from thermomachine import (
     steady_model,
     steady_population,
     transient_model,
+    transient_population,
     trial_seed,
     tune_config,
 )
+from thermomachine.metrology import _golden_section_max
 
 
 @pytest.fixture
@@ -224,3 +233,155 @@ def test_clamped_fraction_vanishes_with_m(config):
     large = empirical_snr_study(config, M=10_000, trials=200, seed=3)
     assert large.clamped_fraction <= small.clamped_fraction
     assert large.clamped_fraction == 0.0
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-call transient path (config rebuilt at every T, the
+# likelihood evaluated point by point), against which the study's shared
+# grid and cheap model must agree bit for bit.
+# ----------------------------------------------------------------------
+
+
+def reference_model(config, k, p00):
+    # Memoized by T only to keep the suite fast; every value is still
+    # computed once through collision_params(replace(config, T=T)).
+    @functools.lru_cache(maxsize=None)
+    def p0_of(T):
+        return transient_population(k, p00, collision_params(replace(config, T=T)))
+
+    return p0_of
+
+
+def reference_log_likelihood(record, p0):
+    m0, m1 = record.m0, record.M - record.m0
+    ll = 0.0
+    if m0 > 0:
+        if p0 <= 0.0:
+            return -math.inf
+        ll += m0 * math.log(p0)
+    if m1 > 0:
+        if p0 >= 1.0:
+            return -math.inf
+        ll += m1 * math.log1p(-p0)
+    return ll
+
+
+def reference_estimate(record, model, lo, hi, grid_points=1024):
+    grid = np.linspace(lo, hi, grid_points)
+    values = [reference_log_likelihood(record, model(t)) for t in grid]
+    best = int(np.argmax(values))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+    f = lambda t: reference_log_likelihood(record, model(t))  # noqa: E731
+    a, b = _golden_section_max(f, a, b, lambda b: 1e-13 * (hi - lo), 120)
+    t_hat = 0.5 * (a + b)
+    edge = 2e-12 * (hi - lo)
+    clamped = t_hat <= lo + edge or t_hat >= hi - edge
+    if clamped:
+        t_hat = lo if t_hat <= lo + edge else hi
+    return t_hat, clamped
+
+
+def reference_study(config, M, trials, seed, k, p00):
+    p_true = transient_population(k, p00, collision_params(config))
+    model = reference_model(config, k, p00)
+    lo, hi = prior_interval(config)
+    results = [
+        reference_estimate(sample_measurements(p_true, M, trial_seed(seed, i)), model, lo, hi)
+        for i in range(trials)
+    ]
+    estimates = np.array([t for t, _ in results])
+    return (
+        float(estimates.mean()),
+        float(estimates.std(ddof=1)),
+        float(np.sqrt(np.mean((estimates - config.T) ** 2))),
+        sum(c for _, c in results) / trials,
+    )
+
+
+STUDY_MACHINES = {
+    50: (dict(eps_s=1.0, T=0.2, T_prior=0.25, T_v=1.0), 10_000, 0x5EED),
+    60: (dict(eps_s=1.0, T=0.25, T_prior=0.25, T_v=1.0), 4000, 21),
+}
+
+#: Ancilla so cold that (1-r)^k rounds to 1 near T -> 0: p0 reaches exactly
+#: p00, so the log terms hit -inf at the grid's low edge.
+COLD_ANCILLA = MachineConfig(eps_s=1.0, eps_p=1.0, T=0.2, T_v=0.02, T_prior=0.25)
+
+
+@pytest.mark.parametrize("p00", [0.0, 1.0])
+@pytest.mark.parametrize("k", [50, 60])
+def test_transient_study_equals_per_call_reference(k, p00):
+    machine, M, seed = STUDY_MACHINES[k]
+    config = tune_config(**machine)
+    report = empirical_snr_study(config, M=M, trials=100, seed=seed, k=k, p00=p00)
+    mean, std, rmse, clamped = reference_study(config, M, 100, seed, k, p00)
+    assert (report.t_hat_mean, report.t_hat_std, report.rmse) == (mean, std, rmse)
+    assert report.clamped_fraction == clamped
+
+
+@pytest.mark.parametrize("p00", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "config, k",
+    [
+        (tune_config(**STUDY_MACHINES[50][0]), 50),
+        (tune_config(**STUDY_MACHINES[60][0]), 60),
+        (COLD_ANCILLA, 5),
+    ],
+)
+def test_ml_estimate_equals_per_call_reference(config, k, p00):
+    model = transient_model(config, k, p00)
+    reference = reference_model(config, k, p00)
+    lo, hi = prior_interval(config)
+    for M in (7, 1000):
+        for m0 in sorted({0, 1, 2, M // 3, M // 2, M - 2, M - 1, M}):
+            record = MeasurementRecord(m0, M, 0)
+            got = ml_estimate(record, model, (lo, hi), monotone=False)
+            assert got == reference_estimate(record, reference, lo, hi), (M, m0)
+
+
+def test_clamped_edge_record_equals_reference():
+    config = tune_config(**STUDY_MACHINES[60][0])
+    model, reference = transient_model(config, 60, 1.0), reference_model(config, 60, 1.0)
+    lo, hi = prior_interval(config)
+    record = MeasurementRecord(1000, 1000, 0)
+    t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
+    assert clamped and t_hat == hi
+    assert (t_hat, clamped) == reference_estimate(record, reference, lo, hi)
+
+
+def test_cold_ancilla_model_hits_exact_populations():
+    # The edge case the reference comparison relies on: p0 is exactly p00.
+    lo, _ = prior_interval(COLD_ANCILLA)
+    assert transient_model(COLD_ANCILLA, 5, 1.0)(lo) == 1.0
+    assert transient_model(COLD_ANCILLA, 5, 0.0)(lo) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=10**6),
+    p00=st.floats(0.0, 1.0),
+    frac=st.floats(min_value=1e-12, max_value=1.0),
+    eps_s=st.floats(min_value=0.1, max_value=10.0),
+    eps_p=st.floats(min_value=0.0, max_value=10.0),
+    t_v=st.floats(min_value=0.01, max_value=10.0),
+)
+def test_transient_model_matches_rebuilt_config_bits(k, p00, frac, eps_s, eps_p, t_v):
+    config = MachineConfig(eps_s=eps_s, eps_p=eps_p, T=0.2, T_v=t_v, T_prior=0.25)
+    T = frac * prior_interval(config)[1]
+    got = transient_model(config, k, p00)(T)
+    want = transient_population(k, p00, collision_params(replace(config, T=T)))
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_transient_model_refuses_non_positive_temperature(config):
+    model = transient_model(config, 10, 1.0)
+    for T in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            model(T)
+
+
+def test_steady_model_is_the_collision_fixed_point(config):
+    model = steady_model(config)
+    lo, hi = prior_interval(config)
+    for T in np.linspace(lo, hi, 257).tolist():
+        assert model(T) == collision_params(replace(config, T=T)).p0_inf
