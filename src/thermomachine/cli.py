@@ -6,7 +6,8 @@ overrides, then dedicated flags, with later sources winning.  Seeds accept
 decimal or hex (0x...) notation.  When THERMOMACHINE_OUT_DIR is set,
 relative --out paths are written inside that directory.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error or unevaluable scenario, 2 verification
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -131,30 +132,21 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in raw.items():
-            try:
-                settings[key] = _coerce_json(key, value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(str(exc)) from exc
+            settings[key] = _coerce_json(key, value)
     for item in args.settings:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
-        try:
-            settings[key.strip()] = coerce_setting(key.strip(), value.strip())
-        except (TypeError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+        settings[key.strip()] = coerce_setting(key.strip(), value.strip())
     if args.seed is not None:
         settings["seed"] = _parse_seed(args.seed)
 
-    try:
-        return apply_settings(scenario, settings)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    return apply_settings(scenario, settings)
 
 
 def _coerce_json(key: str, value: object) -> object:
     if isinstance(value, list):
-        return tuple(float(x) for x in value)
+        value = ",".join(map(str, value))
     return coerce_setting(key, str(value))
 
 
@@ -171,14 +163,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         scenario = _build_scenario(args)
-    except UsageError as exc:
+        table = run_scenario(scenario)
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        table = run_scenario(scenario)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {exc}: an input lies outside the formulas' float range", file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -141,12 +141,17 @@ def tune_config(
         if strict:
             raise ValueError(msg)
         warnings.warn(msg, GapOrderingWarning, stacklevel=2)
-    eps_p = eps_s * (T_v - T_prior) / T_prior
+    eps_p = _probe_gap(eps_s, T_v, T_prior)
     if eps_p < 0.0:
         raise ValueError("tuning rule requires T_v >= T_prior")
     return MachineConfig(
         eps_s=eps_s, eps_p=eps_p, T=T, T_v=T_v, T_prior=T_prior, eps_I=eps_I, p00=p00
     )
+
+
+def _probe_gap(eps_s: float, T_v: float, T_prior: float) -> float:
+    """Probe gap eps_s (T_v - T_prior) / T_prior that puts eps_v at (T_v / T_prior) eps_s."""
+    return eps_s * (T_v - T_prior) / T_prior
 
 
 @dataclass(frozen=True)

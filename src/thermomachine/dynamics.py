@@ -75,23 +75,28 @@ class ProbeState:
             raise ValueError("k must be >= 0")
 
 
-def build_triad_hamiltonian(config: MachineConfig, detuning: float = 0.0) -> np.ndarray:
-    """Free Hamiltonian plus the three-body swap coupling, as an 8x8 matrix.
+def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
+    """Probe x sample x ancilla Hamiltonian for a sample with the given ``levels``.
 
-    ``detuning`` shifts the ancilla gap by delta away from resonance; the
-    default 0 keeps [H_I, H_free] = 0 exactly.
+    Basis index (i_P * d + level) * 2 + k_v; the interaction couples
+    |0_P j 1_v> with |1_P j' 0_v> at strength eps_I, where (j, j') = ``pair``.
     """
     eps_v = config.eps_v + detuning
-    h = np.zeros((8, 8))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                idx = 4 * i + 2 * j + k
-                h[idx, idx] = i * config.eps_p + j * config.eps_s + k * eps_v
-    a, b = COUPLED_STATES
+    h = np.diag([i * config.eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
+    a, b = 2 * pair[0] + 1, 2 * (len(levels) + pair[1])
     h[a, b] = config.eps_I
     h[b, a] = config.eps_I
     return h
+
+
+def build_triad_hamiltonian(config: MachineConfig, detuning: float = 0.0) -> np.ndarray:
+    """Free Hamiltonian plus the three-body swap coupling, as an 8x8 matrix.
+
+    The triad is the two-level sample (0, eps_s) addressed on its pair (0, 1).
+    ``detuning`` shifts the ancilla gap by delta away from resonance; the
+    default 0 keeps [H_I, H_free] = 0 exactly.
+    """
+    return _hamiltonian(config, (0.0, config.eps_s), (0, 1), detuning)
 
 
 def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -106,9 +111,17 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def _reduce_to_probe(rho: np.ndarray) -> np.ndarray:
-    """Partial trace of an 8x8 state over sample and ancilla."""
-    return np.einsum("ijkljk->il", rho.reshape(2, 2, 2, 2, 2, 2))
+def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> np.ndarray:
+    """Evolve rho_P (x) diag(sample_pops) (x) rho_v under h and reduce to the probe.
+
+    ``t`` defaults to the full-swap time pi / (2 eps_I).
+    """
+    d = len(sample_pops)
+    ancilla = thermal_population(config.eps_v, config.T_v)
+    rho_sv = np.kron(np.diag(sample_pops), np.diag([ancilla.p0, ancilla.p1]))
+    rho = np.kron(np.asarray(rho_probe, dtype=complex), rho_sv)
+    u = exact_unitary(h, config.collision_time if t is None else t)
+    return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
 
 
 def collide_oracle_matrix(
@@ -121,13 +134,8 @@ def collide_oracle_matrix(
     back to the probe.
     """
     sample = thermal_population(config.eps_s, config.T)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    rho_sv = np.kron(np.diag([sample.p0, sample.p1]), np.diag([ancilla.p0, ancilla.p1]))
-    rho = np.kron(np.asarray(rho_probe, dtype=complex), rho_sv)
-    if t is None:
-        t = config.collision_time
-    u = exact_unitary(build_triad_hamiltonian(config), t)
-    return _reduce_to_probe(u @ rho @ u.conj().T)
+    h = build_triad_hamiltonian(config)
+    return _collide_exact(rho_probe, [sample.p0, sample.p1], h, config, t)
 
 
 def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
@@ -233,36 +241,7 @@ def reduce_d_level(
 def collide_oracle_dlevel(
     p0_probe: float, sample: DLevelSample, config: MachineConfig
 ) -> float:
-    """One collision against a d-level sample, full (4 d)-dimensional oracle.
-
-    Basis index (i_P * d + level) * 2 + k_v; the interaction couples
-    |0_P j 1_v> with |1_P j' 0_v> at strength eps_I.
-    """
-    d = len(sample.levels)
-    dim = 4 * d
-    j, jp = sample.pair
-
-    def idx(i: int, lvl: int, kv: int) -> int:
-        return (i * d + lvl) * 2 + kv
-
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    h = np.zeros((dim, dim))
-    for i in range(2):
-        for lvl in range(d):
-            for kv in range(2):
-                h[idx(i, lvl, kv), idx(i, lvl, kv)] = (
-                    i * config.eps_p + sample.levels[lvl] + kv * config.eps_v
-                )
-    a, b = idx(0, j, 1), idx(1, jp, 0)
-    h[a, b] = config.eps_I
-    h[b, a] = config.eps_I
-
-    pops_s = sample.populations()
-    pops = np.kron(
-        np.kron(np.array([p0_probe, 1.0 - p0_probe]), pops_s),
-        np.array([ancilla.p0, ancilla.p1]),
-    )
-    u = exact_unitary(h, config.collision_time)
-    rho = u @ np.diag(pops).astype(complex) @ u.conj().T
-    reduced = np.einsum("ijkljk->il", rho.reshape(2, d, 2, 2, d, 2))
-    return float(reduced[0, 0].real)
+    """One collision against a d-level sample, full (4 d)-dimensional oracle."""
+    h = _hamiltonian(config, sample.levels, sample.pair)
+    rho_probe = np.diag([p0_probe, 1.0 - p0_probe])
+    return float(_collide_exact(rho_probe, sample.populations(), h, config)[0, 0].real)

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MachineConfig, _fixed_point, _params_at, collision_params, thermal_population
-from .dynamics import steady_population, transient_population
+from .core import MachineConfig, _fixed_point, _params_at, thermal_population
+from .dynamics import transient_population
 from .metrology import _golden_section_max, snr_steady, snr_transient
 
 #: Fixed default master seed so bare invocations are reproducible.
@@ -29,6 +29,9 @@ DEFAULT_SEED = 0x5EED
 #: Lower edge of the search interval, as a fraction of its upper edge; the
 #: open end T -> 0 of the prior interval is represented by this point.
 _INTERVAL_FLOOR = 1e-12
+
+#: Points of the likelihood grid that brackets a transient ML search.
+_GRID_POINTS = 1024
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
 SMALL_M_THRESHOLD = 1000
@@ -90,7 +93,6 @@ def ml_estimate(
     model: Callable[[float], float],
     interval: tuple[float, float],
     monotone: bool = True,
-    grid_points: int = 1024,
 ) -> tuple[float, bool]:
     """Maximum-likelihood temperature from a measurement record.
 
@@ -104,7 +106,7 @@ def ml_estimate(
     otherwise (transient models) the binomial log-likelihood is maximized
     on a dense grid and refined by golden-section search.
     """
-    return _estimator(model, interval, monotone, grid_points)(record)
+    return _estimator(model, interval, monotone)(record)
 
 
 def _invert_monotone(
@@ -169,7 +171,6 @@ def _estimator(
     model: Callable[[float], float],
     interval: tuple[float, float],
     monotone: bool,
-    grid_points: int = 1024,
 ) -> Callable[[MeasurementRecord], tuple[float, bool]]:
     """record -> (T_hat, clamped) for a fixed model.
 
@@ -182,7 +183,7 @@ def _estimator(
         raise ValueError("interval must satisfy 0 < lo < hi")
     if monotone:
         return lambda record: _invert_monotone(record, model, lo, hi)
-    grid = np.linspace(lo, hi, grid_points).tolist()
+    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     log_p, log_1mp = np.array([_log_terms(model(t)) for t in grid]).T.copy()
     tol = 1e-13 * (hi - lo)
     edge = 2e-12 * (hi - lo)
@@ -190,7 +191,7 @@ def _estimator(
     def estimate(record: MeasurementRecord) -> tuple[float, bool]:
         m0, m1 = record.m0, record.M - record.m0
         best = int(np.argmax(_log_likelihood(m0, m1, log_p, log_1mp)))
-        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)]
         f = lambda t: _log_likelihood(m0, m1, *_log_terms(model(t)))  # noqa: E731
         a, b = _golden_section_max(f, a, b, lambda b: tol, 120)
         t_hat = 0.5 * (a + b)
@@ -258,18 +259,12 @@ def empirical_snr_study(
         p00 = config.p00
 
     if k is None:
-        p_true = steady_population(config)
-        model = steady_model(config)
-        monotone = True
-        crb = snr_steady(config, M)
+        model, crb = steady_model(config), snr_steady(config, M)
     else:
-        p_true = transient_population(k, p00, collision_params(config))
-        model = transient_model(config, k, p00)
-        monotone = False
-        crb = snr_transient(k, p00, config, M)
-
+        model, crb = transient_model(config, k, p00), snr_transient(k, p00, config, M)
+    p_true = model(config.T)
     singular = p_true <= 0.0 or p_true >= 1.0
-    estimate = _estimator(model, prior_interval(config), monotone)
+    estimate = _estimator(model, prior_interval(config), monotone=k is None)
     estimates = np.empty(trials)
     clamped = 0
     for i in range(trials):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, collision_params, stable_logistic, thermal_population
+from .core import MachineConfig, _fixed_point, _probe_gap, collision_params, thermal_population
 from .dynamics import contraction_power
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
@@ -96,21 +96,25 @@ def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
 
 
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
-    x = config.eps_s / config.T - config.eps_v / config.T_v
-    return stable_logistic(-x), stable_logistic(x)
+    x_s, x_v = config.eps_s / config.T, config.eps_v / config.T_v
+    return _fixed_point(x_s, x_v), _fixed_point(x_v, x_s)
+
+
+def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:
+    """p0 p1 gap / T^2: the T-derivative of a population 1 / (1 + e^(+-gap/T))."""
+    return p0 * p1 * gap / (T * T)
 
 
 def sensitivity_steady(config: MachineConfig) -> float:
     """d p0_inf / dT = p0_inf p1_inf eps_s / T^2."""
-    p0, p1 = _steady_pair(config)
-    return p0 * p1 * config.eps_s / (config.T * config.T)
+    return _population_slope(*_steady_pair(config), config.eps_s, config.T)
 
 
 def jump_rate_derivative(config: MachineConfig) -> float:
     """dr/dT = (d p1_s / dT)(p0_v - p1_v); only the sample depends on T."""
     sample = thermal_population(config.eps_s, config.T)
     ancilla = thermal_population(config.eps_v, config.T_v)
-    dp1s = sample.p0 * sample.p1 * config.eps_s / (config.T * config.T)
+    dp1s = _population_slope(sample.p0, sample.p1, config.eps_s, config.T)
     return dp1s * (ancilla.p0 - ancilla.p1)
 
 
@@ -181,7 +185,7 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     if _below_one(M):
         raise ValueError("M must be >= 1")
     qubit = thermal_population(gap, T)
-    lam = qubit.p0 * qubit.p1 * gap / (T * T)
+    lam = _population_slope(qubit.p0, qubit.p1, gap, T)
     return T * _sqrt(M * lam * gap / (T * T))
 
 
@@ -249,7 +253,7 @@ class NoisyAncillaSpec:
 def _mistuned_config(config: MachineConfig, noisy: NoisyAncillaSpec) -> MachineConfig:
     """Config whose ancilla gap was tuned with the erroneous T_v estimate."""
     tv_est = config.T_v * (1.0 + noisy.sign * noisy.delta_Tv_rel)
-    eps_p = config.eps_s * (tv_est - config.T_prior) / config.T_prior
+    eps_p = _probe_gap(config.eps_s, tv_est, config.T_prior)
     if eps_p < 0.0:
         raise ValueError("mistuned ancilla gap falls below the sample gap")
     return replace(config, eps_p=eps_p)
@@ -266,6 +270,11 @@ def snr_noisy_ancilla(
     return snr_steady(_mistuned_config(config, noisy), M)
 
 
+def _peak_temperature(config: MachineConfig, noisy: NoisyAncillaSpec) -> float:
+    """T_prior / (1 +/- delta), where the mistuned exponent x_T vanishes."""
+    return config.T_prior / (1.0 + noisy.sign * noisy.delta_Tv_rel)
+
+
 def noisy_peak(
     config: MachineConfig, noisy: NoisyAncillaSpec, M: int = 1
 ) -> tuple[float, SnrPoint]:
@@ -274,7 +283,7 @@ def noisy_peak(
     The peak sits at T = T_prior / (1 +/- delta) with value
     (sqrt(M)/2)(1 +/- delta) eps_s / T_prior.
     """
-    t_peak = config.T_prior / (1.0 + noisy.sign * noisy.delta_Tv_rel)
+    t_peak = _peak_temperature(config, noisy)
     point = snr_noisy_ancilla(replace(config, T=t_peak), noisy, M)
     return t_peak, point
 
@@ -285,21 +294,19 @@ def noisy_peak_in_prior(config: MachineConfig, noisy: NoisyAncillaSpec) -> bool:
     The right endpoint counts as inside: the undershoot branch at
     delta = 1/2 peaks exactly at 2 T_prior.
     """
-    t_peak = config.T_prior / (1.0 + noisy.sign * noisy.delta_Tv_rel)
+    t_peak = _peak_temperature(config, noisy)
     return 0.0 < t_peak <= 2.0 * config.T_prior
 
 
 def snr_sample_bound(k: int, T: float, eps_s: float) -> float:
     """Best SNR of an energy measurement on k (int or integer array) sample qubits.
 
-    sqrt(k e^(-eps_s/T)) / (1 + e^(-eps_s/T)) * (eps_s/T); any probe scheme
-    that consumed k qubits is bounded by this.
+    The thermal SNR of k qubits, sqrt(k e^(-eps_s/T)) / (1 + e^(-eps_s/T)) * (eps_s/T);
+    any probe scheme that consumed k qubits is bounded by this.
     """
     if _below_one(k):
         raise ValueError("k must be >= 1")
-    x = eps_s / T
-    e = math.exp(-x)
-    return _sqrt(k * e) / (1.0 + e) * x
+    return snr_thermal(T, eps_s, k)
 
 
 def required_interactions(target_snr: float, T: float, eps_s: float) -> int:

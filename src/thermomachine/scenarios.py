@@ -32,7 +32,6 @@ from .metrology import (
     SQRT_TWO_OVER_PI,
     NoisyAncillaSpec,
     fisher_binary,
-    sensitivity_steady,
     snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
@@ -41,18 +40,18 @@ from .metrology import (
 )
 from .tables import ResultTable, make_table
 
-_TUNING = ("eps_s", "T_prior", "T_v", "eps_I", "p00")
+_TUNING = ("eps_s", "T_prior", "T_v")
 _T_AXIS = ("points", "t_min", "t_max")
 _K_AXIS = ("k_min", "k_max", "k_step")
 
 #: Fields each kind's runner reads, besides name, kind and seed.
 _KIND_FIELDS = {
     "steady-sweep": _TUNING + _T_AXIS + ("priors", "M"),
-    "transient-sweep": _TUNING + _K_AXIS + ("T", "temps", "p00_values", "M"),
-    "cost-comparison": _TUNING + _K_AXIS + ("T", "M", "M_alt"),
-    "heat-trajectory": _TUNING + _K_AXIS + ("T", "temps", "p00_values"),
+    "transient-sweep": _TUNING + _K_AXIS + ("p00", "T", "temps", "p00_values", "M"),
+    "cost-comparison": _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt"),
+    "heat-trajectory": _TUNING + _K_AXIS + ("p00", "T", "temps", "p00_values"),
     "noisy-ancilla": _TUNING + _T_AXIS + ("delta_Tv_rel", "M"),
-    "montecarlo": _TUNING + ("T", "M", "trials", "model", "k_measure"),
+    "montecarlo": _TUNING + ("p00", "T", "M", "trials", "model", "k_measure"),
     "verify": ("samples",),
 }
 
@@ -76,7 +75,6 @@ class Scenario:
     T: float | None = None
     T_v: float = 1.0
     T_prior: float | None = None
-    eps_I: float = 1.0
     p00: float = 1.0
     priors: tuple[float, ...] = ()
     temps: tuple[float, ...] = ()
@@ -107,6 +105,8 @@ class Scenario:
             raise ValueError("k_max must be >= k_min")
         if self.M < 1 or self.M_alt < 1:
             raise ValueError("M and M_alt must be >= 1")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
         if (self.t_min is None) != (self.t_max is None):
             raise ValueError("t_min and t_max must be given together")
         if self.t_min is not None and not 0.0 < self.t_min < self.t_max:
@@ -116,19 +116,26 @@ class Scenario:
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 def coerce_setting(name: str, raw: str) -> object:
-    """Parse one ``key=value`` override with the field's declared type."""
+    """Parse one ``key=value`` override with the field's declared type; floats must be finite."""
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown scenario field {name!r}")
     decl = _FIELD_TYPES[name]
     if decl.startswith("tuple"):
         if raw.strip() == "":
             return ()
-        return tuple(float(x) for x in raw.split(","))
+        return tuple(_finite(name, x) for x in raw.split(","))
     if decl.startswith("int"):
         return int(raw, 0)
     if decl.startswith("float"):
-        return float(raw)
+        return _finite(name, raw)
     return raw
+
+
+def _finite(name: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
@@ -148,7 +155,6 @@ def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineCon
         T=T,
         T_prior=scenario.T_prior,
         T_v=scenario.T_v,
-        eps_I=scenario.eps_I,
         p00=scenario.p00 if p00 is None else p00,
     )
 
@@ -197,15 +203,13 @@ def _run_steady_sweep(scenario: Scenario) -> ResultTable:
     for t_prior in priors:
         for T in _temperature_grid(scenario, t_prior):
             config = _tuned(replace(scenario, T_prior=t_prior), T)
-            p0 = steady_population(config)
-            lam = sensitivity_steady(config)
             point = snr_steady(config, scenario.M)
             rows.append(
                 (
                     t_prior / u,
                     T / u,
-                    p0,
-                    lam * u,
+                    steady_population(config),
+                    point.sensitivity * u,
                     point.snr,
                     snr_thermal(T, scenario.eps_s, scenario.M),
                     0.5 * math.sqrt(scenario.M) * scenario.eps_s / T,
@@ -251,9 +255,9 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
     k = _k_values(scenario, max(1, scenario.k_min))
     snr_m1 = snr_transient(k, scenario.p00, config, scenario.M)
     snr_m2 = snr_transient(k, scenario.p00, config, scenario.M_alt).snr
+    # The k-qubit sample bound is the thermal SNR of k qubits: one column, written twice.
     bound = snr_sample_bound(k, scenario.T, scenario.eps_s)
-    thermal = snr_thermal(scenario.T, scenario.eps_s, k)
-    rows = _block(k, snr_m1.k, snr_m1.snr, snr_m2, thermal, bound, snr_m1.snr / bound)
+    rows = _block(k, snr_m1.k, snr_m1.snr, snr_m2, bound, bound, snr_m1.snr / bound)
     meta = _base_meta(scenario)
     meta["ref_sqrt_2_over_pi"] = SQRT_TWO_OVER_PI
     # The plateau the transient columns climb toward; the measurement-cost

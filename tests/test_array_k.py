@@ -133,9 +133,7 @@ def rebuild_transient_sweep(scenario) -> list[tuple[float, ...]]:
     rows = []
     for T in scenario.temps:
         for p00 in scenario.p00_values:
-            config = tune_config(
-                scenario.eps_s, T, scenario.T_prior, scenario.T_v, scenario.eps_I, p00
-            )
+            config = tune_config(scenario.eps_s, T, scenario.T_prior, scenario.T_v, p00=p00)
             params = collision_params(config)
             for k in range(scenario.k_min, scenario.k_max + 1, scenario.k_step):
                 rows.append(
@@ -153,7 +151,7 @@ def rebuild_transient_sweep(scenario) -> list[tuple[float, ...]]:
 
 def rebuild_cost_comparison(scenario) -> list[tuple[float, ...]]:
     config = tune_config(
-        scenario.eps_s, scenario.T, scenario.T_prior, scenario.T_v, scenario.eps_I, scenario.p00
+        scenario.eps_s, scenario.T, scenario.T_prior, scenario.T_v, p00=scenario.p00
     )
     rows = []
     for k in range(max(1, scenario.k_min), scenario.k_max + 1, scenario.k_step):

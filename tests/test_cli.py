@@ -6,6 +6,8 @@ import json
 import math
 from dataclasses import fields
 
+import pytest
+
 from thermomachine.cli import _DEFAULTS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from thermomachine.scenarios import PRESETS, Scenario, apply_settings
 from thermomachine.tables import from_csv, validate_table_json
@@ -189,3 +191,63 @@ def test_defaults_and_presets_set_only_fields_their_kind_reads():
             if getattr(scenario, name) != plain[name]
         }
         assert apply_settings(scenario, changed) == scenario
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["transient", "--set", "eps_I=7"], "eps_I"),
+        (["steady", "--set", "p00=0.3"], "p00"),
+        (["noisy", "--set", "p00=0.3"], "p00"),
+    ],
+)
+def test_dead_knobs_are_usage_errors(capsys, args, field):
+    # No closed form reads the coupling, and no steady quantity reads p00.
+    code, out, err = run(args, capsys)
+    assert code == EXIT_USAGE
+    assert field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["steady", "--set", "T_prior=nan"],
+        ["cost", "--set", "T=inf"],
+        ["steady", "--set", "priors=0.25,-inf"],
+    ],
+)
+def test_non_finite_setting_is_usage_error(capsys, args):
+    code, out, err = run(args, capsys)
+    assert code == EXIT_USAGE
+    assert "must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("T_prior", "NaN"), ("T_prior", "Infinity"), ("priors", "[0.25, NaN]")]
+)
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value):
+    # Python's json module reads the non-standard tokens NaN and Infinity.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(f'{{"{key}": {value}}}')
+    code, out, err = run(["steady", "--config", str(cfg)], capsys)
+    assert code == EXIT_USAGE
+    assert "must be finite" in err
+    assert out == ""
+
+
+def test_zero_verify_samples_is_usage_error(capsys):
+    code, out, err = run(["verify", "--set", "samples=0"], capsys)
+    assert code == EXIT_USAGE
+    assert "samples" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["transient", "montecarlo"])
+def test_arithmetic_failure_is_usage_error(capsys, command):
+    # T*T underflows to 0 in the steady sensitivity: ZeroDivisionError.
+    code, out, err = run([command, "--set", "T=1e-300"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""

@@ -247,6 +247,17 @@ def test_two_level_reduction_is_identity(config):
     assert params.p0_inf == pytest.approx(reference.p0_inf, rel=1e-14)
 
 
+def test_triad_oracle_is_the_two_level_sample_oracle():
+    # The triad is the d = 2 sample (0, eps_s) addressed on its pair (0, 1);
+    # only the sample populations differ in rounding (logistic vs Gibbs sum).
+    for config in random_machine_configs(40, seed=5):
+        sample = DLevelSample(levels=(0.0, config.eps_s), temperature=config.T, pair=(0, 1))
+        for p0 in (0.0, config.p00, 1.0):
+            rho = np.diag([p0, 1.0 - p0]).astype(complex)
+            matrix = collide_oracle_matrix(rho, config)[0, 0].real
+            assert abs(matrix - collide_oracle_dlevel(p0, sample, config)) <= 1e-15
+
+
 def test_three_level_fixed_point_matches_qubit_formula(config):
     sample = DLevelSample(levels=(0.0, 1.0, 2.0), temperature=config.T, pair=(0, 1))
     p0 = 1.0

@@ -306,6 +306,23 @@ def test_sample_bound_values():
         snr_sample_bound(0, 0.2, 1.0)
 
 
+def reference_sample_bound(k: int, T: float, eps_s: float) -> float:
+    """The k-qubit bound as its own closed form, sqrt(k e^-x) / (1 + e^-x) x with x = eps_s/T."""
+    x = eps_s / T
+    e = math.exp(-x)
+    return math.sqrt(k * e) / (1.0 + e) * x
+
+
+@pytest.mark.parametrize("T, eps_s", [(1.0 / 8.0, 1.0), (1.0 / 11.0, 1.0), (0.3, 1.7)])
+def test_sample_bound_matches_its_closed_form(T, eps_s):
+    # snr_sample_bound is the thermal SNR of k qubits; the closed form above
+    # is the formula it replaced, kept as the reference.
+    ks = np.arange(1, 6001)
+    got = snr_sample_bound(ks, T, eps_s)
+    want = np.array([reference_sample_bound(int(k), T, eps_s) for k in ks])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
 def test_sample_bound_sqrt_k_scaling():
     for k in (1, 9, 400):
         assert snr_sample_bound(4 * k, 0.3, 1.0) == pytest.approx(
