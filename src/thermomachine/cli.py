@@ -35,16 +35,6 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-_SUBCOMMAND_KINDS = {
-    "steady": "steady-sweep",
-    "transient": "transient-sweep",
-    "cost": "cost-comparison",
-    "heat": "heat-trajectory",
-    "noisy": "noisy-ancilla",
-    "montecarlo": "montecarlo",
-    "verify": "verify",
-}
-
 _DEFAULTS = {
     "steady": Scenario(name="steady", kind="steady-sweep", T_prior=0.25),
     "transient": Scenario(
@@ -95,8 +85,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="thermomachine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SUBCOMMAND_KINDS:
-        p = sub.add_parser(command, help=f"run a {_SUBCOMMAND_KINDS[command]} scenario")
+    for command, scenario in _DEFAULTS.items():
+        p = sub.add_parser(command, help=f"run a {scenario.kind} scenario")
         _add_common(p)
     p = sub.add_parser("preset", help="run a named preset scenario")
     p.add_argument("preset_name", metavar="NAME", help=", ".join(sorted(PRESETS)))

@@ -35,7 +35,8 @@ class SnrPoint:
     """One evaluated SNR with its ingredients.
 
     ``k`` is the collision count (math.inf for the steady state), ``M`` the
-    number of energy measurements.  ``singular`` marks boundary populations
+    number of energy measurements and ``p0`` the probe ground population
+    the SNR was computed from.  ``singular`` marks boundary populations
     (p0 in {0, 1}) where the Fisher information diverges and the SNR is
     reported as an explicit undefined variant instead of NaN.
     """
@@ -46,6 +47,7 @@ class SnrPoint:
     snr: float
     sensitivity: float
     fisher: float
+    p0: float
     singular: bool = False
 
 
@@ -91,7 +93,7 @@ def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
     singular = fisher == math.inf
     snr = T * _sqrt(M * fisher)  # inf where singular
     return SnrPoint(
-        T=T, M=M, k=k, snr=snr, sensitivity=sensitivity, fisher=fisher, singular=singular
+        T=T, M=M, k=k, snr=snr, sensitivity=sensitivity, fisher=fisher, p0=p0, singular=singular
     )
 
 
@@ -125,7 +127,11 @@ def sensitivity_transient(k: int, p00: float, config: MachineConfig) -> float:
     k = 0 returns 0 (the initial state carries no temperature information).
     """
     params = collision_params(config)
-    q_k = contraction_power(params.r, k)
+    return _transient_slope(k, p00, config, params, contraction_power(params.r, k))
+
+
+def _transient_slope(k, p00, config, params, q_k):
+    """sensitivity_transient given the collision params and q_k = (1-r)^k already formed."""
     # At k = 0 the exponent k - 1 is clamped to 0; both terms are then +0.
     q_km1 = contraction_power(params.r, k - (k > 0))
     lam_inf = sensitivity_steady(config)
@@ -144,7 +150,8 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    lam = sensitivity_steady(config)
+    p0, p1 = _steady_pair(config)
+    lam = _population_slope(p0, p1, config.eps_s, config.T)
     fisher = lam * config.eps_s / (config.T * config.T)
     return SnrPoint(
         T=config.T,
@@ -153,6 +160,7 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
         snr=config.T * math.sqrt(M * fisher),
         sensitivity=lam,
         fisher=fisher,
+        p0=p0,
     )
 
 
@@ -172,7 +180,7 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
         k=k.astype(float) if isinstance(k, np.ndarray) else float(k),
         p0=p0,
         p1=p1,
-        sensitivity=sensitivity_transient(k, p00, config),
+        sensitivity=_transient_slope(k, p00, config, params, q),
     )
 
 
@@ -189,20 +197,17 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     return T * _sqrt(M * lam * gap / (T * T))
 
 
-def max_thermal_snr(
-    T: float, M: int = 1, gap_lo: float | None = None, gap_hi: float | None = None
-) -> tuple[float, float]:
+def max_thermal_snr(T: float, M: int = 1) -> tuple[float, float]:
     """Maximize the thermal SNR over the probe gap at fixed T.
 
-    Golden-section search on the unimodal gap profile; returns
-    (gap_at_max, max_snr).
+    Golden-section search of the unimodal gap profile on [1e-3 T, 20 T];
+    returns (gap_at_max, max_snr).
     """
-    lo = gap_lo if gap_lo is not None else 1e-3 * T
-    hi = gap_hi if gap_hi is not None else 20.0 * T
     # The profile is flat to float resolution within ~sqrt(eps) of its peak,
     # so a narrower bracket would only be decided by rounding.
     f = lambda gap: snr_thermal(T, gap, M)  # noqa: E731
-    a, b = _golden_section_max(f, lo, hi, lambda b: 2.0**-26 * max(1.0, b), 200)  # sqrt(eps)
+    tol = lambda b: 2.0**-26 * max(1.0, b)  # noqa: E731  sqrt(eps)
+    a, b = _golden_section_max(f, 1e-3 * T, 20.0 * T, tol, 200)
     gap = 0.5 * (a + b)
     return gap, snr_thermal(T, gap, M)
 

@@ -43,20 +43,7 @@ from .tables import ResultTable, make_table
 _TUNING = ("eps_s", "T_prior", "T_v")
 _T_AXIS = ("points", "t_min", "t_max")
 _K_AXIS = ("k_min", "k_max", "k_step")
-
-#: Fields each kind's runner reads, besides name, kind and seed.
-_KIND_FIELDS = {
-    "steady-sweep": _TUNING + _T_AXIS + ("priors", "M"),
-    "transient-sweep": _TUNING + _K_AXIS + ("p00", "T", "temps", "p00_values", "M"),
-    "cost-comparison": _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt"),
-    "heat-trajectory": _TUNING + _K_AXIS + ("p00", "T", "temps", "p00_values"),
-    "noisy-ancilla": _TUNING + _T_AXIS + ("delta_Tv_rel", "M"),
-    "montecarlo": _TUNING + ("p00", "T", "M", "trials", "model", "k_measure"),
-    "verify": ("samples",),
-}
-
-KINDS = tuple(_KIND_FIELDS)
-
+_BLOCKS = ("p00", "T", "temps", "p00_values")  # one block per (T, p00) pair
 
 @dataclass(frozen=True)
 class Scenario:
@@ -95,7 +82,7 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.points < 0:
             raise ValueError("points must be >= 0")
@@ -141,7 +128,8 @@ def _finite(name: str, text: str) -> float:
 def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
     """Override fields of ``scenario``, refusing any field its kind never reads."""
     updated = replace(scenario, **settings)
-    unread = sorted(set(settings) - {"name", "kind", "seed"} - set(_KIND_FIELDS[updated.kind]))
+    _, read = _KINDS[updated.kind]
+    unread = sorted(set(settings) - {"name", "kind", "seed"} - set(read))
     if unread:
         raise ValueError(f"{updated.kind} scenarios do not read {', '.join(unread)}")
     return updated
@@ -201,14 +189,14 @@ def _run_steady_sweep(scenario: Scenario) -> ResultTable:
     u = scenario.eps_s  # temperatures reported in units of eps_s
     rows = []
     for t_prior in priors:
+        prior_scenario = replace(scenario, T_prior=t_prior)
         for T in _temperature_grid(scenario, t_prior):
-            config = _tuned(replace(scenario, T_prior=t_prior), T)
-            point = snr_steady(config, scenario.M)
+            point = snr_steady(_tuned(prior_scenario, T), scenario.M)
             rows.append(
                 (
                     t_prior / u,
                     T / u,
-                    steady_population(config),
+                    point.p0,
                     point.sensitivity * u,
                     point.snr,
                     snr_thermal(T, scenario.eps_s, scenario.M),
@@ -232,13 +220,11 @@ def _run_transient_sweep(scenario: Scenario) -> ResultTable:
     blocks = []
     for T in temps:
         for p00 in p00s:
-            config = _tuned(scenario, T, p00)
-            point = snr_transient(k, p00, config, scenario.M)
-            p0_k = transient_population(k, p00, collision_params(config))
-            blocks.append(_block(k, T / u, p00, point.k, p0_k, point.sensitivity * u, point.snr))
+            pt = snr_transient(k, p00, _tuned(scenario, T, p00), scenario.M)
+            blocks.append(_block(k, T / u, p00, pt.k, pt.p0, pt.sensitivity * u, pt.snr))
     return make_table(
         ("T", "p00", "k", "p0_k", "sensitivity", "snr"),
-        np.vstack(blocks).tolist(),
+        np.vstack(blocks),
         _base_meta(scenario),
     )
 
@@ -273,7 +259,7 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
             "snr_sample_bound",
             "ratio_to_bound",
         ),
-        rows.tolist(),
+        rows,
         meta,
     )
 
@@ -295,7 +281,7 @@ def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
             blocks.append(_block(k, T / u, p00, k.astype(float), *(c[j] for c in steps + heats)))
     return make_table(
         ("T", "p00", "k", "delta_p", "sample_p0", "ancilla_p0", "q_sample", "q_ancilla"),
-        np.vstack(blocks).tolist(),
+        np.vstack(blocks),
         _base_meta(scenario),
     )
 
@@ -346,8 +332,8 @@ def _run_montecarlo(scenario: Scenario) -> ResultTable:
     u = scenario.eps_s
     row = (
         scenario.T / u,
-        float(scenario.M),
-        float(report.trials),
+        scenario.M,
+        report.trials,
         report.t_hat_mean / u,
         report.t_hat_std / u,
         report.rmse / u,
@@ -508,7 +494,23 @@ def run_verification(samples: int = 200, seed: int = DEFAULT_SEED) -> ResultTabl
 
 
 def verification_passed(table: ResultTable) -> bool:
-    return all(row[1] == 1.0 for row in table.rows)
+    return bool(np.all(table.cells[:, table.columns.index("ok")] == 1.0))
+
+
+def _run_verify(scenario: Scenario) -> ResultTable:
+    return run_verification(samples=scenario.samples, seed=scenario.seed)
+
+
+#: Per kind: its runner and the fields it reads besides name, kind and seed.
+_KINDS = {
+    "steady-sweep": (_run_steady_sweep, _TUNING + _T_AXIS + ("priors", "M")),
+    "transient-sweep": (_run_transient_sweep, _TUNING + _K_AXIS + _BLOCKS + ("M",)),
+    "cost-comparison": (_run_cost_comparison, _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt")),
+    "heat-trajectory": (_run_heat_trajectory, _TUNING + _K_AXIS + _BLOCKS),
+    "noisy-ancilla": (_run_noisy_ancilla, _TUNING + _T_AXIS + ("delta_Tv_rel", "M")),
+    "montecarlo": (_run_montecarlo, _TUNING + ("p00", "T", "M", "trials", "model", "k_measure")),
+    "verify": (_run_verify, ("samples",)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -594,16 +596,5 @@ PRESETS: dict[str, Scenario] = {
 
 def run_scenario(scenario: Scenario) -> ResultTable:
     """Produce the result table for any scenario kind."""
-    runner = {
-        "steady-sweep": _run_steady_sweep,
-        "transient-sweep": _run_transient_sweep,
-        "cost-comparison": _run_cost_comparison,
-        "heat-trajectory": _run_heat_trajectory,
-        "noisy-ancilla": _run_noisy_ancilla,
-        "montecarlo": _run_montecarlo,
-    }.get(scenario.kind)
-    if runner is not None:
-        return runner(scenario)
-    if scenario.kind == "verify":
-        return run_verification(samples=scenario.samples, seed=scenario.seed)
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+    runner, _ = _KINDS[scenario.kind]
+    return runner(scenario)

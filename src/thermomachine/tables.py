@@ -1,74 +1,75 @@
 """Machine-readable result tables with deterministic CSV/JSON export.
 
-CSV layout: leading ``# key=value`` metadata lines, a header row of column
-names, then one newline-terminated row per sweep point with every number
-printed to 17 significant digits, so a re-imported table reproduces the
-original float64 values bit for bit and re-export is byte-identical.
+A table's cells are one read-only float64 array of shape
+(rows, len(columns)), from the runner that builds it to the exporter that
+writes it.  CSV layout: leading ``# key=value`` metadata lines, a header row
+of column names, then one newline-terminated row per sweep point with every
+number printed to 17 significant digits, so a re-imported table reproduces
+the original float64 values bit for bit and re-export is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Rectangular numeric table plus a metadata block."""
+    """Rectangular numeric table plus a metadata block.
+
+    ``cells`` is stored as a read-only float64 view of shape
+    (rows, len(columns)); compare two tables' cells with ``np.array_equal``.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    cells: np.ndarray
     meta: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        cells = np.asarray(self.cells, dtype=float).view()
+        if cells.ndim != 2 or cells.shape[1] != width:
+            raise ValueError(f"cells have shape {cells.shape}, expected (rows, {width})")
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
-    def column(self, name: str) -> list[float]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The cells as one tuple of Python floats per row (built on each access)."""
+        return tuple(map(tuple, self.cells.tolist()))
 
 
 def make_table(
     columns: Iterable[str],
-    rows: Iterable[Iterable[float]],
+    rows: Iterable[Iterable[float]] | np.ndarray,
     meta: dict[str, object] | None = None,
 ) -> ResultTable:
-    return ResultTable(
-        columns=tuple(columns),
-        rows=tuple(tuple(map(float, row)) for row in rows),
-        meta=dict(meta or {}),
-    )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    columns = tuple(columns)
+    cells = np.asarray(rows, dtype=float)
+    if not len(cells):  # an empty sweep has no row to give the width
+        cells = cells.reshape(0, len(columns))
+    return ResultTable(columns=columns, cells=cells, meta=dict(meta or {}))
 
 
 def _meta_value(value: object) -> str:
     if isinstance(value, float):
-        return _fmt(value)
+        return format(value, ".17g")
     return str(value)
 
 
 def to_csv(table: ResultTable) -> str:
     lines = [f"# {key}={_meta_value(value)}" for key, value in table.meta.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    # "%.17g" % x gives the same text as format(x, ".17g") for every float.
+    template = ",".join(["%.17g"] * len(table.columns))
+    lines.extend(template % row for row in map(tuple, table.cells.tolist()))
     return "\n".join(lines) + "\n"
-
-
-def _json_row(row: tuple[float, ...]) -> tuple[float | None, ...]:
-    if all(map(math.isfinite, row)):
-        return row
-    return tuple(x if math.isfinite(x) else None for x in row)
 
 
 def to_json(table: ResultTable) -> str:
@@ -77,11 +78,10 @@ def to_json(table: ResultTable) -> str:
     JSON has no token for inf or nan, so allow_nan=False still rejects a
     non-finite meta value instead of emitting non-standard JSON.
     """
-    payload = {
-        "meta": table.meta,
-        "columns": list(table.columns),
-        "rows": list(map(_json_row, table.rows)),
-    }
+    rows = table.cells.tolist()
+    for i, j in np.argwhere(~np.isfinite(table.cells)).tolist():
+        rows[i][j] = None
+    payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
     return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
@@ -111,8 +111,15 @@ def from_csv(text: str) -> ResultTable:
     if not body:
         raise ValueError("CSV has no header row")
     columns = tuple(body[0].split(","))
-    rows = tuple(tuple(float(x) for x in ln.split(",")) for ln in body[1:])
-    return ResultTable(columns=columns, rows=rows, meta=meta)
+    # Row by row: parsing every line in one np.array call holds all the cell
+    # strings at once, several times the table's own size.
+    cells = np.empty((len(body) - 1, len(columns)))
+    for i, ln in enumerate(body[1:]):
+        row = ln.split(",")
+        if len(row) != len(columns):  # numpy would broadcast a one-cell row
+            raise ValueError(f"CSV row {i} has {len(row)} cells, expected {len(columns)}")
+        cells[i] = row
+    return ResultTable(columns=columns, cells=cells, meta=meta)
 
 
 def validate_table_json(obj: object) -> None:

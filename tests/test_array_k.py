@@ -18,8 +18,10 @@ from thermomachine import (
     run_scenario,
     sensitivity_transient,
     snr_sample_bound,
+    snr_steady,
     snr_thermal,
     snr_transient,
+    steady_population,
     transient_population,
     tune_config,
 )
@@ -96,6 +98,18 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
     for field in ("k", "snr", "sensitivity", "fisher"):
         assert bits(getattr(point, field)) == bits([getattr(s, field) for s in scalars])
     assert point.singular.tolist() == [s.singular for s in scalars]
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=machines, extra=extra_ks)
+def test_snr_point_population_is_the_dynamics_population(config, extra):
+    params = collision_params(config)
+    ks = edge_ks(params.r, extra)
+    p00 = config.p00
+    expected = transient_population(ks, p00, params)
+    assert bits(snr_transient(ks, p00, config).p0) == bits(expected)
+    assert bits([snr_transient(k, p00, config).p0 for k in ks.tolist()]) == bits(expected)
+    assert bits(snr_steady(config).p0) == bits(steady_population(config))
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from thermomachine import PRESETS, ResultTable, from_csv, make_table, run_scenario, to_csv, to_json
@@ -21,7 +23,54 @@ def small_table() -> ResultTable:
 
 def test_rectangularity_enforced():
     with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=((1.0,),))
+        ResultTable(columns=("a", "b"), cells=((1.0,),))
+
+
+def test_width_mismatch_refused_by_make_table_and_from_csv():
+    with pytest.raises(ValueError):
+        make_table(("a", "b"), ((1.0, 2.0, 3.0),))
+    with pytest.raises(ValueError):
+        make_table(("a", "b"), ((1.0, 2.0), (3.0,)))
+    # A one-cell row would broadcast across a numpy row; it must be refused.
+    for body in ("1\n", "1,2,3\n"):
+        with pytest.raises(ValueError):
+            from_csv("a,b\n1,2\n" + body)
+    assert make_table(("a", "b"), []).cells.shape == (0, 2)
+
+
+def test_cells_are_one_read_only_float64_array():
+    table = small_table()
+    assert table.cells.dtype == np.float64 and table.cells.shape == (3, 2)
+    with pytest.raises(ValueError):
+        table.cells[0, 0] = 5.0
+    assert table.rows[1] == (0.1 + 0.2, 1e-300)
+    # A runner's own array stays writeable; the table holds a read-only view of it.
+    mine = np.ones((2, 1))
+    assert not make_table(("a",), mine).cells.flags.writeable
+    assert mine.flags.writeable
+
+
+def _old_csv_row(row):
+    return ",".join(format(float(x), ".17g") for x in row)
+
+
+def _old_json_row(row):
+    if all(map(math.isfinite, row)):
+        return row
+    return tuple(x if math.isfinite(x) else None for x in row)
+
+
+def test_array_exporters_match_the_per_cell_reference():
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, float(2**53 - 1), 0.1 + 0.2]
+    rows = [tuple(special[(i + j) % len(special)] for j in range(3)) for i in range(len(special))]
+    meta = {"scenario": "x", "kind": "verify", "version": "0"}
+    table = make_table(("a", "b", "c"), rows, meta)
+    csv_body = to_csv(table).splitlines()[len(meta) + 1 :]
+    assert csv_body == [_old_csv_row(row) for row in rows]
+    old = {"meta": meta, "columns": ["a", "b", "c"], "rows": list(map(_old_json_row, rows))}
+    assert to_json(table) == json.dumps(old, indent=2, allow_nan=False) + "\n"
+    back = from_csv(to_csv(table))
+    assert back.cells.tobytes() == table.cells.tobytes()
 
 
 def test_csv_round_trip_is_exact():
