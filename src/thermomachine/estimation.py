@@ -6,7 +6,9 @@ All randomness comes from numpy's Philox 4x64 counter-based generator.  A
 measurement record is produced by drawing one uniform per measurement and
 counting ground outcomes (u < p0), i.e. plain Bernoulli inversion, so a
 given (p0, M, seed) triple yields the same counts on every platform that
-runs the same numpy stream.  Per-trial seeds are split from the master
+runs the same numpy stream.  The uniforms are drawn from that one stream
+in blocks of 2^15, which gives the counts of a single draw of all M while
+holding one block in memory.  Per-trial seeds are split from the master
 seed as  SeedSequence(master, spawn_key=(trial,)) -> first uint64, which
 makes trials independent of execution order and safe to run concurrently.
 """
@@ -32,6 +34,9 @@ _INTERVAL_FLOOR = 1e-12
 
 #: Points of the likelihood grid that brackets a transient ML search.
 _GRID_POINTS = 1024
+
+#: Uniforms per draw in ``sample_measurements``; it caps a trial's memory at any M.
+_DRAW_BLOCK = 2**15
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
 SMALL_M_THRESHOLD = 1000
@@ -84,7 +89,11 @@ def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    m0 = int(np.count_nonzero(rng.random(M) < p0))
+    size = min(M, _DRAW_BLOCK)
+    buf, mask, m0 = np.empty(size), np.empty(size, dtype=bool), 0
+    for start in range(0, M, size):
+        n = min(size, M - start)
+        m0 += int(np.count_nonzero(np.less(rng.random(out=buf[:n]), p0, out=mask[:n])))
     return MeasurementRecord(m0=m0, M=M, seed=seed)
 
 

@@ -11,12 +11,16 @@ the original float64 values bit for bit and re-export is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+#: Rows per string operation in the serializers; it bounds their scratch memory.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,21 +72,33 @@ def to_csv(table: ResultTable) -> str:
     lines.append(",".join(table.columns))
     # "%.17g" % x gives the same text as format(x, ".17g") for every float.
     template = ",".join(["%.17g"] * len(table.columns))
-    lines.extend(template % row for row in map(tuple, table.cells.tolist()))
+    for start in range(0, len(table.cells), _BLOCK):
+        block = table.cells[start : start + _BLOCK]
+        lines.append("\n".join([template] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
 def to_json(table: ResultTable) -> str:
-    """JSON export; a non-finite cell (the documented singular snr = inf) is null.
+    """JSON export, byte for byte ``json.dumps(payload, indent=2, allow_nan=False)``.
 
-    JSON has no token for inf or nan, so allow_nan=False still rejects a
-    non-finite meta value instead of emitting non-standard JSON.
+    A non-finite cell (the documented singular snr = inf) is null.  The head
+    goes through json.dumps, so a non-finite meta value is still refused; the
+    rows are "%s"-formatted a block at a time, as json writes a float's repr.
     """
-    rows = table.cells.tolist()
-    for i, j in np.argwhere(~np.isfinite(table.cells)).tolist():
-        rows[i][j] = None
-    payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
-    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
+    head = {"meta": table.meta, "columns": list(table.columns), "rows": []}
+    text = json.dumps(head, indent=2, allow_nan=False)  # ends with '"rows": []\n}'
+    width = len(table.columns)
+    row = "    [" + ",".join(["\n      %s"] * width) + "\n    ]" if width else "    []"
+    blocks = []
+    for start in range(0, len(table.cells), _BLOCK):
+        block = table.cells[start : start + _BLOCK]
+        values = block.ravel().tolist()
+        if not np.isfinite(block).all():
+            values = [x if math.isfinite(x) else "null" for x in values]
+        blocks.append(",\n".join([row] * len(block)) % tuple(values))
+    if not blocks:
+        return text + "\n"
+    return text[:-3] + "\n" + ",\n".join(blocks) + "\n  ]\n}\n"
 
 
 def _parse_meta_value(text: str) -> object:
@@ -110,15 +126,15 @@ def from_csv(text: str) -> ResultTable:
             body.append(ln)
     if not body:
         raise ValueError("CSV has no header row")
-    columns = tuple(body[0].split(","))
-    # Row by row: parsing every line in one np.array call holds all the cell
-    # strings at once, several times the table's own size.
-    cells = np.empty((len(body) - 1, len(columns)))
-    for i, ln in enumerate(body[1:]):
-        row = ln.split(",")
-        if len(row) != len(columns):  # numpy would broadcast a one-cell row
-            raise ValueError(f"CSV row {i} has {len(row)} cells, expected {len(columns)}")
-        cells[i] = row
+    columns, rows = tuple(body[0].split(",")), body[1:]
+    width = len(columns)
+    cells = np.empty((len(rows), width))
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        # Per row: a count over the block would miss a short row beside a long one.
+        for i in (i for i, ln in enumerate(block, start) if ln.count(",") != width - 1):
+            raise ValueError(f"CSV row {i} has {rows[i].count(',') + 1} cells, expected {width}")
+        cells[start : start + len(block)].flat = np.array(",".join(block).split(","), dtype=float)
     return ResultTable(columns=columns, cells=cells, meta=meta)
 
 

@@ -53,6 +53,17 @@ def test_fair_coin_within_three_sigma(seed):
     assert 0.4985 <= record.m0 / record.M <= 0.5015
 
 
+@pytest.mark.parametrize("M", [1, 2**15 - 1, 2**15, 2**15 + 1, 10**5])
+def test_block_draws_count_what_one_draw_of_all_m_counts(M):
+    def one_shot_m0(p0, seed):  # the single-draw form, kept as the reference
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        return int(np.count_nonzero(rng.random(M) < p0))
+
+    for i, p0 in enumerate([0.0, 0.37, 0.5, 0.999, 1.0, *np.linspace(0.01, 0.99, 7)]):
+        seed = trial_seed(0x5EED, i)
+        assert sample_measurements(float(p0), M, seed).m0 == one_shot_m0(float(p0), seed)
+
+
 def test_trial_seed_splitting_is_stable():
     seeds = [trial_seed(0x5EED, i) for i in range(5)]
     assert len(set(seeds)) == 5

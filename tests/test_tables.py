@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermomachine import PRESETS, ResultTable, from_csv, make_table, run_scenario, to_csv, to_json
 from thermomachine.scenarios import Scenario
-from thermomachine.tables import export, schema_text, validate_table_json
+from thermomachine.tables import _BLOCK, export, schema_text, validate_table_json
 
 
 def small_table() -> ResultTable:
@@ -71,6 +73,75 @@ def test_array_exporters_match_the_per_cell_reference():
     assert to_json(table) == json.dumps(old, indent=2, allow_nan=False) + "\n"
     back = from_csv(to_csv(table))
     assert back.cells.tobytes() == table.cells.tobytes()
+
+
+_FINITE_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, float(2**53 - 1), 0.1 + 0.2, 1e300, 1.0]
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def _json_reference(table: ResultTable) -> str:
+    """The encoder the block writer replaced: json.dumps of the whole payload."""
+    rows = [[x if math.isfinite(x) else None for x in row] for row in table.cells.tolist()]
+    payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, _BLOCK, 2 * _BLOCK + 1]),
+    width=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+    non_finite_row=st.sampled_from([None, 0, _BLOCK - 1, _BLOCK, 2 * _BLOCK]),
+    meta_value=st.one_of(st.text(), st.booleans(), st.integers(), st.floats(allow_nan=False)),
+)
+@example(n=2 * _BLOCK + 1, width=3, seed=1, non_finite_row=0, meta_value='Tempé "ratur" \\ ∞')
+@example(n=2 * _BLOCK + 1, width=7, seed=2, non_finite_row=2 * _BLOCK, meta_value=True)
+@example(n=_BLOCK, width=1, seed=3, non_finite_row=_BLOCK - 1, meta_value=False)
+def test_block_writers_match_the_whole_table_reference(n, width, seed, non_finite_row, meta_value):
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-300, 300, (n, width))
+    special = rng.random((n, width)) < 0.2
+    cells[special] = rng.choice(_FINITE_SPECIAL, size=int(special.sum()))
+    if non_finite_row is not None and non_finite_row < n and width:
+        cells[non_finite_row] = rng.choice(_NON_FINITE, size=width)
+    meta = {"scenario": "x", "kind": "verify", "version": "0", "note": meta_value}
+    table = make_table([f"c{j}" for j in range(width)], cells, meta)
+    assert to_json(table) == _json_reference(table)
+    csv_text = to_csv(make_table(table.columns, cells))  # meta text may hold a line break
+    assert csv_text.splitlines()[1:] == [_old_csv_row(row) for row in cells]
+    if width:  # a zero-width row is an empty line, which from_csv skips
+        assert from_csv(csv_text).cells.tobytes() == table.cells.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("n", [0, _BLOCK + 1])
+def test_non_finite_meta_is_refused_by_to_json(bad, n):
+    table = make_table(("a",), np.ones((n, 1)), {"scenario": "x", "bad": bad})
+    with pytest.raises(ValueError):
+        to_json(table)
+
+
+@pytest.mark.parametrize("index", [0, _BLOCK - 1, _BLOCK])
+@pytest.mark.parametrize("cells", ["1", "1,2,3"])
+def test_from_csv_names_the_ragged_row(index, cells):
+    rows = ["1,2"] * (_BLOCK + 3)
+    rows[index] = cells
+    with pytest.raises(ValueError, match=f"CSV row {index} has {cells.count(',') + 1} cells"):
+        from_csv("a,b\n" + "\n".join(rows) + "\n")
+
+
+def test_from_csv_refuses_a_short_row_beside_a_long_one():
+    # The block's comma count is right, so only a per-row count sees it.
+    rows = ["1,2"] * 10
+    rows[4:6] = ["1", "1,2,3"]
+    with pytest.raises(ValueError, match="CSV row 4 has 1 cells, expected 2"):
+        from_csv("a,b\n" + "\n".join(rows) + "\n")
+
+
+def test_from_csv_accepts_non_finite_cells():
+    back = from_csv("a,b,c\ninf,-inf,nan\n1,2,3\n")
+    assert back.cells[0, 0] == math.inf and back.cells[0, 1] == -math.inf
+    assert math.isnan(back.cells[0, 2]) and back.cells[1].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_csv_round_trip_is_exact():
