@@ -122,25 +122,22 @@ def tune_config(
     T_v: float,
     eps_I: float = 1.0,
     p00: float = 1.0,
-    strict: bool = False,
 ) -> MachineConfig:
     """Build a machine with the ancilla gap set by the prior-temperature rule.
 
     The ancilla gap is tuned to eps_v = (T_v / T_prior) * eps_s, hence
     eps_p = eps_s * (T_v - T_prior) / T_prior.  T_v >= 2 * T_prior keeps
     eps_p >= eps_s; a smaller bath temperature is flagged with
-    :class:`GapOrderingWarning` (or raises when ``strict``).
+    :class:`GapOrderingWarning`; a warnings filter can make it an error.
     """
     if T_prior <= 0.0 or T_v <= 0.0:
         raise ValueError("T_prior and T_v must be > 0")
     if T_v < 2.0 * T_prior:
-        msg = (
-            f"T_v = {T_v} < 2 * T_prior = {2.0 * T_prior}: "
-            "probe gap falls below the sample gap"
+        warnings.warn(
+            f"T_v = {T_v} < 2 * T_prior = {2.0 * T_prior}: probe gap falls below the sample gap",
+            GapOrderingWarning,
+            stacklevel=2,
         )
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, GapOrderingWarning, stacklevel=2)
     eps_p = _probe_gap(eps_s, T_v, T_prior)
     if eps_p < 0.0:
         raise ValueError("tuning rule requires T_v >= T_prior")

@@ -10,12 +10,13 @@ reproducible from its seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .core import MachineConfig, collision_params, tune_config
+from .core import CollisionParams, MachineConfig, collision_params, tune_config
 from .dynamics import (
     COUPLED_STATES,
     ProbeState,
@@ -82,6 +83,9 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        # The name is a CSV meta line, which from_csv splits and strips.
+        if len(self.name.splitlines()) > 1 or self.name != self.name.strip():
+            raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.points < 0:
@@ -210,18 +214,21 @@ def _run_steady_sweep(scenario: Scenario) -> ResultTable:
     )
 
 
-def _run_transient_sweep(scenario: Scenario) -> ResultTable:
+def _blocks(scenario: Scenario) -> list[tuple[float, float]]:
+    """The (T, p00) pair of each block of a k sweep, temperature outermost."""
     temps = scenario.temps or ((scenario.T,) if scenario.T is not None else ())
     if not temps:
-        raise ValueError("transient-sweep needs T or temps")
-    p00s = scenario.p00_values or (scenario.p00,)
+        raise ValueError(f"{scenario.kind} needs T or temps")
+    return [(T, p00) for T in temps for p00 in scenario.p00_values or (scenario.p00,)]
+
+
+def _run_transient_sweep(scenario: Scenario) -> ResultTable:
     u = scenario.eps_s
     k = _k_values(scenario, scenario.k_min)
     blocks = []
-    for T in temps:
-        for p00 in p00s:
-            pt = snr_transient(k, p00, _tuned(scenario, T, p00), scenario.M)
-            blocks.append(_block(k, T / u, p00, pt.k, pt.p0, pt.sensitivity * u, pt.snr))
+    for T, p00 in _blocks(scenario):
+        pt = snr_transient(k, p00, _tuned(scenario, T, p00), scenario.M)
+        blocks.append(_block(k, T / u, p00, pt.k, pt.p0, pt.sensitivity * u, pt.snr))
     return make_table(
         ("T", "p00", "k", "p0_k", "sensitivity", "snr"),
         np.vstack(blocks),
@@ -265,20 +272,15 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
 
 
 def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
-    temps = scenario.temps or ((scenario.T,) if scenario.T is not None else ())
-    if not temps:
-        raise ValueError("heat-trajectory needs T or temps")
-    p00s = scenario.p00_values or (scenario.p00,)
     k = _k_values(scenario, max(1, scenario.k_min))
     j = k - 1
     u = scenario.eps_s
     blocks = []
-    for T in temps:
-        for p00 in p00s:
-            traj = perturbation_trajectory(scenario.k_max, p00, _tuned(scenario, T, p00))
-            steps = (traj.delta_p, traj.sample_p0, traj.ancilla_p0)
-            heats = (traj.q_sample / u, traj.q_ancilla / u)
-            blocks.append(_block(k, T / u, p00, k.astype(float), *(c[j] for c in steps + heats)))
+    for T, p00 in _blocks(scenario):
+        traj = perturbation_trajectory(scenario.k_max, p00, _tuned(scenario, T, p00))
+        steps = (traj.delta_p, traj.sample_p0, traj.ancilla_p0)
+        heats = (traj.q_sample / u, traj.q_ancilla / u)
+        blocks.append(_block(k, T / u, p00, k.astype(float), *(c[j] for c in steps + heats)))
     return make_table(
         ("T", "p00", "k", "delta_p", "sample_p0", "ancilla_p0", "q_sample", "q_ancilla"),
         np.vstack(blocks),
@@ -384,121 +386,89 @@ def _random_configs(samples: int, seed: int) -> list[MachineConfig]:
     return configs
 
 
-def run_verification(samples: int = 200, seed: int = DEFAULT_SEED) -> ResultTable:
+def _commutator_norm(config: MachineConfig) -> float:
+    """Largest entry of [H_int, H_free] for the triad; zero on resonance."""
+    a, b = COUPLED_STATES
+    h_full = build_triad_hamiltonian(config)
+    h_free = h_full.copy()
+    h_free[[a, b], [b, a]] = 0.0
+    h_int = h_full - h_free
+    return float(np.abs(h_int @ h_free - h_free @ h_int).max())
+
+
+def _iteration_errors(config: MachineConfig, params: CollisionParams) -> Iterator[float]:
+    """Closed form against the iterated map at k = 1, 10, 100 and 500."""
+    p0 = config.p00
+    for k in range(1, 501):
+        p0 = collide_analytic(p0, params)
+        if k in (1, 10, 100, 500):
+            yield abs(p0 - transient_population(k, config.p00, params))
+
+
+def _run_verify(scenario: Scenario) -> ResultTable:
     """Run the oracle-equivalence and conservation self-checks.
 
-    One row per check: (check index, ok flag, worst error).  Intended as
-    the machine-checkable health gate behind the ``verify`` CLI command.
+    One row per check: (check index, ok flag, worst error), the
+    machine-checkable health gate behind the ``verify`` CLI command.  A NaN
+    error propagates to its row and fails the check.
     """
-    configs = _random_configs(samples, seed)
-    checks: list[tuple[str, float, float]] = []
-
+    configs = _random_configs(scenario.samples, scenario.seed)
+    params = [collision_params(c) for c in configs]
     ref = configs[0]
     u = exact_unitary(build_triad_hamiltonian(ref), ref.collision_time)
-    checks.append(
-        ("unitarity", float(np.abs(u @ u.conj().T - np.eye(8)).max()), 1e-12)
+    swap = np.arange(8)  # column j of a full swap has its 1 in row swap[j]
+    swap[list(COUPLED_STATES)] = COUPLED_STATES[::-1]
+    heats = np.array([(heat_sample(60, c.p00, c), heat_ancilla(60, c.p00, c)) for c in configs])
+    # Skip heats within 1e-15 of zero, written so that a NaN heat is not skipped.
+    signed = ~(np.abs(heats) <= 1e-15).any(axis=1)
+    steady = [snr_steady(c, M=3) for c in configs]
+    # (name, tolerance, the errors it finds on the random machines), in row order.
+    battery = (
+        ("unitarity", 1e-12, [np.abs(u @ u.conj().T - np.eye(8)).max()]),
+        ("full_swap_permutation", 1e-10, np.abs(np.abs(u[swap, np.arange(8)]) - 1.0)),
+        ("resonant_commutation", 1e-12, [_commutator_norm(c) for c in configs]),
+        ("oracle_vs_analytic", 1e-10, [
+            abs(collide_oracle(ProbeState(p0=c.p00), c).p0 - collide_analytic(c.p00, p))
+            for c, p in zip(configs, params)
+        ]),
+        ("closed_form_vs_iteration", 1e-12, [
+            e for c, p in zip(configs[:25], params) for e in _iteration_errors(c, p)
+        ]),
+        ("fixed_point", 1e-12, [abs(collide_analytic(p.p0_inf, p) - p.p0_inf) for p in params]),
+        ("heat_conservation", 1e-12, [
+            abs(heat_sample(k, c.p00, c) + heat_ancilla(k, c.p00, c)
+                + probe_energy_change(k, c.p00, c))
+            for c in configs for k in (1, 7, 150)
+        ]),
+        ("telescoping", 1e-12, [
+            abs(float(perturbation_trajectory(40, c.p00, c).delta_p.sum())
+                - (transient_population(40, c.p00, p) - c.p00))
+            for c, p in zip(configs, params)
+        ]),
+        # 1 where the two heats share a sign; heaviside keeps a NaN product NaN.
+        ("heat_sign_opposition", 0.5, np.heaviside(heats[signed].prod(axis=1), 1.0)),
+        ("snr_fisher_consistency", 1e-12, [
+            abs(pt.snr - c.T * math.sqrt(3 * fisher_binary(steady_population(c), pt.sensitivity)))
+            / pt.snr
+            for c, pt in zip(configs, steady) if pt.snr != 0.0
+        ]),
     )
-
-    a, b = COUPLED_STATES
-    mags = np.abs(u)
-    err_swap = max(abs(mags[b, a] - 1.0), abs(mags[a, b] - 1.0))
-    for idx in range(8):
-        if idx not in (a, b):
-            err_swap = max(err_swap, abs(mags[idx, idx] - 1.0))
-    checks.append(("full_swap_permutation", err_swap, 1e-10))
-
-    err = 0.0
-    for config in configs:
-        h_full = build_triad_hamiltonian(config)
-        h_free = h_full.copy()
-        h_free[a, b] = 0.0
-        h_free[b, a] = 0.0
-        h_int = h_full - h_free
-        comm = h_int @ h_free - h_free @ h_int
-        err = max(err, float(np.abs(comm).max()))
-    checks.append(("resonant_commutation", err, 1e-12))
-
-    err = 0.0
-    for config in configs:
-        params = collision_params(config)
-        probe = ProbeState(p0=config.p00)
-        oracle = collide_oracle(probe, config).p0
-        analytic = collide_analytic(config.p00, params)
-        err = max(err, abs(oracle - analytic))
-    checks.append(("oracle_vs_analytic", err, 1e-10))
-
-    err = 0.0
-    for config in configs[: min(25, samples)]:
-        params = collision_params(config)
-        p0 = config.p00
-        for k in range(1, 501):
-            p0 = collide_analytic(p0, params)
-            if k in (1, 10, 100, 500):
-                err = max(err, abs(p0 - transient_population(k, config.p00, params)))
-    checks.append(("closed_form_vs_iteration", err, 1e-12))
-
-    err = 0.0
-    for config in configs:
-        params = collision_params(config)
-        err = max(err, abs(collide_analytic(params.p0_inf, params) - params.p0_inf))
-    checks.append(("fixed_point", err, 1e-12))
-
-    err = 0.0
-    for config in configs:
-        for k in (1, 7, 150):
-            balance = (
-                heat_sample(k, config.p00, config)
-                + heat_ancilla(k, config.p00, config)
-                + probe_energy_change(k, config.p00, config)
-            )
-            err = max(err, abs(balance))
-    checks.append(("heat_conservation", err, 1e-12))
-
-    err = 0.0
-    for config in configs:
-        traj = perturbation_trajectory(40, config.p00, config)
-        params = collision_params(config)
-        p0_40 = transient_population(40, config.p00, params)
-        err = max(err, abs(float(traj.delta_p.sum()) - (p0_40 - config.p00)))
-    checks.append(("telescoping", err, 1e-12))
-
-    err = 0.0
-    for config in configs:
-        q_s = heat_sample(60, config.p00, config)
-        q_v = heat_ancilla(60, config.p00, config)
-        if abs(q_s) > 1e-15 and abs(q_v) > 1e-15:
-            err = max(err, 1.0 if q_s * q_v >= 0.0 else 0.0)
-    checks.append(("heat_sign_opposition", err, 0.5))
-
-    err = 0.0
-    for config in configs:
-        point = snr_steady(config, M=3)
-        implied = config.T * math.sqrt(3 * fisher_binary(steady_population(config), point.sensitivity))
-        if point.snr > 0:
-            err = max(err, abs(point.snr - implied) / point.snr)
-    checks.append(("snr_fisher_consistency", err, 1e-12))
-
-    meta = {
-        "scenario": "verify",
-        "kind": "verify",
-        "version": __version__,
-        "seed": seed,
-        "samples": samples,
-        "checks": ",".join(name for name, _, _ in checks),
-    }
-    rows = [
-        (float(i), 1.0 if error <= tol else 0.0, error)
-        for i, (_, error, tol) in enumerate(checks)
-    ]
+    rows = []
+    for i, (_, tol, errors) in enumerate(battery):
+        error = np.max([0.0, *errors])  # NaN propagates here and fails error <= tol
+        rows.append((i, float(error <= tol), error))
+    checks = ",".join(name for name, _, _ in battery)
+    meta = _base_meta(scenario) | {"samples": scenario.samples, "checks": checks}
     return make_table(("check", "ok", "max_error"), rows, meta)
+
+
+def run_verification(samples: int = 200, seed: int = DEFAULT_SEED) -> ResultTable:
+    """The ``verify`` battery on ``samples`` random machines drawn from ``seed``."""
+    return _run_verify(Scenario(name="verify", kind="verify", samples=samples, seed=seed))
 
 
 def verification_passed(table: ResultTable) -> bool:
     return bool(np.all(table.cells[:, table.columns.index("ok")] == 1.0))
-
-
-def _run_verify(scenario: Scenario) -> ResultTable:
-    return run_verification(samples=scenario.samples, seed=scenario.seed)
 
 
 #: Per kind: its runner and the fields it reads besides name, kind and seed.

@@ -138,39 +138,6 @@ def from_csv(text: str) -> ResultTable:
     return ResultTable(columns=columns, cells=cells, meta=meta)
 
 
-def validate_table_json(obj: object) -> None:
-    """Enforce the shipped result-table schema on a decoded JSON object."""
-    if not isinstance(obj, dict):
-        raise ValueError("table JSON must be an object")
-    for key in ("meta", "columns", "rows"):
-        if key not in obj:
-            raise ValueError(f"missing required key {key!r}")
-    extra = set(obj) - {"meta", "columns", "rows"}
-    if extra:
-        raise ValueError(f"unexpected keys {sorted(extra)}")
-    meta = obj["meta"]
-    if not isinstance(meta, dict):
-        raise ValueError("meta must be an object")
-    for key in ("scenario", "kind", "version"):
-        if not isinstance(meta.get(key), str):
-            raise ValueError(f"meta.{key} must be a string")
-    if "seed" in meta and not isinstance(meta["seed"], int):
-        raise ValueError("meta.seed must be an integer")
-    columns = obj["columns"]
-    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
-        raise ValueError("columns must be an array of strings")
-    rows = obj["rows"]
-    if not isinstance(rows, list):
-        raise ValueError("rows must be an array")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(columns):
-            raise ValueError(f"row {i} is not an array of width {len(columns)}")
-        if not all(
-            x is None or (isinstance(x, (int, float)) and not isinstance(x, bool)) for x in row
-        ):
-            raise ValueError(f"row {i} contains a cell that is neither a number nor null")
-
-
 def schema_text() -> str:
     """The shipped JSON schema for exported tables."""
     return resources.files(__package__).joinpath("result_table.schema.json").read_text()

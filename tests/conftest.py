@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import json
+
+import jsonschema
 import numpy as np
+import pytest
 
 from thermomachine import MachineConfig, tune_config
+from thermomachine.tables import schema_text
+
+
+@pytest.fixture(scope="session")
+def validate_table_json():
+    """Check a decoded JSON table against the shipped schema, then each row's width.
+
+    A row's width against ``columns`` is the one rule the schema cannot state.
+    """
+    schema = json.loads(schema_text())
+
+    def validate(payload: object) -> None:
+        jsonschema.validate(payload, schema)
+        width = len(payload["columns"])
+        for i, row in enumerate(payload["rows"]):
+            if len(row) != width:
+                raise jsonschema.ValidationError(f"row {i} has {len(row)} cells, expected {width}")
+
+    return validate
 
 
 def random_machine_configs(n: int, seed: int = 1) -> list[MachineConfig]:

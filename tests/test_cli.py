@@ -10,7 +10,7 @@ import pytest
 
 from thermomachine.cli import _DEFAULTS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from thermomachine.scenarios import PRESETS, Scenario, apply_settings
-from thermomachine.tables import from_csv, validate_table_json
+from thermomachine.tables import from_csv
 
 
 def run(args, capsys):
@@ -76,7 +76,7 @@ def test_set_overrides_point_count(capsys):
     assert len(from_csv(out).rows) == 5
 
 
-def test_json_format_validates(capsys):
+def test_json_format_validates(capsys, validate_table_json):
     code, out, _ = run(["noisy", "--format", "json", "--set", "points=4"], capsys)
     assert code == EXIT_OK
     validate_table_json(json.loads(out))
@@ -102,6 +102,25 @@ def test_verify_passes(capsys):
     assert code == EXIT_OK
     table = from_csv(out)
     assert all(row[1] == 1.0 for row in table.rows)
+
+
+def test_verify_keeps_its_scenario_name(capsys):
+    code, out, _ = run(["verify", "--set", "name=mine", "--set", "samples=1"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("# scenario=mine\n# kind=verify\n")
+
+
+@pytest.mark.parametrize("name", ["a\nb,c", "a\x0cb", "a\x85b", "a\u2028b", "a ", " a"])
+def test_name_its_csv_meta_line_cannot_carry_is_usage_error(tmp_path, capsys, name):
+    # from_csv splits lines with str.splitlines and strips each meta line.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"name": name}))
+    code, out, err = run(["steady", "--config", str(cfg), "--set", "points=2"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "scenario name" in err
+    if name == name.strip():  # --set strips its value, so only an inner break reaches it
+        code, out, _ = run(["steady", "--set", f"name={name}", "--set", "points=2"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
 
 
 def test_unwritable_out_is_io_error(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,11 @@ def test_cold_bath_flagged_not_fatal():
 
 
 def test_cold_bath_strict_mode_raises():
-    with pytest.raises(ValueError):
-        tune_config(eps_s=1.0, T=0.2, T_prior=0.3, T_v=0.5, strict=True)
+    # The standard warnings filter is what makes a cold bath fatal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GapOrderingWarning)
+        with pytest.raises(GapOrderingWarning):
+            tune_config(eps_s=1.0, T=0.2, T_prior=0.3, T_v=0.5)
 
 
 def test_config_field_validation():

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from thermomachine import PRESETS, SQRT_TWO_OVER_PI, run_scenario, run_verification
+from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
+from thermomachine import cli, scenarios
+from thermomachine.core import collision_params
+from thermomachine.dynamics import (
+    COUPLED_STATES,
+    ProbeState,
+    build_triad_hamiltonian,
+    collide_analytic,
+    collide_oracle,
+    exact_unitary,
+    steady_population,
+    transient_population,
+)
+from thermomachine.heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_energy_change
+from thermomachine.metrology import fisher_binary, snr_steady
 from thermomachine.scenarios import Scenario, verification_passed
 
 
@@ -147,6 +164,146 @@ def test_verification_battery_passes():
     assert "oracle_vs_analytic" in names
     assert "heat_conservation" in names
     assert len(names) == len(table.rows)
+
+
+def loop_battery(samples, seed):
+    """The verify battery as one loop per check: the reference for its cells and meta."""
+    configs = scenarios._random_configs(samples, seed)
+    checks = []
+
+    ref = configs[0]
+    u = exact_unitary(build_triad_hamiltonian(ref), ref.collision_time)
+    checks.append(("unitarity", float(np.abs(u @ u.conj().T - np.eye(8)).max()), 1e-12))
+
+    a, b = COUPLED_STATES
+    mags = np.abs(u)
+    err_swap = max(abs(mags[b, a] - 1.0), abs(mags[a, b] - 1.0))
+    for idx in range(8):
+        if idx not in (a, b):
+            err_swap = max(err_swap, abs(mags[idx, idx] - 1.0))
+    checks.append(("full_swap_permutation", err_swap, 1e-10))
+
+    err = 0.0
+    for config in configs:
+        h_full = build_triad_hamiltonian(config)
+        h_free = h_full.copy()
+        h_free[a, b] = 0.0
+        h_free[b, a] = 0.0
+        h_int = h_full - h_free
+        comm = h_int @ h_free - h_free @ h_int
+        err = max(err, float(np.abs(comm).max()))
+    checks.append(("resonant_commutation", err, 1e-12))
+
+    err = 0.0
+    for config in configs:
+        params = collision_params(config)
+        oracle = collide_oracle(ProbeState(p0=config.p00), config).p0
+        err = max(err, abs(oracle - collide_analytic(config.p00, params)))
+    checks.append(("oracle_vs_analytic", err, 1e-10))
+
+    err = 0.0
+    for config in configs[: min(25, samples)]:
+        params = collision_params(config)
+        p0 = config.p00
+        for k in range(1, 501):
+            p0 = collide_analytic(p0, params)
+            if k in (1, 10, 100, 500):
+                err = max(err, abs(p0 - transient_population(k, config.p00, params)))
+    checks.append(("closed_form_vs_iteration", err, 1e-12))
+
+    err = 0.0
+    for config in configs:
+        params = collision_params(config)
+        err = max(err, abs(collide_analytic(params.p0_inf, params) - params.p0_inf))
+    checks.append(("fixed_point", err, 1e-12))
+
+    err = 0.0
+    for config in configs:
+        for k in (1, 7, 150):
+            balance = (
+                heat_sample(k, config.p00, config)
+                + heat_ancilla(k, config.p00, config)
+                + probe_energy_change(k, config.p00, config)
+            )
+            err = max(err, abs(balance))
+    checks.append(("heat_conservation", err, 1e-12))
+
+    err = 0.0
+    for config in configs:
+        traj = perturbation_trajectory(40, config.p00, config)
+        p0_40 = transient_population(40, config.p00, collision_params(config))
+        err = max(err, abs(float(traj.delta_p.sum()) - (p0_40 - config.p00)))
+    checks.append(("telescoping", err, 1e-12))
+
+    err = 0.0
+    for config in configs:
+        q_s = heat_sample(60, config.p00, config)
+        q_v = heat_ancilla(60, config.p00, config)
+        if abs(q_s) > 1e-15 and abs(q_v) > 1e-15:
+            err = max(err, 1.0 if q_s * q_v >= 0.0 else 0.0)
+    checks.append(("heat_sign_opposition", err, 0.5))
+
+    err = 0.0
+    for config in configs:
+        point = snr_steady(config, M=3)
+        fisher = fisher_binary(steady_population(config), point.sensitivity)
+        if point.snr > 0:
+            err = max(err, abs(point.snr - config.T * math.sqrt(3 * fisher)) / point.snr)
+    checks.append(("snr_fisher_consistency", err, 1e-12))
+
+    meta = {
+        "scenario": "verify",
+        "kind": "verify",
+        "version": __version__,
+        "seed": seed,
+        "samples": samples,
+        "checks": ",".join(name for name, _, _ in checks),
+    }
+    cells = np.array(
+        [(float(i), 1.0 if error <= tol else 0.0, error) for i, (_, error, tol) in enumerate(checks)]
+    )
+    return cells, meta
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 3), (25, 7), (60, 3), (200, 0x5EED)])
+def test_verification_table_equals_loop_battery(samples, seed):
+    cells, meta = loop_battery(samples, seed)
+    table = run_verification(samples=samples, seed=seed)
+    assert table.cells.tobytes() == cells.tobytes()
+    assert list(table.meta.items()) == list(meta.items())
+
+
+def nan_probe(probe, config):
+    return SimpleNamespace(p0=math.nan)
+
+
+def nan_heat(k, p00, config):
+    return math.nan
+
+
+def nan_snr(config, M):
+    return SimpleNamespace(snr=math.nan, sensitivity=math.nan)
+
+
+@pytest.mark.parametrize(
+    "target, patch, failed",
+    [
+        ("collide_oracle", nan_probe, {"oracle_vs_analytic"}),
+        ("heat_sample", nan_heat, {"heat_conservation", "heat_sign_opposition"}),
+        ("snr_steady", nan_snr, {"snr_fisher_consistency"}),
+    ],
+)
+def test_nan_error_fails_its_check(monkeypatch, capsys, target, patch, failed):
+    monkeypatch.setattr(scenarios, target, patch)
+    table = run_verification(samples=5, seed=3)
+    names = str(table.meta["checks"]).split(",")
+    for name, (_, ok, error) in zip(names, table.rows):
+        if name in failed:
+            assert ok == 0.0 and math.isnan(error), name
+        else:
+            assert ok == 1.0 and math.isfinite(error), name
+    assert cli.main(["verify", "--set", "samples=5", "--seed", "3"]) == cli.EXIT_VERIFY
+    assert "verification FAILED" in capsys.readouterr().err
 
 
 def test_scenario_validation():
