@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class GapOrderingWarning(UserWarning):
     """Ancilla bath colder than twice the prior temperature.
@@ -23,8 +25,23 @@ class GapOrderingWarning(UserWarning):
     """
 
 
-def stable_logistic(x: float) -> float:
-    """1 / (1 + e^-x), branched on the sign of x to avoid overflow."""
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """libm ``math.exp`` per element, bit for bit the scalar call; numpy's ``exp`` can be
+    one ulp off, which the k = 1 transient sensitivity amplifies some 4,400-fold."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _any(mask) -> bool:
+    # An array's mask.any(), a float comparison as it is: np.any on a float costs microseconds.
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
+    """1 / (1 + e^-x), branched on the sign of x to avoid overflow; arrays per element."""
+    # A float skips the ndarray check (~50 ns): this is the estimator's hot path.
+    if type(x) is not float and isinstance(x, np.ndarray):
+        e = libm_exp(-np.abs(x))
+        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -33,35 +50,31 @@ def stable_logistic(x: float) -> float:
 
 @dataclass(frozen=True)
 class ThermalQubit:
-    """Gibbs populations of a two-level system with gap ``gap`` at ``temperature``."""
+    """Gibbs ground and excited populations of a two-level system."""
 
-    gap: float
-    temperature: float
     p0: float
     p1: float
 
 
-def thermal_population(gap: float, temperature: float) -> ThermalQubit:
+def thermal_population(gap: float, temperature: float | np.ndarray) -> ThermalQubit:
     """Thermal ground/excited populations: p0 = 1 / (1 + e^(-gap/T)).
 
     Parameters
     ----------
     gap : float
         Energy gap, >= 0.
-    temperature : float
+    temperature : float or float array
         Temperature, strictly > 0 (T -> 0 is handled only as analytic
         limits inside the metrology formulas, never as a Gibbs state).
     """
-    if temperature <= 0.0:
+    if _any(temperature <= 0.0):
         raise ValueError(f"temperature must be > 0, got {temperature}")
     if gap < 0.0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     x = gap / temperature
     # Both populations from the logistic in their own scale: 1 - p0 would
     # quantize a cold qubit's excited population at the ulp of 1.
-    return ThermalQubit(
-        gap=gap, temperature=temperature, p0=stable_logistic(x), p1=stable_logistic(-x)
-    )
+    return ThermalQubit(p0=stable_logistic(x), p1=stable_logistic(-x))
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ class MachineConfig:
     ------
     eps_s : sample qubit gap (> 0)
     eps_p : probe gap (>= 0)
-    T : sample temperature, the estimand (> 0)
+    T : sample temperature, the estimand (> 0); a float array is a temperature axis
     T_v : ancilla bath temperature (> 0)
     T_prior : prior temperature, half the assumed upper bound on T (> 0)
     eps_I : three-body coupling strength (> 0); collision time is pi/(2 eps_I)
@@ -97,7 +110,7 @@ class MachineConfig:
         if self.eps_p < 0.0:
             raise ValueError("eps_p must be >= 0")
         for name in ("T", "T_v", "T_prior"):
-            if getattr(self, name) <= 0.0:
+            if _any(getattr(self, name) <= 0.0):
                 raise ValueError(f"{name} must be > 0")
         if self.eps_I <= 0.0:
             raise ValueError("eps_I must be > 0")

@@ -16,12 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    CollisionParams,
-    MachineConfig,
-    collision_params,
-    thermal_population,
-)
+from .core import CollisionParams, MachineConfig, collision_params, libm_exp, thermal_population
 
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
@@ -35,9 +30,7 @@ def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
     """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
 
     An integer ndarray ``k`` gives a float array equal to the scalar calls
-    bit for bit, so each element goes through libm ``math.exp``: numpy's
-    ``exp`` can be one ulp off, which the k = 1 transient sensitivity
-    amplifies some 4,400-fold.
+    bit for bit (see :func:`core.libm_exp`).
     """
     if isinstance(k, np.ndarray):
         if np.any(k < 0):
@@ -45,8 +38,7 @@ def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
         if r >= 1.0:
             return np.where(k == 0, 1.0, 0.0)
         exponent = k * math.log1p(-r)
-        q = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size)
-        q = q.reshape(k.shape)
+        q = libm_exp(exponent)
         q[exponent < -_UNDERFLOW_EXPONENT] = 0.0
         return q
     if k < 0:

@@ -9,9 +9,11 @@ SNR means T / (estimation error), so larger is better and the Cramer-Rao
 bound for M independent binary energy measurements reads
 snr <= T * sqrt(M * F).
 
-The k-dependent forms also take an integer ndarray of collision counts;
-each element equals the scalar call bit for bit (``dynamics.contraction_power``
-says why).  An int k keeps the plain-float scalar path.
+The k-dependent forms also take an integer ndarray of collision counts, and
+the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
+(as ``T`` or ``MachineConfig.T``); each element equals the scalar call bit
+for bit (``core.libm_exp`` says why).  An int k or a float T keeps the
+plain-float scalar path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, _fixed_point, _probe_gap, collision_params, thermal_population
+from .core import MachineConfig, _any, _fixed_point, _probe_gap, collision_params
+from .core import thermal_population
 from .dynamics import contraction_power
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
@@ -80,10 +83,6 @@ def _fisher_two_sided(p0, p1, sensitivity):
 def _sqrt(x):
     # Both are correctly rounded, so an array matches the per-element floats.
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _below_one(x) -> bool:
-    return bool(np.any(x < 1)) if isinstance(x, np.ndarray) else x < 1
 
 
 def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
@@ -157,7 +156,7 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
         T=config.T,
         M=M,
         k=math.inf,
-        snr=config.T * math.sqrt(M * fisher),
+        snr=config.T * _sqrt(M * fisher),
         sensitivity=lam,
         fisher=fisher,
         p0=p0,
@@ -190,7 +189,7 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T); evaluated via
     the common population/sensitivity pipeline.  M may be an integer array.
     """
-    if _below_one(M):
+    if _any(M < 1):
         raise ValueError("M must be >= 1")
     qubit = thermal_population(gap, T)
     lam = _population_slope(qubit.p0, qubit.p1, gap, T)
@@ -309,7 +308,7 @@ def snr_sample_bound(k: int, T: float, eps_s: float) -> float:
     The thermal SNR of k qubits, sqrt(k e^(-eps_s/T)) / (1 + e^(-eps_s/T)) * (eps_s/T);
     any probe scheme that consumed k qubits is bounded by this.
     """
-    if _below_one(k):
+    if _any(k < 1):
         raise ValueError("k must be >= 1")
     return snr_thermal(T, eps_s, k)
 

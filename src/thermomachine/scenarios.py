@@ -176,9 +176,9 @@ def _k_values(scenario: Scenario, k_lo: int) -> np.ndarray:
     return np.arange(k_lo, scenario.k_max + 1, scenario.k_step)
 
 
-def _block(k: np.ndarray, *columns: float | np.ndarray) -> np.ndarray:
-    """One (T, p00) block of a k sweep; scalar columns repeat down the block."""
-    return np.column_stack([np.broadcast_to(c, k.shape) for c in columns])
+def _block(axis: np.ndarray, *columns: float | np.ndarray) -> np.ndarray:
+    """One block of a sweep along ``axis`` (k or T); scalar columns repeat down the block."""
+    return np.column_stack([np.broadcast_to(c, axis.shape) for c in columns])
 
 
 # ----------------------------------------------------------------------
@@ -187,39 +187,35 @@ def _block(k: np.ndarray, *columns: float | np.ndarray) -> np.ndarray:
 
 
 def _run_steady_sweep(scenario: Scenario) -> ResultTable:
-    priors = scenario.priors or (scenario.T_prior,)
-    if any(p is None for p in priors):
-        raise ValueError("steady-sweep needs T_prior or priors")
-    u = scenario.eps_s  # temperatures reported in units of eps_s
-    rows = []
-    for t_prior in priors:
-        prior_scenario = replace(scenario, T_prior=t_prior)
-        for T in _temperature_grid(scenario, t_prior):
-            point = snr_steady(_tuned(prior_scenario, T), scenario.M)
-            rows.append(
-                (
-                    t_prior / u,
-                    T / u,
-                    point.p0,
-                    point.sensitivity * u,
-                    point.snr,
-                    snr_thermal(T, scenario.eps_s, scenario.M),
-                    0.5 * math.sqrt(scenario.M) * scenario.eps_s / T,
-                )
-            )
+    u, M = scenario.eps_s, scenario.M  # temperatures reported in units of eps_s
+    blocks = []
+    for t_prior in _axis(scenario, "T_prior", "priors"):
+        T = _temperature_grid(scenario, t_prior)
+        pt = snr_steady(_tuned(replace(scenario, T_prior=t_prior), T), M)
+        thermal = snr_thermal(T, scenario.eps_s, M)
+        at_prior = 0.5 * math.sqrt(M) * scenario.eps_s / T
+        blocks.append(
+            _block(T, t_prior / u, T / u, pt.p0, pt.sensitivity * u, pt.snr, thermal, at_prior)
+        )
     return make_table(
         ("T_prior", "T", "p0_inf", "sensitivity", "snr", "snr_thermal", "snr_at_prior"),
-        rows,
+        np.vstack(blocks),
         _base_meta(scenario),
     )
 
 
+def _axis(scenario: Scenario, single: str, plural: str) -> tuple:
+    """The values of the multi-valued field ``plural``, else ``single``'s one value."""
+    values = getattr(scenario, plural) or (getattr(scenario, single),)
+    if None in values:
+        raise ValueError(f"{scenario.kind} needs {single} or {plural}")
+    return values
+
+
 def _blocks(scenario: Scenario) -> list[tuple[float, float]]:
     """The (T, p00) pair of each block of a k sweep, temperature outermost."""
-    temps = scenario.temps or ((scenario.T,) if scenario.T is not None else ())
-    if not temps:
-        raise ValueError(f"{scenario.kind} needs T or temps")
-    return [(T, p00) for T in temps for p00 in scenario.p00_values or (scenario.p00,)]
+    p00s = _axis(scenario, "p00", "p00_values")
+    return [(T, p00) for T in _axis(scenario, "T", "temps") for p00 in p00s]
 
 
 def _run_transient_sweep(scenario: Scenario) -> ResultTable:
@@ -291,22 +287,15 @@ def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
 def _run_noisy_ancilla(scenario: Scenario) -> ResultTable:
     if scenario.T_prior is None:
         raise ValueError("noisy-ancilla needs T_prior")
-    plus = NoisyAncillaSpec(scenario.delta_Tv_rel, sign=1)
-    minus = NoisyAncillaSpec(scenario.delta_Tv_rel, sign=-1)
-    u = scenario.eps_s
-    rows = []
-    for T in _temperature_grid(scenario, scenario.T_prior):
-        config = _tuned(scenario, T)
-        rows.append(
-            (
-                T / u,
-                snr_steady(config, scenario.M).snr,
-                snr_noisy_ancilla(config, plus, scenario.M).snr,
-                snr_noisy_ancilla(config, minus, scenario.M).snr,
-            )
-        )
+    T = _temperature_grid(scenario, scenario.T_prior)
+    config, M = _tuned(scenario, T), scenario.M
+    noisy = [
+        snr_noisy_ancilla(config, NoisyAncillaSpec(scenario.delta_Tv_rel, sign), M).snr
+        for sign in (1, -1)
+    ]
     meta = _base_meta(scenario)
     meta["delta_Tv_rel"] = scenario.delta_Tv_rel
+    rows = _block(T, T / scenario.eps_s, snr_steady(config, M).snr, *noisy)
     return make_table(("T", "snr_ideal", "snr_plus", "snr_minus"), rows, meta)
 
 
@@ -567,4 +556,7 @@ PRESETS: dict[str, Scenario] = {
 def run_scenario(scenario: Scenario) -> ResultTable:
     """Produce the result table for any scenario kind."""
     runner, _ = _KINDS[scenario.kind]
-    return runner(scenario)
+    # numpy would only warn on 0/0, x/0 or overflow and write the NaN or inf to a
+    # cell; raised, it is a FloatingPointError, an ArithmeticError.
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return runner(scenario)

@@ -62,9 +62,7 @@ def make_table(
 
 
 def _meta_value(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def to_csv(table: ResultTable) -> str:
@@ -116,12 +114,12 @@ def _parse_meta_value(text: str) -> object:
 
 def from_csv(text: str) -> ResultTable:
     meta: dict[str, object] = {}
-    lines = [ln for ln in text.splitlines() if ln]
     body = []
-    for ln in lines:
+    for ln in filter(None, text.splitlines()):
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition("=")
-            meta[key.strip()] = _parse_meta_value(value)
+            key = key.strip()
+            meta[key] = value if key in _TEXT_META else _parse_meta_value(value)
         else:
             body.append(ln)
     if not body:
@@ -143,14 +141,17 @@ def schema_text() -> str:
     return resources.files(__package__).joinpath("result_table.schema.json").read_text()
 
 
+#: Meta keys the schema types as strings; from_csv keeps their values as text.
+_META_SCHEMA = json.loads(schema_text())["properties"]["meta"]["properties"]
+_TEXT_META = {key for key, spec in _META_SCHEMA.items() if spec["type"] == "string"}
+_WRITERS = {"csv": to_csv, "json": to_json}
+
+
 def export(table: ResultTable, fmt: str, destination: str | Path) -> Path:
     """Write the table as ``fmt`` ("csv" or "json") to ``destination``."""
-    if fmt == "csv":
-        text = to_csv(table)
-    elif fmt == "json":
-        text = to_json(table)
-    else:
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
+    text = _WRITERS[fmt](table)
     path = Path(destination)
     try:
         path.write_text(text)

@@ -1,4 +1,8 @@
-"""Array-k contract: an integer ndarray k gives the per-k scalar results bit for bit."""
+"""Array contract: an integer ndarray k or a float ndarray T gives the scalar calls bit for bit.
+
+The per-temperature loops that built the steady-sweep and noisy-ancilla
+tables before their column builds are kept here as the reference.
+"""
 
 from __future__ import annotations
 
@@ -14,18 +18,25 @@ from thermomachine import (
     PRESETS,
     CollisionParams,
     MachineConfig,
+    NoisyAncillaSpec,
     collision_params,
     run_scenario,
     sensitivity_transient,
+    snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
     snr_thermal,
     snr_transient,
     steady_population,
+    thermal_population,
     transient_population,
     tune_config,
 )
+from thermomachine.cli import _DEFAULTS
+from thermomachine.core import stable_logistic
 from thermomachine.dynamics import contraction_power
+from thermomachine.scenarios import _temperature_grid
+from thermomachine.tables import make_table
 
 UNDERFLOW_EXPONENT = 745.2
 
@@ -195,3 +206,164 @@ def rebuild_cost_comparison(scenario) -> list[tuple[float, ...]]:
 def test_presets_on_subsampled_grid_equal_scalar_rebuild(name, k_max, k_step, rebuild):
     scenario = replace(PRESETS[name], k_max=k_max, k_step=k_step)
     assert run_scenario(scenario).rows == tuple(rebuild(scenario))
+
+
+# ----------------------------------------------------------------------
+# Array T: the steady, thermal and noisy-ancilla forms on a temperature axis
+# ----------------------------------------------------------------------
+
+EXP_UNDERFLOW = 745.1332191019412  # math.exp(-x) is 0 past here, subnormal just below
+
+
+def near(x: float) -> list[float]:
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+logistic_edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf]
+logistic_edges += near(EXP_UNDERFLOW) + near(-EXP_UNDERFLOW) + near(745.2) + near(-745.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False), max_size=12), lo=st.floats(-800.0, 800.0))
+def test_logistic_matches_scalar_bits(xs, lo):
+    x = np.array(logistic_edges + xs + [lo, -lo])
+    assert bits(stable_logistic(x)) == bits([stable_logistic(v) for v in x.tolist()])
+
+
+def temperature_axis(scale: float):
+    """T/scale log-uniform in [1e-4, 1e2], as a sorted float array."""
+    return st.lists(log_uniform(1e-4, 1e2), min_size=1, max_size=10).map(
+        lambda ts: np.array(sorted(t * scale for t in ts))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gap=log_uniform(1e-2, 1e2),
+    data=st.data(),
+    M=st.one_of(st.just(1), st.integers(1, 10**6)),
+)
+def test_thermal_forms_match_scalar_bits(gap, data, M):
+    T = data.draw(temperature_axis(gap))
+    qubit = thermal_population(gap, T)
+    scalars = [thermal_population(gap, t) for t in T.tolist()]
+    assert bits(qubit.p0) == bits([q.p0 for q in scalars])
+    assert bits(qubit.p1) == bits([q.p1 for q in scalars])
+    assert bits(snr_thermal(T, gap, M)) == bits([snr_thermal(t, gap, M) for t in T.tolist()])
+
+
+def crossing_temperature(config: MachineConfig) -> float:
+    """The T where x_s = eps_s/T equals x_v = eps_v/T_v, so x_v - x_s changes sign."""
+    return config.eps_s * config.T_v / config.eps_v
+
+
+def assert_point_matches_scalars(point, scalars) -> None:
+    for field in ("T", "snr", "sensitivity", "fisher", "p0"):
+        assert bits(getattr(point, field)) == bits([getattr(s, field) for s in scalars]), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=machines, data=st.data(), M=st.integers(1, 10**6))
+def test_steady_snr_matches_scalar_bits(config, data, M):
+    # Both signs of x_v - x_s: the axis straddles the crossing temperature.
+    t_cross = crossing_temperature(config)
+    T = np.concatenate([data.draw(temperature_axis(config.eps_s)), near(t_cross)])
+    scalars = [snr_steady(replace(config, T=t), M) for t in T.tolist()]
+    assert_point_matches_scalars(snr_steady(replace(config, T=T), M), scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps_s=log_uniform(1e-2, 1e2),
+    prior=log_uniform(1e-4, 1e2),
+    bath=st.floats(2.0, 4.0),
+    delta=st.floats(0.0, 0.5),
+    sign=st.sampled_from([1, -1]),
+    data=st.data(),
+    M=st.integers(1, 10**6),
+)
+def test_noisy_ancilla_snr_matches_scalar_bits(eps_s, prior, bath, delta, sign, data, M):
+    # The prior temperature is where the tuned machine's x_v - x_s changes sign.
+    t_prior = prior * eps_s
+    T = np.concatenate([data.draw(temperature_axis(eps_s)), near(t_prior)])
+    config = tune_config(eps_s=eps_s, T=T, T_prior=t_prior, T_v=bath * t_prior)
+    noisy = NoisyAncillaSpec(delta, sign)
+    scalars = [snr_noisy_ancilla(replace(config, T=t), noisy, M) for t in T.tolist()]
+    assert_point_matches_scalars(snr_noisy_ancilla(config, noisy, M), scalars)
+
+
+def test_array_temperature_validation_and_scalar_types():
+    with pytest.raises(ValueError):
+        thermal_population(1.0, np.array([0.1, 0.0]))
+    with pytest.raises(ValueError):
+        MachineConfig(eps_s=1.0, eps_p=1.0, T=np.array([0.1, -0.1]), T_v=1.0, T_prior=0.25)
+    with pytest.raises(ValueError):
+        snr_thermal(np.array([0.1, 0.2]), 1.0, 0)
+    # A float T keeps the scalar path and returns plain floats.
+    assert type(stable_logistic(0.3)) is float
+    assert type(thermal_population(1.0, 0.2).p1) is float
+    assert type(snr_steady(tune_config(1.0, 0.2, 0.25, 1.0)).snr) is float
+    assert type(snr_thermal(0.2, 1.0)) is float
+
+
+def per_point_steady_sweep(scenario):
+    """One tuned machine and three SNR calls per temperature: the reference loop."""
+    u = scenario.eps_s
+    rows = []
+    for t_prior in scenario.priors or (scenario.T_prior,):
+        for T in _temperature_grid(scenario, t_prior):
+            point = snr_steady(tune_config(u, T, t_prior, scenario.T_v), scenario.M)
+            rows.append(
+                (
+                    t_prior / u,
+                    T / u,
+                    point.p0,
+                    point.sensitivity * u,
+                    point.snr,
+                    snr_thermal(T, u, scenario.M),
+                    0.5 * math.sqrt(scenario.M) * u / T,
+                )
+            )
+    columns = ("T_prior", "T", "p0_inf", "sensitivity", "snr", "snr_thermal", "snr_at_prior")
+    return make_table(columns, rows)
+
+
+def per_point_noisy_ancilla(scenario):
+    """One tuned machine and three SNR calls per temperature: the reference loop."""
+    u = scenario.eps_s
+    specs = [NoisyAncillaSpec(scenario.delta_Tv_rel, sign) for sign in (1, -1)]
+    rows = []
+    for T in _temperature_grid(scenario, scenario.T_prior):
+        config = tune_config(u, T, scenario.T_prior, scenario.T_v)
+        noisy = [snr_noisy_ancilla(config, spec, scenario.M).snr for spec in specs]
+        rows.append((T / u, snr_steady(config, scenario.M).snr, *noisy))
+    return make_table(("T", "snr_ideal", "snr_plus", "snr_minus"), rows)
+
+
+T_AXIS_CASES = [
+    {},
+    {"t_min": 0.01, "t_max": 0.3},
+    {"M": 7},
+    {"points": 0},
+    {"points": 1},
+    {"T_prior": 0.002},
+    {"eps_s": 2.5, "T_v": 2.0},
+]
+
+
+@pytest.mark.parametrize("settings_", T_AXIS_CASES)
+@pytest.mark.parametrize(
+    "base, rebuild",
+    [
+        (PRESETS["fig1b"], per_point_steady_sweep),
+        (_DEFAULTS["steady"], per_point_steady_sweep),
+        (_DEFAULTS["noisy"], per_point_noisy_ancilla),
+        (replace(_DEFAULTS["noisy"], delta_Tv_rel=0.5), per_point_noisy_ancilla),
+    ],
+)
+def test_temperature_sweeps_equal_the_per_point_loop(base, rebuild, settings_):
+    scenario = replace(base, **settings_)
+    table, reference = run_scenario(scenario), rebuild(scenario)
+    assert table.columns == reference.columns
+    assert table.cells.shape == reference.cells.shape
+    assert table.cells.tobytes() == reference.cells.tobytes()

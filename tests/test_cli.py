@@ -270,3 +270,28 @@ def test_arithmetic_failure_is_usage_error(capsys, command):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["steady", "noisy"])
+def test_temperature_past_float_range_is_usage_error(capsys, recwarn, command):
+    # T * T underflows to 0 at T ~ 1e-300, so the slope would be 0/0 = NaN.
+    args = [command, "--set", "t_min=1e-300", "--set", "t_max=1e-299", "--set", "points=3"]
+    code, out, err = run(args, capsys)
+    assert code == EXIT_USAGE
+    assert "float range" in err and "Traceback" not in err
+    assert out == ""
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["steady", "--set", "points=0", "--set", "T_prior=-1"], "T_prior"),
+        (["noisy", "--set", "points=0", "--set", "delta_Tv_rel=3"], "mistuned"),
+    ],
+)
+def test_empty_grid_still_builds_and_checks_its_machine(capsys, args, message):
+    code, out, err = run(args, capsys)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert out == ""

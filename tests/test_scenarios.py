@@ -11,7 +11,7 @@ import pytest
 
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
 from thermomachine import cli, scenarios
-from thermomachine.core import collision_params
+from thermomachine.core import GapOrderingWarning, collision_params
 from thermomachine.dynamics import (
     COUPLED_STATES,
     ProbeState,
@@ -323,3 +323,23 @@ def test_scenario_validation():
         run_scenario(
             Scenario(name="x", kind="montecarlo", T=0.2, T_prior=0.25, model="bogus")
         )
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("steady-sweep", "steady-sweep needs T_prior or priors"),
+        ("transient-sweep", "transient-sweep needs T or temps"),
+        ("heat-trajectory", "heat-trajectory needs T or temps"),
+    ],
+)
+def test_missing_axis_names_both_fields(kind, message):
+    with pytest.raises(ValueError, match=message):
+        run_scenario(Scenario(name="x", kind=kind, T_prior=None if kind == "steady-sweep" else 0.25))
+
+
+def test_gap_ordering_warns_once_per_prior():
+    scenario = Scenario(name="x", kind="steady-sweep", priors=(0.25, 0.3), T_v=0.4, points=50)
+    with pytest.warns(GapOrderingWarning) as record:
+        run_scenario(scenario)
+    assert len(record) == 2

@@ -248,6 +248,16 @@ def test_csv_to_json_round_trip_is_schema_valid(name, validate_table_json):
     validate_table_json(json.loads(to_json(back)))
 
 
+@pytest.mark.parametrize("name", ["7", "3.5", "-0", "1e5", "0x10", "inf"])
+def test_numeric_scenario_name_round_trips_as_text(name, validate_table_json):
+    # The schema types scenario, kind and version as strings, so from_csv keeps them as text.
+    text = to_csv(run_scenario(Scenario(name=name, kind="steady-sweep", T_prior=0.25, points=2)))
+    back = from_csv(text)
+    assert back.meta["scenario"] == name
+    assert to_csv(back) == text
+    validate_table_json(json.loads(to_json(back)))
+
+
 def test_from_csv_parses_meta_only_when_it_reformats_exactly():
     text = "# seed=7\n# x=0.25\n# v=0.1.0\n# pad=007\n# short=1e-05\n# big=inf\na\n1\n"
     back = from_csv(text)
