@@ -1,6 +1,7 @@
 """Exact triad evolution and the analytic collision recurrence.
 
-The brute-force path builds the full probe x sample x ancilla state,
+The brute-force path builds the full probe x sample x ancilla state from
+outer products (each entry the one product the Kronecker product forms),
 conjugates it with e^(-iHt) obtained by eigendecomposition, and partial
 traces; it is the oracle every closed form is checked against.
 
@@ -99,6 +100,11 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     scale = max(1.0, float(np.abs(h).max()))
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("hamiltonian must be Hermitian")
+    return _unitary(h, t)
+
+
+def _unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric)."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -110,9 +116,10 @@ def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> 
     """
     d = len(sample_pops)
     ancilla = thermal_population(config.eps_v, config.T_v)
-    rho_sv = np.kron(np.diag(sample_pops), np.diag([ancilla.p0, ancilla.p1]))
-    rho = np.kron(np.asarray(rho_probe, dtype=complex), rho_sv)
-    u = exact_unitary(h, config.collision_time if t is None else t)
+    rho_sv = np.diag(np.multiply.outer(sample_pops, [ancilla.p0, ancilla.p1]).ravel())
+    rho_p = np.asarray(rho_probe, dtype=complex)
+    rho = np.multiply.outer(rho_p, rho_sv).transpose(0, 2, 1, 3).reshape(4 * d, 4 * d)
+    u = _unitary(h, config.collision_time if t is None else t)
     return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
 
 

@@ -274,11 +274,14 @@ def empirical_snr_study(
     p_true = model(config.T)
     singular = p_true <= 0.0 or p_true >= 1.0
     estimate = _estimator(model, prior_interval(config), monotone=k is None)
+    by_m0: dict[int, tuple[float, bool]] = {}  # an estimate reads only (m0, M)
     estimates = np.empty(trials)
     clamped = 0
     for i in range(trials):
-        t_hat, was_clamped = estimate(sample_measurements(p_true, M, trial_seed(seed, i)))
-        estimates[i] = t_hat
+        record = sample_measurements(p_true, M, trial_seed(seed, i))
+        if record.m0 not in by_m0:
+            by_m0[record.m0] = estimate(record)
+        estimates[i], was_clamped = by_m0[record.m0]
         clamped += was_clamped
 
     std = float(estimates.std(ddof=1)) if trials > 1 else 0.0

@@ -100,8 +100,10 @@ def to_json(table: ResultTable) -> str:
 
 
 def _parse_meta_value(text: str) -> object:
-    # A number only when it re-formats to the same text, so re-export stays
-    # byte-identical; non-finite values stay text, as JSON cannot hold them.
+    # A bool or number only when it re-formats to the same text, so re-export
+    # stays byte-identical; non-finite values stay text, as JSON cannot hold them.
+    if text in ("True", "False"):
+        return text == "True"
     for parse in (int, float):
         try:
             value = parse(text)

@@ -24,7 +24,8 @@ from thermomachine import (
     transient_population,
     tune_config,
 )
-from thermomachine.dynamics import COUPLED_STATES, contraction_power
+from thermomachine.core import thermal_population
+from thermomachine.dynamics import COUPLED_STATES, _hamiltonian, contraction_power
 
 
 @pytest.fixture
@@ -89,6 +90,12 @@ def test_unitarity(config):
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         exact_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+def test_non_square_rejected(h):
+    with pytest.raises(ValueError, match="square"):
+        exact_unitary(h, 1.0)
 
 
 def test_full_swap_exchanges_coupled_pair(config):
@@ -222,6 +229,65 @@ def test_steady_population_matches_iterated_oracle(config):
     for _ in range(2200):
         probe = collide_oracle(probe, config)
     assert probe.p0 == pytest.approx(steady_population(config), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Reference: the state built with two np.kron calls and the checked public
+# exact_unitary, against which the oracles must agree bit for bit.
+# ----------------------------------------------------------------------
+
+
+def kron_collide(rho_probe, sample_pops, h, config):
+    d = len(sample_pops)
+    ancilla = thermal_population(config.eps_v, config.T_v)
+    rho_sv = np.kron(np.diag(sample_pops), np.diag([ancilla.p0, ancilla.p1]))
+    rho = np.kron(np.asarray(rho_probe, dtype=complex), rho_sv)
+    u = exact_unitary(h, config.collision_time)
+    return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
+
+
+def oracle_cases(n, seed):
+    """(config, p0, coherent 2x2 probe, three-level sample) on seeded random machines."""
+    rng = np.random.default_rng(seed)
+    for config in random_machine_configs(n, seed=seed):
+        p0 = config.p00
+        c = math.sqrt(p0 * (1.0 - p0)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rho = np.array([[p0, c], [np.conj(c), 1.0 - p0]])
+        levels = (0.0, config.eps_s, config.eps_s * rng.uniform(1.5, 3.0))
+        yield config, p0, rho, DLevelSample(levels=levels, temperature=config.T, pair=(0, 1))
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_oracles_equal_the_kron_reference_bit_for_bit(seed):
+    for config, p0, rho, sample in oracle_cases(100, seed):
+        qubit = thermal_population(config.eps_s, config.T)
+        triad, pops = build_triad_hamiltonian(config), [qubit.p0, qubit.p1]
+        diagonal = kron_collide(np.diag([p0, 1.0 - p0]), pops, triad, config)
+        assert collide_oracle_matrix(np.diag([p0, 1.0 - p0]), config).tobytes() == (
+            diagonal.tobytes()
+        )
+        assert collide_oracle(ProbeState(p0=p0), config).p0 == min(
+            1.0, max(0.0, float(diagonal[0, 0].real))
+        )
+        coherent = kron_collide(rho, pops, triad, config)
+        assert collide_oracle_matrix(rho, config).tobytes() == coherent.tobytes()
+        h = _hamiltonian(config, sample.levels, sample.pair)
+        three = kron_collide(np.diag([p0, 1.0 - p0]), sample.populations(), h, config)
+        assert collide_oracle_dlevel(p0, sample, config) == float(three[0, 0].real)
+
+
+def test_hamiltonian_is_exactly_symmetric():
+    # The oracles skip exact_unitary's Hermitian check because this holds by construction.
+    for config, _, _, sample in oracle_cases(100, 5):
+        four = ((0.0, 0.3, 0.3 + config.eps_s, 2.5 * config.eps_s), (1, 2))
+        for h in (
+            build_triad_hamiltonian(config),
+            build_triad_hamiltonian(config, detuning=0.37),
+            _hamiltonian(config, sample.levels, sample.pair),
+            _hamiltonian(config, *four),
+        ):
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermomachine import (
+    EstimationReport,
     MachineConfig,
     MeasurementRecord,
     collision_params,
@@ -26,7 +27,9 @@ from thermomachine import (
     trial_seed,
     tune_config,
 )
-from thermomachine.metrology import _golden_section_max
+from thermomachine import estimation
+from thermomachine.estimation import SMALL_M_THRESHOLD
+from thermomachine.metrology import _golden_section_max, snr_steady, snr_transient
 
 
 @pytest.fixture
@@ -244,6 +247,54 @@ def test_clamped_fraction_vanishes_with_m(config):
     large = empirical_snr_study(config, M=10_000, trials=200, seed=3)
     assert large.clamped_fraction <= small.clamped_fraction
     assert large.clamped_fraction == 0.0
+
+
+def fresh_estimate_study(config, M, trials, seed, k=None):
+    """The study with its own estimate for every trial, the reference for sharing by m0."""
+    p00 = config.p00
+    if k is None:
+        model, crb = steady_model(config), snr_steady(config, M)
+    else:
+        model, crb = transient_model(config, k, p00), snr_transient(k, p00, config, M)
+    p_true = model(config.T)
+    estimate = estimation._estimator(model, prior_interval(config), monotone=k is None)
+    estimates, clamped = np.empty(trials), 0
+    for i in range(trials):
+        estimates[i], was_clamped = estimate(sample_measurements(p_true, M, trial_seed(seed, i)))
+        clamped += was_clamped
+    std = float(estimates.std(ddof=1))
+    return EstimationReport(
+        t_hat_mean=float(estimates.mean()),
+        t_hat_std=std,
+        rmse=float(np.sqrt(np.mean((estimates - config.T) ** 2))),
+        empirical_snr=config.T / std if std > 0.0 else math.inf,
+        crb_snr=crb.snr,
+        trials=trials,
+        clamped_fraction=clamped / trials,
+        small_m_warning=M < SMALL_M_THRESHOLD,
+        singular=p_true <= 0.0 or p_true >= 1.0,
+    )
+
+
+@pytest.mark.parametrize("M, trials, k", [(1000, 1000, None), (100, 300, None), (1000, 100, 50)])
+def test_study_estimates_each_distinct_m0_once(config, monkeypatch, M, trials, k):
+    reference = fresh_estimate_study(config, M, trials, 0x5EED, k)
+    calls = []
+    build = estimation._estimator
+
+    def counting_estimator(model, interval, monotone):
+        estimate = build(model, interval, monotone)
+
+        def counted(record):
+            calls.append(record.m0)
+            return estimate(record)
+
+        return counted
+
+    monkeypatch.setattr(estimation, "_estimator", counting_estimator)
+    report = empirical_snr_study(config, M=M, trials=trials, seed=0x5EED, k=k)
+    assert len(calls) == len(set(calls)) < trials
+    assert report == reference
 
 
 # ----------------------------------------------------------------------

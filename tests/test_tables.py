@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermomachine import PRESETS, ResultTable, from_csv, make_table, run_scenario, to_csv, to_json
+from thermomachine.cli import EXIT_OK, main
 from thermomachine.scenarios import Scenario
 from thermomachine.tables import _BLOCK, export, schema_text
 
@@ -265,3 +266,19 @@ def test_from_csv_parses_meta_only_when_it_reformats_exactly():
         "seed": 7, "x": 0.25, "v": "0.1.0", "pad": "007", "short": "1e-05", "big": "inf"
     }
     assert to_csv(back) == text
+
+
+def test_boolean_meta_round_trips_as_bool(capsys, validate_table_json):
+    argv = ["montecarlo", "--set", "trials=100", "--set", "M=100", "--format"]
+    assert main([*argv, "csv"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main([*argv, "json"]) == EXIT_OK
+    direct = capsys.readouterr().out
+    back = from_csv(text)
+    assert back.meta["small_m_warning"] is True and back.meta["singular"] is False
+    assert to_json(back) == direct
+    assert to_csv(back) == text
+    validate_table_json(json.loads(to_json(back)))
+    # Only Python's own spelling of a bool is read as one.
+    loose = from_csv("# a=true\n# b=TRUE\n# c=1\n# d=False\nx\n1\n").meta
+    assert loose == {"a": "true", "b": "TRUE", "c": 1, "d": False} and loose["d"] is False
