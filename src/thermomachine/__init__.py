@@ -11,6 +11,8 @@ bookkeeping, and a scenario/preset CLI that emits CSV or JSON tables.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CollisionParams,
     GapOrderingWarning,
@@ -73,65 +75,6 @@ from .metrology import (
 from .scenarios import PRESETS, Scenario, run_scenario, run_verification
 from .tables import ResultTable, export, from_csv, make_table, to_csv, to_json
 
-__all__ = [
-    "__version__",
-    "CollisionParams",
-    "GapOrderingWarning",
-    "MachineConfig",
-    "ThermalQubit",
-    "collision_params",
-    "thermal_population",
-    "tune_config",
-    "DLevelSample",
-    "ProbeState",
-    "build_triad_hamiltonian",
-    "collide_analytic",
-    "collide_oracle",
-    "collide_oracle_dlevel",
-    "collide_oracle_matrix",
-    "exact_unitary",
-    "reduce_d_level",
-    "steady_population",
-    "transient_population",
-    "DEFAULT_SEED",
-    "EstimationReport",
-    "MeasurementRecord",
-    "empirical_snr_study",
-    "ml_estimate",
-    "prior_interval",
-    "sample_measurements",
-    "steady_model",
-    "transient_model",
-    "trial_seed",
-    "HeatTrajectory",
-    "heat_ancilla",
-    "heat_sample",
-    "perturbation_trajectory",
-    "probe_energy_change",
-    "SQRT_TWO_OVER_PI",
-    "NoisyAncillaSpec",
-    "SnrPoint",
-    "fisher_binary",
-    "jump_rate_derivative",
-    "max_thermal_snr",
-    "noisy_peak",
-    "noisy_peak_in_prior",
-    "required_interactions",
-    "sensitivity_steady",
-    "sensitivity_transient",
-    "snr_noisy_ancilla",
-    "snr_sample_bound",
-    "snr_steady",
-    "snr_thermal",
-    "snr_transient",
-    "PRESETS",
-    "Scenario",
-    "run_scenario",
-    "run_verification",
-    "ResultTable",
-    "export",
-    "from_csv",
-    "make_table",
-    "to_csv",
-    "to_json",
-]
+#: The public names imported above (submodules excluded), plus ``__version__``.
+__all__ = ["__version__"]
+__all__ += [n for n, v in dict(globals()).items() if n[0] != "_" and not isinstance(v, _ModuleType)]

@@ -6,16 +6,22 @@ All randomness comes from numpy's Philox 4x64 counter-based generator.  A
 measurement record is produced by drawing one uniform per measurement and
 counting ground outcomes (u < p0), i.e. plain Bernoulli inversion, so a
 given (p0, M, seed) triple yields the same counts on every platform that
-runs the same numpy stream.  The uniforms are drawn from that one stream
-in blocks of 2^15, which gives the counts of a single draw of all M while
-holding one block in memory.  Per-trial seeds are split from the master
-seed as  SeedSequence(master, spawn_key=(trial,)) -> first uint64, which
-makes trials independent of execution order and safe to run concurrently.
+runs the same numpy stream.  The test is made on Philox's raw 64-bit
+words: ``Generator.random`` maps a word x to u = (x >> 11) 2^-53, an exact
+product, so u < p0 holds iff x < ceil(p0 2^53) 2^11, and counting words
+below that threshold counts the same trials without forming any uniform
+(p0 = 1, whose threshold 2^64 exceeds uint64, counts all M).  The words
+are drawn from that one stream in blocks of 2^15, which gives the counts
+of a single draw of all M while holding one block in memory.  Per-trial
+seeds are split from the master seed as
+SeedSequence(master, spawn_key=(trial,)) -> first uint64, which makes
+trials independent of execution order and safe to run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +41,7 @@ _INTERVAL_FLOOR = 1e-12
 #: Points of the likelihood grid that brackets a transient ML search.
 _GRID_POINTS = 1024
 
-#: Uniforms per draw in ``sample_measurements``; it caps a trial's memory at any M.
+#: Raw Philox words per draw in ``sample_measurements``; it caps a trial's memory at any M.
 _DRAW_BLOCK = 2**15
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
@@ -82,18 +88,28 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _ground_threshold(p0: float) -> int:
+    """The t with  x < t  iff  (x >> 11) 2^-53 < p0,  for every uint64 word x.
+
+    p0 * 2^53 is a power-of-two scaling, so it is exact, as is the uniform;
+    t = 2^64 at p0 = 1 does not fit in uint64.
+    """
+    return math.ceil(p0 * 2.0**53) << 11
+
+
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    size = min(M, _DRAW_BLOCK)
-    buf, mask, m0 = np.empty(size), np.empty(size, dtype=bool), 0
-    for start in range(0, M, size):
-        n = min(size, M - start)
-        m0 += int(np.count_nonzero(np.less(rng.random(out=buf[:n]), p0, out=mask[:n])))
+    if p0 == 1.0:
+        return MeasurementRecord(m0=M, M=M, seed=seed)
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    threshold = np.uint64(_ground_threshold(p0))
+    m0 = 0
+    for start in range(0, M, _DRAW_BLOCK):
+        m0 += int(np.count_nonzero(bitgen.random_raw(min(_DRAW_BLOCK, M - start)) < threshold))
     return MeasurementRecord(m0=m0, M=M, seed=seed)
 
 

@@ -56,15 +56,68 @@ def test_fair_coin_within_three_sigma(seed):
     assert 0.4985 <= record.m0 / record.M <= 0.5015
 
 
+#: Ground probabilities at the edges of the 2^-53 grid that ``Generator.random`` draws on.
+EDGE_P0 = [
+    0.0,
+    5e-324,
+    2.0**-54,
+    2.0**-53,
+    3 * 2.0**-54,
+    math.nextafter(0.5, 0.0),
+    0.5,
+    math.nextafter(0.5, 1.0),
+    1.0 - 2.0**-53,
+    1.0,
+]
+
+
 @pytest.mark.parametrize("M", [1, 2**15 - 1, 2**15, 2**15 + 1, 10**5])
 def test_block_draws_count_what_one_draw_of_all_m_counts(M):
     def one_shot_m0(p0, seed):  # the single-draw form, kept as the reference
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         return int(np.count_nonzero(rng.random(M) < p0))
 
-    for i, p0 in enumerate([0.0, 0.37, 0.5, 0.999, 1.0, *np.linspace(0.01, 0.99, 7)]):
+    p0s = [0.0, 0.37, 0.5, 0.999, 1.0, *np.linspace(0.01, 0.99, 7), *EDGE_P0]
+    for i, p0 in enumerate(p0s):
         seed = trial_seed(0x5EED, i)
         assert sample_measurements(float(p0), M, seed).m0 == one_shot_m0(float(p0), seed)
+
+
+@pytest.mark.parametrize("p0", EDGE_P0)
+def test_raw_word_threshold_is_the_uniform_test(p0):
+    t = estimation._ground_threshold(p0)
+    words = [0, t - 2**11, t - 1, t, t + 1, t + 2**11 - 1, t + 2**11, 2**64 - 1]
+    for x in sorted({min(max(x, 0), 2**64 - 1) for x in words}):
+        assert (x < t) == ((x >> 11) * 2.0**-53 < p0), (p0, x)
+        if t < 2**64:  # the uint64 comparison that sample_measurements makes
+            assert bool(np.uint64(x) < np.uint64(t)) == (x < t), (p0, x)
+
+
+def test_generator_uniform_is_the_top_53_bits_of_the_raw_word():
+    seed = trial_seed(0x5EED, 0)
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(4099)
+    x = np.random.Philox(np.random.SeedSequence(seed)).random_raw(4099)
+    assert np.array_equal(u, (x >> np.uint64(11)) * 2.0**-53)
+
+
+def test_a_uniform_equal_to_p0_is_not_a_ground_outcome():
+    M, seed = 2**15 + 7, trial_seed(0x5EED, 1)
+    x = np.random.Philox(np.random.SeedSequence(seed)).random_raw(M)
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(M)
+    on_threshold = np.flatnonzero(x % 2**11 == 0)  # words equal to the threshold of their u
+    assert on_threshold.size > 0
+    for p0 in u[on_threshold[:4]].tolist():
+        for q in (p0, math.nextafter(p0, 0.0), math.nextafter(p0, 1.0)):
+            assert sample_measurements(q, M, seed).m0 == int(np.count_nonzero(u < q))
+
+
+@pytest.mark.parametrize("p0", [0.5, 1.0])
+def test_sample_size_must_be_a_positive_integer(p0):
+    for M in (1000.0, True, False, 0, -3, 2.5, "1000"):
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            sample_measurements(p0, M, 1)
+    for M in (np.int64(1000), np.uint16(1000)):
+        assert sample_measurements(p0, M, 1) == sample_measurements(p0, 1000, 1)
 
 
 def test_trial_seed_splitting_is_stable():

@@ -213,6 +213,71 @@ def test_validate_rejects_malformed_payloads(validate_table_json):
         validate_table_json(stringy)
 
 
+def full_schema_validate(payload: object) -> None:
+    """The reference validator: jsonschema over every cell, then each row's width."""
+    jsonschema.validate(payload, json.loads(schema_text()))
+    for i, row in enumerate(payload["rows"]):
+        if len(row) != len(payload["columns"]):
+            raise jsonschema.ValidationError(f"row {i} has {len(row)} cells")
+
+
+def test_validator_agrees_with_full_schema_validation(validate_table_json):
+    good = json.loads(to_json(small_table()))
+    variants = [
+        {},
+        [],
+        "table",
+        None,
+        {"meta": good["meta"], "columns": ["a", "b"]},
+        dict(good, extra=1),
+        dict(good, meta={"scenario": "x"}),
+        dict(good, meta=dict(good["meta"], seed=1.5)),
+        dict(good, meta=dict(good["meta"], seed=True)),
+        dict(good, columns=["a", 2]),
+        dict(good, columns=["a"]),
+        dict(good, columns=[]),
+    ]
+    rows_variants = [
+        [],
+        [[]],
+        None,
+        {},
+        "rows",
+        1.0,
+        [1.0, 2.0],
+        [None],
+        [{"a": 1.0}],
+        ["ab"],
+        [(1.0, 2.0)],
+        [[1, 2]],
+        [[1.0, None], [None, None]],
+        [[1.0, math.nan]],
+        [[True, 1.0]],
+        [[1.0, False]],
+        [[1.0, "2"]],
+        [[1.0, [2.0]]],
+        [[1.0, {}]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0, 3.0]],
+        [[1.0, 2.0], "xy"],
+        [[1.0, 2.0], None],
+    ]
+    payloads = [good, *variants, *(dict(good, rows=rows) for rows in rows_variants)]
+    payloads.append(json.loads(to_json(run_scenario(PRESETS["fig2a"]))))  # null cells
+    verdicts = set()
+    for payload in payloads:
+        outcome = []
+        for check in (full_schema_validate, validate_table_json):
+            try:
+                check(payload)
+                outcome.append(True)
+            except jsonschema.ValidationError:
+                outcome.append(False)
+        assert outcome[0] == outcome[1], payload
+        verdicts.add(outcome[0])
+    assert verdicts == {True, False}
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         export(small_table(), "yaml", tmp_path / "t.yaml")
