@@ -26,7 +26,7 @@ from .scenarios import (
     run_scenario,
     verification_passed,
 )
-from .tables import export, to_csv, to_json
+from .tables import _csv_chunks, _json_chunks, export
 
 OUT_DIR_ENV = "THERMOMACHINE_OUT_DIR"
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             export(table, args.format, _resolve_out(args.out))
         else:
-            sys.stdout.write(to_csv(table) if args.format == "csv" else to_json(table))
+            sys.stdout.writelines((_csv_chunks if args.format == "csv" else _json_chunks)(table))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

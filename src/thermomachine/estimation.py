@@ -21,7 +21,6 @@ trials independent of execution order and safe to run concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +47,12 @@ _DRAW_BLOCK = 2**15
 SMALL_M_THRESHOLD = 1000
 
 
+def _check_count(name: str, value: object, low: int) -> None:
+    # __index__ marks a lossless integer, numpy's too, at a fraction of numbers.Integral's cost.
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Outcome counts of M probe energy measurements at fixed p0."""
@@ -57,8 +62,8 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.m0 <= self.M:
-            raise ValueError("need 0 <= m0 <= M")
+        _check_count("m0", self.m0, 0)
+        _check_count("M", self.M, max(self.m0, 1))  # so 0 <= m0 <= M
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,7 @@ def _ground_threshold(p0: float) -> int:
 
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
-    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    _check_count("M", M, 1)
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
     if p0 == 1.0:

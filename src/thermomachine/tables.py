@@ -6,6 +6,7 @@ writes it.  CSV layout: leading ``# key=value`` metadata lines, a header row
 of column names, then one newline-terminated row per sweep point with every
 number printed to 17 significant digits, so a re-imported table reproduces
 the original float64 values bit for bit and re-export is byte-identical.
+Export and the CLI stream either format to its destination a block at a time.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Rows per string operation in the serializers; it bounds their scratch memory.
+#: Rows per text chunk the writers yield; it bounds their scratch memory, not the table.
 _BLOCK = 2048
 
 
@@ -65,15 +66,33 @@ def _meta_value(value: object) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def to_csv(table: ResultTable) -> str:
-    lines = [f"# {key}={_meta_value(value)}" for key, value in table.meta.items()]
-    lines.append(",".join(table.columns))
+def _csv_chunks(table: ResultTable) -> Iterator[str]:
+    head = [f"# {key}={_meta_value(value)}" for key, value in table.meta.items()]
+    yield "\n".join([*head, ",".join(table.columns)]) + "\n"
     # "%.17g" % x gives the same text as format(x, ".17g") for every float.
-    template = ",".join(["%.17g"] * len(table.columns))
+    row = ",".join(["%.17g"] * len(table.columns)) + "\n"
     for start in range(0, len(table.cells), _BLOCK):
         block = table.cells[start : start + _BLOCK]
-        lines.append("\n".join([template] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _json_chunks(table: ResultTable) -> Iterator[str]:
+    head = {"meta": table.meta, "columns": list(table.columns), "rows": []}
+    text = json.dumps(head, indent=2, allow_nan=False)  # ends with '"rows": []\n}'
+    yield text[:-3] + "\n" if len(table.cells) else text + "\n"
+    width = len(table.columns)
+    row = "    [" + ",".join(["\n      %s"] * width) + "\n    ]" if width else "    []"
+    for start in range(0, len(table.cells), _BLOCK):
+        block = table.cells[start : start + _BLOCK]
+        values = block.ravel().tolist()
+        if not np.isfinite(block).all():
+            values = [x if math.isfinite(x) else "null" for x in values]
+        end = ",\n" if start + _BLOCK < len(table.cells) else "\n  ]\n}\n"
+        yield (",\n".join([row] * len(block)) + end) % tuple(values)
+
+
+def to_csv(table: ResultTable) -> str:
+    return "".join(_csv_chunks(table))
 
 
 def to_json(table: ResultTable) -> str:
@@ -83,20 +102,7 @@ def to_json(table: ResultTable) -> str:
     goes through json.dumps, so a non-finite meta value is still refused; the
     rows are "%s"-formatted a block at a time, as json writes a float's repr.
     """
-    head = {"meta": table.meta, "columns": list(table.columns), "rows": []}
-    text = json.dumps(head, indent=2, allow_nan=False)  # ends with '"rows": []\n}'
-    width = len(table.columns)
-    row = "    [" + ",".join(["\n      %s"] * width) + "\n    ]" if width else "    []"
-    blocks = []
-    for start in range(0, len(table.cells), _BLOCK):
-        block = table.cells[start : start + _BLOCK]
-        values = block.ravel().tolist()
-        if not np.isfinite(block).all():
-            values = [x if math.isfinite(x) else "null" for x in values]
-        blocks.append(",\n".join([row] * len(block)) % tuple(values))
-    if not blocks:
-        return text + "\n"
-    return text[:-3] + "\n" + ",\n".join(blocks) + "\n  ]\n}\n"
+    return "".join(_json_chunks(table))
 
 
 def _parse_meta_value(text: str) -> object:
@@ -116,26 +122,29 @@ def _parse_meta_value(text: str) -> object:
 
 def from_csv(text: str) -> ResultTable:
     meta: dict[str, object] = {}
-    body = []
-    for ln in filter(None, text.splitlines()):
-        if ln.startswith("#"):
-            key, _, value = ln[1:].strip().partition("=")
-            key = key.strip()
-            meta[key] = value if key in _TEXT_META else _parse_meta_value(value)
-        else:
-            body.append(ln)
-    if not body:
+    columns, parts, start = (), [], 0
+    while start < len(text):
+        # ~64 characters per _BLOCK row, cut just after a "\n", where every line break ends.
+        end = text.find("\n", start + _BLOCK * 64) + 1 or len(text)
+        rows = []
+        for ln in filter(None, text[start:end].splitlines()):
+            if ln.startswith("#"):
+                key, _, value = ln[1:].strip().partition("=")
+                key = key.strip()
+                meta[key] = value if key in _TEXT_META else _parse_meta_value(value)
+            elif not columns:
+                columns = tuple(ln.split(","))
+            else:
+                rows.append(ln)
+        width, done, start = len(columns), sum(map(len, parts)), end
+        # Per row: a count over the chunk would miss a short row beside a long one.
+        for i in (i for i, ln in enumerate(rows) if ln.count(",") != width - 1):
+            raise ValueError(f"CSV row {done + i} has {rows[i].count(',') + 1} cells, expected {width}")
+        if rows:
+            parts.append(np.array(",".join(rows).split(","), dtype=float).reshape(-1, width))
+    if not columns:
         raise ValueError("CSV has no header row")
-    columns, rows = tuple(body[0].split(",")), body[1:]
-    width = len(columns)
-    cells = np.empty((len(rows), width))
-    for start in range(0, len(rows), _BLOCK):
-        block = rows[start : start + _BLOCK]
-        # Per row: a count over the block would miss a short row beside a long one.
-        for i in (i for i, ln in enumerate(block, start) if ln.count(",") != width - 1):
-            raise ValueError(f"CSV row {i} has {rows[i].count(',') + 1} cells, expected {width}")
-        cells[start : start + len(block)].flat = np.array(",".join(block).split(","), dtype=float)
-    return ResultTable(columns=columns, cells=cells, meta=meta)
+    return ResultTable(columns, np.concatenate([np.empty((0, len(columns))), *parts]), meta)
 
 
 def schema_text() -> str:
@@ -146,17 +155,19 @@ def schema_text() -> str:
 #: Meta keys the schema types as strings; from_csv keeps their values as text.
 _META_SCHEMA = json.loads(schema_text())["properties"]["meta"]["properties"]
 _TEXT_META = {key for key, spec in _META_SCHEMA.items() if spec["type"] == "string"}
-_WRITERS = {"csv": to_csv, "json": to_json}
 
 
 def export(table: ResultTable, fmt: str, destination: str | Path) -> Path:
-    """Write the table as ``fmt`` ("csv" or "json") to ``destination``."""
-    if fmt not in _WRITERS:
+    """Write the table as ``fmt`` ("csv" or "json") to ``destination``, a block at a time."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
-    text = _WRITERS[fmt](table)
+    chunks = _csv_chunks(table) if fmt == "csv" else _json_chunks(table)
+    head = next(chunks)  # a table to_json refuses raises here, before the file is opened
     path = Path(destination)
     try:
-        path.write_text(text)
+        with path.open("w") as out:
+            out.write(head)
+            out.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     return path

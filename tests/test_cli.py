@@ -36,6 +36,16 @@ def test_preset_writes_identical_files(tmp_path, capsys):
     assert "ref_sqrt_2_over_pi" in meta
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [["preset", "fig2b"], ["steady", "--set", "points=3"]])
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys, args, fmt):
+    code, out, _ = run([*args, "--format", fmt], capsys)
+    assert code == EXIT_OK
+    path = tmp_path / f"t.{fmt}"
+    assert main([*args, "--format", fmt, "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == out.encode()
+
+
 def test_unknown_preset_is_usage_error(capsys):
     code, _, err = run(["preset", "nope"], capsys)
     assert code == EXIT_USAGE

@@ -131,10 +131,21 @@ def test_record_validation():
 
     with pytest.raises(ValueError):
         MeasurementRecord(m0=5, M=3, seed=0)
+    for m0, M in ((True, 2), (1, True), (3.7, 10), (1, 2.5), (0, 0), (-1, 5), (1, "2")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MeasurementRecord(m0=m0, M=M, seed=0)
+    assert MeasurementRecord(np.int64(3), np.uint16(5), 0) == MeasurementRecord(3, 5, 0)
     with pytest.raises(ValueError):
         sample_measurements(1.2, 10, seed=0)
     with pytest.raises(ValueError):
         sample_measurements(0.5, 0, seed=0)
+
+
+def test_a_bool_or_fractional_count_is_not_estimated(config):
+    # Such a record used to be estimated from: this call returned (0.227, False).
+    with pytest.raises(ValueError, match="m0 must be an integer >= 0, got True"):
+        record = MeasurementRecord(m0=True, M=2.5, seed=0)
+        ml_estimate(record, steady_model(config), prior_interval(config))
 
 
 def test_ml_steady_inverts_exactly(config):

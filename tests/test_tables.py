@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -120,19 +121,72 @@ def test_block_writers_match_the_whole_table_reference(n, width, seed, non_finit
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("n", [0, _BLOCK + 1])
-def test_non_finite_meta_is_refused_by_to_json(bad, n):
+def test_non_finite_meta_is_refused_by_to_json(bad, n, tmp_path):
     table = make_table(("a",), np.ones((n, 1)), {"scenario": "x", "bad": bad})
     with pytest.raises(ValueError):
         to_json(table)
+    # export refuses it before opening the destination: an existing file keeps
+    # its bytes and a missing one is not created.
+    existing, missing = tmp_path / "old.json", tmp_path / "new.json"
+    existing.write_bytes(b"previous export\n")
+    for path in (existing, missing):
+        with pytest.raises(ValueError):
+            export(table, "json", path)
+    assert existing.read_bytes() == b"previous export\n"
+    assert not missing.exists()
 
 
-@pytest.mark.parametrize("index", [0, _BLOCK - 1, _BLOCK])
+@pytest.mark.parametrize("n", [0, 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("width", [0, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_writes_what_the_string_writers_return(n, width, fmt, tmp_path):
+    cells = np.random.default_rng(n + width).standard_normal((n, width))
+    if n > _BLOCK and width:
+        cells[_BLOCK + 5] = [math.inf, math.nan, -math.inf]  # a non-finite row in block two
+    table = make_table([f"c{j}" for j in range(width)], cells, {"scenario": "x", "seed": 3})
+    written = export(table, fmt, tmp_path / f"t.{fmt}").read_text()
+    assert written == (to_csv(table) if fmt == "csv" else to_json(table))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_and_from_csv_scratch_memory_is_bounded_by_the_block(tmp_path):
+    # fig2b's shape.  Joining the whole text before writing peaked at ~3x the
+    # text; streaming a block at a time holds well under a third of it.
+    table = make_table([f"c{j}" for j in range(6)], np.random.default_rng(0).random((30_006, 6)))
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"t.{fmt}"
+        peak = _traced_peak(lambda: export(table, fmt, path))
+        assert peak < path.stat().st_size / 3, (fmt, peak)
+    # from_csv holds the parsed array (its parts, then their concatenation)
+    # and one chunk of lines; a list of every line took over twice the text.
+    text = to_csv(table)
+    assert _traced_peak(lambda: from_csv(text)) < 1.5 * len(text)
+
+
+@pytest.mark.parametrize("index", [0, _BLOCK - 1, _BLOCK, 40_000])  # 40,000: past the first chunk
 @pytest.mark.parametrize("cells", ["1", "1,2,3"])
 def test_from_csv_names_the_ragged_row(index, cells):
-    rows = ["1,2"] * (_BLOCK + 3)
+    rows = ["1,2"] * (max(index, _BLOCK) + 3)
     rows[index] = cells
     with pytest.raises(ValueError, match=f"CSV row {index} has {cells.count(',') + 1} cells"):
         from_csv("a,b\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_from_csv_reads_any_line_break_in_any_chunk(newline):
+    table = make_table(("a", "b", "c"), np.random.default_rng(1).random((10_000, 3)), {"seed": 2})
+    text = to_csv(table) + "\n# late=1\n"  # a meta line after the rows, in the last chunk
+    back = from_csv(text.replace("\n", newline))
+    assert back.cells.tobytes() == table.cells.tobytes()
+    assert back.meta == {"seed": 2, "late": 1}
 
 
 def test_from_csv_refuses_a_short_row_beside_a_long_one():
