@@ -6,8 +6,8 @@ overrides, then dedicated flags, with later sources winning.  Seeds accept
 decimal or hex (0x...) notation.  When THERMOMACHINE_OUT_DIR is set,
 relative --out paths are written inside that directory.
 
-Exit codes: 0 success, 1 usage error or unevaluable scenario, 2 verification
-failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error, unevaluable scenario or a table the
+format cannot hold, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -166,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
             export(table, args.format, _resolve_out(args.out))
         else:
             sys.stdout.writelines((_csv_chunks if args.format == "csv" else _json_chunks)(table))
+    except ValueError as exc:  # JSON refuses a non-finite meta value, before a byte is written
+        print(f"error: cannot write the table as {args.format}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -22,10 +22,6 @@ from .core import CollisionParams, MachineConfig, collision_params, libm_exp, th
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
 
-# exp(k * log1p(-r)) underflows to exactly 0 once k*|log1p(-r)| exceeds ~745.1;
-# past that threshold the transient is numerically at its fixed point.
-_UNDERFLOW_EXPONENT = 745.2
-
 
 def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
     """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
@@ -38,20 +34,14 @@ def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
             raise ValueError("k must be >= 0")
         if r >= 1.0:
             return np.where(k == 0, 1.0, 0.0)
-        exponent = k * math.log1p(-r)
-        q = libm_exp(exponent)
-        q[exponent < -_UNDERFLOW_EXPONENT] = 0.0
-        return q
+        return libm_exp(k * math.log1p(-r))
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return 1.0
     if r >= 1.0:
         return 0.0
-    log_q = math.log1p(-r)
-    if k * (-log_q) > _UNDERFLOW_EXPONENT:
-        return 0.0
-    return math.exp(k * log_q)
+    return math.exp(k * math.log1p(-r))
 
 
 @dataclass(frozen=True)

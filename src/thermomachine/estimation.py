@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import MachineConfig, _fixed_point, _params_at, thermal_population
 from .dynamics import transient_population
-from .metrology import _golden_section_max, snr_steady, snr_transient
+from .metrology import snr_steady, snr_transient
 
 #: Fixed default master seed so bare invocations are reproducible.
 DEFAULT_SEED = 0x5EED
@@ -129,48 +129,36 @@ def ml_estimate(
     estimate is clamped to the interval endpoints when the likelihood peaks
     outside, and the flag in the returned (T_hat, clamped) pair says so.
 
-    With ``monotone`` (the steady-state model) the ML condition
-    p0(T_hat) = m0/M is solved by bisection to 5e-13 of the interval width
-    (1e-12 T_prior on the canonical prior interval (0, 2 T_prior));
-    otherwise (transient models) the binomial log-likelihood is maximized
-    on a dense grid and refined by golden-section search.
+    With ``monotone`` the model must be a ``steady_model``, and the ML
+    condition p0(T_hat) = m0/M is solved exactly through its closed-form
+    inverse; otherwise (transient models) the binomial log-likelihood is
+    maximized on a dense grid and refined by golden-section search.
     """
     return _estimator(model, interval, monotone)(record)
 
 
 def _invert_monotone(
     record: MeasurementRecord,
-    model: Callable[[float], float],
+    temperature: Callable[[float], float],
     lo: float,
     hi: float,
 ) -> tuple[float, bool]:
-    target = record.m0 / record.M
-    p_lo, p_hi = model(lo), model(hi)
-    increasing = p_hi >= p_lo
-    if record.m0 == 0 or record.m0 == record.M:
-        # Boundary counts: the residual keeps one sign on the whole interval.
-        want_high_p0 = record.m0 == record.M
-        return (hi, True) if want_high_p0 == increasing else (lo, True)
-    f_lo = p_lo - target
-    f_hi = p_hi - target
-    if not increasing:
-        f_lo, f_hi = -f_lo, -f_hi
-    if f_lo > 0.0:
+    """T_hat = temperature(ln(m0/m1)), where p0(T_hat) = m0/M, clamped to [lo, hi]."""
+    m0, m1 = record.m0, record.M - record.m0
+    if m0 == 0:
         return lo, True
-    if f_hi < 0.0:
+    if m1 == 0:
         return hi, True
-    a, b = lo, hi
-    tol = 5e-13 * (hi - lo)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        f_mid = model(mid) - target
-        if not increasing:
-            f_mid = -f_mid
-        if f_mid <= 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), False
+    # log(m0/m1) rounds once, where log(m0) - log(m1) cancels near m0 = m1. The
+    # difference serves ratios past 2^(+-1000) (M > 2^1000): it cannot cancel
+    # there, and m0/m1 may leave the normal floats.
+    ratio_is_normal = max(m0, m1) < min(m0, m1) << 1000
+    t_hat = temperature(math.log(m0 / m1) if ratio_is_normal else math.log(m0) - math.log(m1))
+    if t_hat < lo:
+        return lo, True
+    if t_hat > hi:
+        return hi, True
+    return t_hat, False
 
 
 def _log_terms(p0: float) -> tuple[float, float]:
@@ -196,6 +184,30 @@ def _log_likelihood(m0: int, m1: int, log_p, log_1mp):
     return ll
 
 
+def _golden_section_max(f, a: float, b: float, tol: float, max_iter: int) -> tuple[float, float]:
+    """Golden-section bracket [a, b] of the maximum of a unimodal ``f``.
+
+    Stops once b - a < tol or after max_iter steps (at most max_iter + 2
+    calls of ``f``).
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < tol:
+            break
+    return a, b
+
+
 def _estimator(
     model: Callable[[float], float],
     interval: tuple[float, float],
@@ -211,7 +223,10 @@ def _estimator(
     if not 0.0 < lo < hi:
         raise ValueError("interval must satisfy 0 < lo < hi")
     if monotone:
-        return lambda record: _invert_monotone(record, model, lo, hi)
+        temperature = getattr(model, "temperature", None)
+        if temperature is None:
+            raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
+        return lambda record: _invert_monotone(record, temperature, lo, hi)
     grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     log_p, log_1mp = np.array([_log_terms(model(t)) for t in grid]).T.copy()
     tol = 1e-13 * (hi - lo)
@@ -222,7 +237,7 @@ def _estimator(
         best = int(np.argmax(_log_likelihood(m0, m1, log_p, log_1mp)))
         a, b = grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)]
         f = lambda t: _log_likelihood(m0, m1, *_log_terms(model(t)))  # noqa: E731
-        a, b = _golden_section_max(f, a, b, lambda b: tol, 120)
+        a, b = _golden_section_max(f, a, b, tol, 120)
         t_hat = 0.5 * (a + b)
         clamped = t_hat <= lo + edge or t_hat >= hi - edge
         if clamped:
@@ -233,13 +248,19 @@ def _estimator(
 
 
 def steady_model(config: MachineConfig) -> Callable[[float], float]:
-    """T -> steady ground population, with all other machine knobs fixed."""
+    """T -> steady ground population 1 / (1 + e^(eps_s/T - x_v)), other knobs fixed.
+
+    The model carries its exact inverse as ``.temperature(logit)``: the T
+    with ln(p0/p1) = logit is eps_s / (x_v - logit), and math.inf when
+    logit >= x_v (p0 at or past its T -> inf limit).
+    """
 
     eps_s, x_v = config.eps_s, config.eps_v / config.T_v
 
     def p0_of(T: float) -> float:
         return _fixed_point(eps_s / T, x_v)
 
+    p0_of.temperature = lambda logit: eps_s / (x_v - logit) if logit < x_v else math.inf
     return p0_of
 
 
@@ -276,7 +297,7 @@ def empirical_snr_study(
 ) -> EstimationReport:
     """Run ``trials`` independent simulate/estimate rounds and aggregate.
 
-    ``k`` = None uses the steady-state model (monotone inversion); an
+    ``k`` = None uses the steady-state model (closed-form inversion); an
     integer k uses the transient model after k collisions from initial
     ground population ``p00`` (default: the config's).  Identical inputs
     give a bit-identical report.  The empirical spread needs a real

@@ -61,8 +61,6 @@ class HeatTrajectory:
     ancilla_p0: np.ndarray
     q_sample: np.ndarray
     q_ancilla: np.ndarray
-    thermal_sample_p0: float
-    thermal_ancilla_p0: float
 
 
 def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> HeatTrajectory:
@@ -91,6 +89,4 @@ def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> He
         ancilla_p0=ancilla.p0 - delta,
         q_sample=q_sample,
         q_ancilla=q_ancilla,
-        thermal_sample_p0=sample.p0,
-        thermal_ancilla_p0=ancilla.p0,
     )

@@ -32,6 +32,10 @@ from .dynamics import contraction_power
 #: tables as a labeled reference line.
 SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 
+#: gap/T at the thermal SNR peak (the Schottky peak): sqrt(M) y / (2 cosh(y/2))
+#: is stationary where (y/2) tanh(y/2) = 1, whose root y* this is, correctly rounded.
+_THERMAL_PEAK = 2.3993572805154675
+
 
 @dataclass(frozen=True)
 class SnrPoint:
@@ -199,40 +203,11 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
 def max_thermal_snr(T: float, M: int = 1) -> tuple[float, float]:
     """Maximize the thermal SNR over the probe gap at fixed T.
 
-    Golden-section search of the unimodal gap profile on [1e-3 T, 20 T];
-    returns (gap_at_max, max_snr).
+    Returns (gap_at_max, max_snr) = (y* T, snr_thermal(T, y* T, M)), with
+    y* = ``_THERMAL_PEAK``.
     """
-    # The profile is flat to float resolution within ~sqrt(eps) of its peak,
-    # so a narrower bracket would only be decided by rounding.
-    f = lambda gap: snr_thermal(T, gap, M)  # noqa: E731
-    tol = lambda b: 2.0**-26 * max(1.0, b)  # noqa: E731  sqrt(eps)
-    a, b = _golden_section_max(f, 1e-3 * T, 20.0 * T, tol, 200)
-    gap = 0.5 * (a + b)
+    gap = _THERMAL_PEAK * T
     return gap, snr_thermal(T, gap, M)
-
-
-def _golden_section_max(f, a: float, b: float, tol, max_iter: int) -> tuple[float, float]:
-    """Golden-section bracket [a, b] of the maximum of a unimodal ``f``.
-
-    Stops once b - a < tol(b) or after max_iter steps (at most max_iter + 2
-    calls of ``f``).
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < tol(b):
-            break
-    return a, b
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def test_criterion_04_thermal_baseline_peak():
     gap_star, peak = maxima[1.0]
     value_at_25 = snr_thermal(1.0, 2.5, M=1)
     _, peak16 = max_thermal_snr(T=1.0, M=16)
-    location_ok = location_err <= 1e-6
+    location_ok = location_err <= 1e-15
     exact_ok = abs(peak - expected_peak) <= 1e-12 * expected_peak
     value_ok = abs(peak - 0.662) <= 1e-3
     m16_ok = peak16 > 2.0

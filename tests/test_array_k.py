@@ -38,6 +38,7 @@ from thermomachine.dynamics import contraction_power
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import make_table
 
+EXP_UNDERFLOW = 745.1332191019412  # math.exp(-x) is 0 past here, subnormal just below
 UNDERFLOW_EXPONENT = 745.2
 
 
@@ -47,13 +48,14 @@ def bits(values) -> list[int]:
 
 
 def edge_ks(r: float, extra: list[int]) -> np.ndarray:
-    """0, 1, a few small counts, and both sides of the underflow edge of r."""
+    """0, 1, a few small counts, and both sides of each underflow edge of r."""
     ks = {0, 1, 2, 3, *extra}
     rate = -math.log1p(-r) if r < 1.0 else math.inf
     if 0.0 < rate < math.inf:
-        edge = UNDERFLOW_EXPONENT / rate
-        if edge < 2.0**52:
-            ks.update(k for k in range(int(edge) - 2, int(edge) + 3) if k >= 0)
+        for exponent in (EXP_UNDERFLOW, UNDERFLOW_EXPONENT):
+            edge = exponent / rate
+            if edge < 2.0**52:
+                ks.update(k for k in range(int(edge) - 2, int(edge) + 3) if k >= 0)
     return np.array(sorted(ks), dtype=np.int64)
 
 
@@ -211,9 +213,6 @@ def test_presets_on_subsampled_grid_equal_scalar_rebuild(name, k_max, k_step, re
 # ----------------------------------------------------------------------
 # Array T: the steady, thermal and noisy-ancilla forms on a temperature axis
 # ----------------------------------------------------------------------
-
-EXP_UNDERFLOW = 745.1332191019412  # math.exp(-x) is 0 past here, subnormal just below
-
 
 def near(x: float) -> list[float]:
     return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]

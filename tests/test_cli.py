@@ -139,6 +139,28 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+#: M = 10^308 overflows the cost table's steady SNR meta value to inf, which JSON cannot hold.
+INF_META_COST = ["cost", "--set", "M=1" + "0" * 308, "--set", "k_max=3"]
+
+
+def test_json_refused_table_to_stdout_is_usage_error(capsys):
+    code, out, err = run([*INF_META_COST, "--format", "json"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "not JSON compliant" in err
+    code, out, _ = run([*INF_META_COST, "--format", "csv"], capsys)
+    assert code == EXIT_OK and "# snr_machine_steady_m1=inf\n" in out
+
+
+def test_json_refused_table_to_out_keeps_the_file(tmp_path, capsys):
+    path = tmp_path / "keep.json"
+    path.write_bytes(b"earlier bytes\n")
+    code, out, err = run([*INF_META_COST, "--format", "json", "--out", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and "not JSON compliant" in err
+    assert path.read_bytes() == b"earlier bytes\n"
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("THERMOMACHINE_OUT_DIR", str(tmp_path))
     code, _, _ = run(["steady", "--set", "points=2", "--out", "rel.csv"], capsys)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from thermomachine import (
     tune_config,
 )
 from thermomachine import estimation
-from thermomachine.estimation import SMALL_M_THRESHOLD
-from thermomachine.metrology import _golden_section_max, snr_steady, snr_transient
+from thermomachine.estimation import SMALL_M_THRESHOLD, _golden_section_max
+from thermomachine.metrology import snr_steady, snr_transient
 
 
 @pytest.fixture
@@ -191,6 +192,71 @@ def test_ml_steady_clamps_out_of_range_frequency(config):
     assert model(hi) < 0.999
     t_hat, clamped = ml_estimate(MeasurementRecord(999, 1000, 0), model, (lo, hi))
     assert clamped and t_hat == hi
+
+
+def decimal_steady_temperature(config, m0, M):
+    """eps_s / (x_v - ln(m0/m1)) at 40 digits, from the float eps_s and x_v the model forms."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        logit = (Decimal(m0) / Decimal(M - m0)).ln()
+        return Decimal(config.eps_s) / (Decimal(config.eps_v / config.T_v) - logit)
+
+
+@pytest.mark.parametrize("M", [10**3, 10**4, 10**6])
+def test_ml_steady_is_the_closed_form_to_1e15(config, M):
+    model = steady_model(config)
+    lo, hi = prior_interval(config)
+    top = math.floor(model(hi) * M)  # the largest m0 whose estimate lies inside
+    p_true = int(steady_population(config) * M)
+    counts = {1, 2, M // 2, top - 1, top, *range(p_true - 3, p_true + 4)}
+    counts.update(np.linspace(1, top, 97).astype(int).tolist())
+    for m0 in sorted(counts):
+        t_hat, clamped = ml_estimate(MeasurementRecord(m0, M, 0), model, (lo, hi))
+        want = decimal_steady_temperature(config, m0, M)
+        assert not clamped and abs(Decimal(t_hat) - want) <= Decimal("1e-15") * want, (M, m0)
+
+
+@pytest.mark.parametrize("M", [10**3, 10**4, 10**6])
+def test_ml_steady_clamps_where_the_bisection_clamped(config, M):
+    # The bisection clamped to lo when m0/M < p0(lo), to hi when m0/M > p0(hi),
+    # and at the boundary counts m0 = 0 (lo) and m0 = M (hi).
+    model = steady_model(config)
+    lo, hi = prior_interval(config)
+    top = math.floor(model(hi) * M)
+    for m0 in sorted({0, 1, *range(top - 3, top + 4), M - 1, M}):
+        got = ml_estimate(MeasurementRecord(m0, M, 0), model, (lo, hi))
+        if m0 == 0 or m0 / M < model(lo):
+            assert got == (lo, True), (M, m0)
+        elif m0 == M or m0 / M > model(hi):
+            assert got == (hi, True), (M, m0)
+        else:
+            assert not got[1] and lo < got[0] < hi, (M, m0)
+
+
+def test_ml_steady_reads_counts_past_float_range(config):
+    # The estimate takes log(m0) - log(m1) once m0/m1 is past 2^(+-1000) ~ 9.3e-302:
+    # 10^-302 is, 10^-301 is not. At m0 = 1 the bisection read m0/M as 0.0 and
+    # returned 1.33e-3.
+    model, interval = steady_model(config), prior_interval(config)
+    M = 10**400
+    for m0 in (1, 10**98, 10**99, M // 2 - 10**386, M // 2):
+        t_hat, clamped = ml_estimate(MeasurementRecord(m0, M, 0), model, interval)
+        want = decimal_steady_temperature(config, m0, M)
+        assert not clamped and abs(Decimal(t_hat) - want) <= Decimal("1e-15") * want, m0
+    assert ml_estimate(MeasurementRecord(M - 1, M, 0), model, interval) == (interval[1], True)
+
+
+def test_steady_inverse_is_infinite_from_the_hot_limit(config):
+    # p0/p1 -> e^(x_v) as T -> inf, so a logit at or past x_v has no finite T.
+    temperature = steady_model(config).temperature
+    x_v = config.eps_v / config.T_v
+    assert temperature(x_v) == temperature(x_v + 1.0) == math.inf
+    assert 1e15 < temperature(math.nextafter(x_v, 0.0)) < math.inf
+
+
+def test_monotone_estimate_needs_the_steady_inverse(config):
+    with pytest.raises(TypeError, match="steady_model"):
+        ml_estimate(MeasurementRecord(1, 2, 0), transient_model(config, 5, 1.0), prior_interval(config))
 
 
 def test_ml_transient_matches_steady_when_converged(config):
@@ -398,7 +464,7 @@ def reference_estimate(record, model, lo, hi, grid_points=1024):
     best = int(np.argmax(values))
     a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
     f = lambda t: reference_log_likelihood(record, model(t))  # noqa: E731
-    a, b = _golden_section_max(f, a, b, lambda b: 1e-13 * (hi - lo), 120)
+    a, b = _golden_section_max(f, a, b, 1e-13 * (hi - lo), 120)
     t_hat = 0.5 * (a + b)
     edge = 2e-12 * (hi - lo)
     clamped = t_hat <= lo + edge or t_hat >= hi - edge

@@ -99,15 +99,17 @@ def test_ground_start_heats_sample_monotonically(config):
     assert np.all(traj.delta_p < 0.0)
     # Successive fresh sample qubits end ever closer to (but below) thermal.
     assert np.all(np.diff(traj.sample_p0) > 0.0)
-    assert np.all(traj.sample_p0 < traj.thermal_sample_p0)
-    assert np.all(traj.ancilla_p0 > traj.thermal_ancilla_p0)
+    assert np.all(traj.sample_p0 < thermal_population(config.eps_s, config.T).p0)
+    assert np.all(traj.ancilla_p0 > thermal_population(config.eps_v, config.T_v).p0)
     assert heat_sample(400, 1.0, config) > 0.0
 
 
 def test_trajectory_converges_to_unperturbed_values(config):
     traj = perturbation_trajectory(3000, 1.0, config)
-    assert traj.sample_p0[-1] == pytest.approx(traj.thermal_sample_p0, abs=1e-12)
-    assert traj.ancilla_p0[-1] == pytest.approx(traj.thermal_ancilla_p0, abs=1e-12)
+    sample = thermal_population(config.eps_s, config.T)
+    ancilla = thermal_population(config.eps_v, config.T_v)
+    assert traj.sample_p0[-1] == pytest.approx(sample.p0, abs=1e-12)
+    assert traj.ancilla_p0[-1] == pytest.approx(ancilla.p0, abs=1e-12)
 
 
 def test_step_magnitudes_by_regime():

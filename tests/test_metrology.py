@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -216,14 +217,27 @@ def test_snr_thermal_reference_values():
     assert machine / snr_thermal(0.25, 1.0, M=1) > 3.5
 
 
+def decimal_thermal_peak() -> float:
+    """Root of (y/2) tanh(y/2) = 1 by 40-digit bisection, rounded once to float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lo, hi = Decimal(1), Decimal(4)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            e = mid.exp()  # (y/2) tanh(y/2) = (y/2) (e^y - 1) / (e^y + 1)
+            lo, hi = (mid, hi) if mid / 2 * (e - 1) / (e + 1) < 1 else (lo, mid)
+        return float(lo)
+
+
 def test_thermal_gap_optimum():
     # True optimum of y e^{-y/2}/(1+e^{-y}) sits at y ~= 2.3994, value ~= 0.66274.
+    y_star = decimal_thermal_peak()
     gap, peak = max_thermal_snr(T=1.0, M=1)
-    assert gap == pytest.approx(2.39936, abs=5e-4)
+    assert abs(gap - y_star) <= 1e-15
     assert peak == pytest.approx(0.662743, abs=5e-5)
     # Scale invariance: only gap/T matters.
     gap2, peak2 = max_thermal_snr(T=0.05, M=1)
-    assert gap2 / 0.05 == pytest.approx(gap, rel=1e-6)
+    assert abs(gap2 / 0.05 - y_star) <= 1e-15
     assert peak2 == pytest.approx(peak, rel=1e-9)
     _, peak16 = max_thermal_snr(T=1.0, M=16)
     assert peak16 == pytest.approx(4.0 * peak, rel=1e-9)
