@@ -16,6 +16,13 @@ of a single draw of all M while holding one block in memory.  Per-trial
 seeds are split from the master seed as
 SeedSequence(master, spawn_key=(trial,)) -> first uint64, which makes
 trials independent of execution order and safe to run concurrently.
+
+Maximum likelihood
+------------------
+Both models are non-decreasing in T, so the binomial ML estimate is the
+root of p0(T) = m0/M, clamped to the prior interval (Mehboudi, Sanpera &
+Correa, J. Phys. A 52, 303001 (2019)): the steady one through its
+closed-form inverse, the transient one by bisection to adjacent floats.
 """
 
 from __future__ import annotations
@@ -36,9 +43,6 @@ DEFAULT_SEED = 0x5EED
 #: Lower edge of the search interval, as a fraction of its upper edge; the
 #: open end T -> 0 of the prior interval is represented by this point.
 _INTERVAL_FLOOR = 1e-12
-
-#: Points of the likelihood grid that brackets a transient ML search.
-_GRID_POINTS = 1024
 
 #: Raw Philox words per draw in ``sample_measurements``; it caps a trial's memory at any M.
 _DRAW_BLOCK = 2**15
@@ -126,13 +130,14 @@ def ml_estimate(
     """Maximum-likelihood temperature from a measurement record.
 
     ``model`` maps T to the ground probability p0(T) on ``interval``; the
-    estimate is clamped to the interval endpoints when the likelihood peaks
-    outside, and the flag in the returned (T_hat, clamped) pair says so.
+    estimate is clamped to an endpoint when m0/M is at or past p0 there,
+    and the flag in the returned (T_hat, clamped) pair says so.
 
-    With ``monotone`` the model must be a ``steady_model``, and the ML
-    condition p0(T_hat) = m0/M is solved exactly through its closed-form
-    inverse; otherwise (transient models) the binomial log-likelihood is
-    maximized on a dense grid and refined by golden-section search.
+    The ML condition is p0(T_hat) = m0/M.  With ``monotone`` the model must
+    be a ``steady_model``, and that condition is solved through its
+    closed-form inverse; otherwise it is bisected, which needs only a
+    non-decreasing model, such as ``transient_model`` (its docstring
+    derives d p0_k/dT >= 0).
     """
     return _estimator(model, interval, monotone)(record)
 
@@ -161,53 +166,6 @@ def _invert_monotone(
     return t_hat, False
 
 
-def _log_terms(p0: float) -> tuple[float, float]:
-    """(log p0, log(1 - p0)) through libm, -inf where the probability is 0."""
-    return (
-        math.log(p0) if p0 > 0.0 else -math.inf,
-        math.log1p(-p0) if p0 < 1.0 else -math.inf,
-    )
-
-
-def _log_likelihood(m0: int, m1: int, log_p, log_1mp):
-    """Binomial log-likelihood m0 log p0 + m1 log(1 - p0), float or array.
-
-    A term with a zero count is dropped (0 * -inf would be NaN); IEEE
-    multiply and add are correctly rounded, so an array gives each
-    element's float value bit for bit.
-    """
-    ll = 0.0
-    if m0 > 0:
-        ll += m0 * log_p
-    if m1 > 0:
-        ll += m1 * log_1mp
-    return ll
-
-
-def _golden_section_max(f, a: float, b: float, tol: float, max_iter: int) -> tuple[float, float]:
-    """Golden-section bracket [a, b] of the maximum of a unimodal ``f``.
-
-    Stops once b - a < tol or after max_iter steps (at most max_iter + 2
-    calls of ``f``).
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < tol:
-            break
-    return a, b
-
-
 def _estimator(
     model: Callable[[float], float],
     interval: tuple[float, float],
@@ -215,9 +173,9 @@ def _estimator(
 ) -> Callable[[MeasurementRecord], tuple[float, bool]]:
     """record -> (T_hat, clamped) for a fixed model.
 
-    The record-free work is done here, once: for the likelihood search,
-    the model and its logs on the grid.  Each record then costs one array
-    scan plus the golden-section refinement.
+    The record-free work is done here, once: the model at the interval ends.
+    A record whose frequency lies strictly between them is bisected on
+    model(T) < m0/M until the midpoint is a bracket end.
     """
     lo, hi = interval
     if not 0.0 < lo < hi:
@@ -227,22 +185,21 @@ def _estimator(
         if temperature is None:
             raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
         return lambda record: _invert_monotone(record, temperature, lo, hi)
-    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
-    log_p, log_1mp = np.array([_log_terms(model(t)) for t in grid]).T.copy()
-    tol = 1e-13 * (hi - lo)
-    edge = 2e-12 * (hi - lo)
+    p_lo, p_hi = model(lo), model(hi)
 
     def estimate(record: MeasurementRecord) -> tuple[float, bool]:
-        m0, m1 = record.m0, record.M - record.m0
-        best = int(np.argmax(_log_likelihood(m0, m1, log_p, log_1mp)))
-        a, b = grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)]
-        f = lambda t: _log_likelihood(m0, m1, *_log_terms(model(t)))  # noqa: E731
-        a, b = _golden_section_max(f, a, b, tol, 120)
-        t_hat = 0.5 * (a + b)
-        clamped = t_hat <= lo + edge or t_hat >= hi - edge
-        if clamped:
-            t_hat = lo if t_hat <= lo + edge else hi
-        return t_hat, clamped
+        frequency = record.m0 / record.M
+        if frequency <= p_lo:
+            return lo, True
+        if frequency >= p_hi:
+            return hi, True
+        a, b = lo, hi
+        while (mid := 0.5 * (a + b)) != a and mid != b:
+            if model(mid) < frequency:
+                a = mid
+            else:
+                b = mid
+        return mid, False
 
     return estimate
 
@@ -269,6 +226,15 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
 
     The ancilla state and eps_v/T_v are computed once; each call forms
     (r, p0_inf) from T alone, bit for bit as ``collision_params`` would.
+
+    The model is non-decreasing in T for every machine, k and p00, which
+    the bisection in ``ml_estimate`` relies on.  With q_j = (1-r)^j and
+    g_k = 1 - q_k - k r q_(k-1) = P(Binomial(k, r) >= 2), the identity
+    r p0_inf = p1_s p0_v gives
+
+        d p0_k/dT = lam_inf g_k + k q_(k-1) (dp1_s/dT) [(1-p00) p0_v + p00 p1_v],
+
+    where lam_inf = d p0_inf/dT; every factor is >= 0.
     """
     eps_s, x_v = config.eps_s, config.eps_v / config.T_v
     ancilla = thermal_population(config.eps_v, config.T_v)
@@ -325,7 +291,8 @@ def empirical_snr_study(
         estimates[i], was_clamped = by_m0[record.m0]
         clamped += was_clamped
 
-    std = float(estimates.std(ddof=1)) if trials > 1 else 0.0
+    # Equal estimates have no spread; std would read the mean's rounding (~1e-28).
+    std = float(estimates.std(ddof=1)) if estimates.min() < estimates.max() else 0.0
     rmse = float(np.sqrt(np.mean((estimates - config.T) ** 2)))
     empirical = config.T / std if std > 0.0 else math.inf
     return EstimationReport(

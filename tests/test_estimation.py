@@ -29,7 +29,7 @@ from thermomachine import (
     tune_config,
 )
 from thermomachine import estimation
-from thermomachine.estimation import SMALL_M_THRESHOLD, _golden_section_max
+from thermomachine.estimation import SMALL_M_THRESHOLD
 from thermomachine.metrology import snr_steady, snr_transient
 
 
@@ -264,11 +264,11 @@ def test_ml_transient_matches_steady_when_converged(config):
 
     record = MeasurementRecord(m0=3100, M=10_000, seed=0)
     interval = prior_interval(config)
-    t_grid, _ = ml_estimate(
+    t_bisect, _ = ml_estimate(
         record, transient_model(config, k=4000, p00=1.0), interval, monotone=False
     )
     t_mono, _ = ml_estimate(record, steady_model(config), interval)
-    assert t_grid == pytest.approx(t_mono, rel=1e-6)
+    assert t_bisect == pytest.approx(t_mono, rel=1e-6)
 
 
 def test_ml_interval_validation(config):
@@ -428,9 +428,9 @@ def test_study_estimates_each_distinct_m0_once(config, monkeypatch, M, trials, k
 
 
 # ----------------------------------------------------------------------
-# Reference: the per-call transient path (config rebuilt at every T, the
-# likelihood evaluated point by point), against which the study's shared
-# grid and cheap model must agree bit for bit.
+# Reference: the per-call transient path (config rebuilt at every T),
+# bisected by a loop written here, against which the study's shared cheap
+# model must agree bit for bit.
 # ----------------------------------------------------------------------
 
 
@@ -442,6 +442,41 @@ def reference_model(config, k, p00):
         return transient_population(k, p00, collision_params(replace(config, T=T)))
 
     return p0_of
+
+
+def reference_estimate(record, model, lo, hi):
+    """Root of model(T) = m0/M, clamped to [lo, hi], bisected to adjacent floats."""
+    frequency = record.m0 / record.M
+    if frequency <= model(lo):
+        return lo, True
+    if frequency >= model(hi):
+        return hi, True
+    a, b = lo, hi
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return mid, False
+        a, b = (mid, b) if model(mid) < frequency else (a, mid)
+
+
+def golden_section_max(f, a, b, tol, max_iter):
+    """Golden-section bracket [a, b] of the maximum of a unimodal ``f``."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < tol:
+            break
+    return a, b
 
 
 def reference_log_likelihood(record, p0):
@@ -458,13 +493,14 @@ def reference_log_likelihood(record, p0):
     return ll
 
 
-def reference_estimate(record, model, lo, hi, grid_points=1024):
+def grid_golden_estimate(record, model, lo, hi, grid_points=1024):
+    """The earlier transient estimator: likelihood grid, then golden-section refinement."""
     grid = np.linspace(lo, hi, grid_points)
     values = [reference_log_likelihood(record, model(t)) for t in grid]
     best = int(np.argmax(values))
     a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
     f = lambda t: reference_log_likelihood(record, model(t))  # noqa: E731
-    a, b = _golden_section_max(f, a, b, 1e-13 * (hi - lo), 120)
+    a, b = golden_section_max(f, a, b, 1e-13 * (hi - lo), 120)
     t_hat = 0.5 * (a + b)
     edge = 2e-12 * (hi - lo)
     clamped = t_hat <= lo + edge or t_hat >= hi - edge
@@ -496,7 +532,7 @@ STUDY_MACHINES = {
 }
 
 #: Ancilla so cold that (1-r)^k rounds to 1 near T -> 0: p0 reaches exactly
-#: p00, so the log terms hit -inf at the grid's low edge.
+#: p00 at the interval's low end (and is 1.0 on the whole interval at p00 = 1).
 COLD_ANCILLA = MachineConfig(eps_s=1.0, eps_p=1.0, T=0.2, T_v=0.02, T_prior=0.25)
 
 
@@ -539,6 +575,119 @@ def test_clamped_edge_record_equals_reference():
     t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
     assert clamped and t_hat == hi
     assert (t_hat, clamped) == reference_estimate(record, reference, lo, hi)
+
+
+#: The transient estimates that perfbench recomputes with grid+golden must stay within this * T.
+TRANSIENT_TOL = 1e-7
+
+
+def transient_records(M):
+    counts = {0, 1, 2, M // 3, M // 2, M - 2, M - 1, M}
+    counts.update(np.linspace(1, M - 1, 15).astype(int).tolist())
+    return [MeasurementRecord(m0, M, 0) for m0 in sorted(counts)]
+
+
+@pytest.mark.parametrize("p00", [0.0, 1.0])
+@pytest.mark.parametrize("k", [50, 60])
+def test_bisection_is_within_tolerance_of_the_grid_golden_search(k, p00):
+    config = tune_config(**STUDY_MACHINES[k][0])
+    model = transient_model(config, k, p00)
+    lo, hi = prior_interval(config)
+    for M in (7, 1000, 10_000):
+        for record in transient_records(M):
+            t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
+            if record.m0 / record.M <= model(lo):
+                # p0 is flat at its low-T plateau p0(lo), where the likelihood has no
+                # unique maximum; the grid search returned an unclamped point on it.
+                assert (t_hat, clamped) == (lo, True), (M, record.m0)
+                continue
+            old, old_clamped = grid_golden_estimate(record, model, lo, hi)
+            assert clamped == old_clamped, (M, record.m0)
+            assert abs(t_hat - old) <= TRANSIENT_TOL * config.T, (M, record.m0)
+
+
+def decimal_transient_p0(config, k, p00, T):
+    """p0_k at T (a Decimal), from the float eps_s, eps_v and x_v = eps_v/T_v the model forms."""
+    one = Decimal(1)
+    x_s, x_v = Decimal(config.eps_s) / T, Decimal(config.eps_v / config.T_v)
+    p1_s, p1_v = one / (one + x_s.exp()), one / (one + x_v.exp())
+    r = p1_s * (one - p1_v) + (one - p1_s) * p1_v
+    p0_inf = one / (one + (x_s - x_v).exp())
+    return p0_inf + (one - r) ** k * (Decimal(p00) - p0_inf)
+
+
+@pytest.mark.parametrize("p00", [0.0, 1.0])
+@pytest.mark.parametrize("k", [50, 60])
+def test_transient_estimate_is_the_decimal_root_to_1e14(k, p00):
+    # The grid+golden search was up to 5e-8 off this root on these records.
+    config = tune_config(**STUDY_MACHINES[k][0])
+    model, interval = transient_model(config, k, p00), prior_interval(config)
+    inside = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for M in (7, 1000, 10_000):
+            for record in transient_records(M):
+                t_hat, clamped = ml_estimate(record, model, interval, monotone=False)
+                if clamped:
+                    continue
+                inside += 1
+                frequency = Decimal(record.m0) / Decimal(record.M)
+                below = lambda T: decimal_transient_p0(config, k, p00, T) < frequency  # noqa: E731
+                a, b = (Decimal(t_hat) * (1 + Decimal(rel)) for rel in ("-1e-12", "1e-12"))
+                assert below(a) and not below(b), (M, record.m0)
+                for _ in range(30):  # to 2^-30 of the 2e-12 bracket
+                    mid = (a + b) / 2
+                    a, b = (mid, b) if below(mid) else (a, mid)
+                assert abs(Decimal(t_hat) - a) <= Decimal("1e-14") * a, (M, record.m0)
+    assert inside >= 15
+
+
+@pytest.mark.parametrize("M", [10**3, 10**4, 10**6])
+def test_bisection_of_the_steady_model_is_its_closed_form(config, M):
+    model = steady_model(config)
+    lo, hi = prior_interval(config)
+    top = math.floor(model(hi) * M)
+    counts = {1, 2, M // 2, top - 1, *np.linspace(1, top - 1, 97).astype(int).tolist()}
+    for m0 in sorted(counts):
+        record = MeasurementRecord(m0, M, 0)
+        t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
+        closed, closed_clamped = ml_estimate(record, model, (lo, hi))
+        assert not clamped and not closed_clamped, (M, m0)
+        assert abs(t_hat - closed) <= 1e-15 * closed, (M, m0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.one_of(
+        st.sampled_from([0, 1, 2, 5, 10, 50, 1000, 10**4, 10**6]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    p00=st.floats(0.0, 1.0),
+    eps_s=st.floats(min_value=0.1, max_value=10.0),
+    eps_p=st.floats(min_value=0.0, max_value=10.0),
+    t_v=st.floats(min_value=0.01, max_value=10.0),
+    t_prior=st.floats(min_value=0.01, max_value=10.0),
+)
+def test_transient_model_is_non_decreasing_in_temperature(k, p00, eps_s, eps_p, t_v, t_prior):
+    # The precondition of the bisection: d p0_k/dT >= 0 (transient_model's
+    # docstring), so p0_k may drop only by rounding along a dense T grid,
+    # which reaches an ancilla colder than the sample (T > t_v).
+    config = MachineConfig(eps_s=eps_s, eps_p=eps_p, T=t_prior, T_v=t_v, T_prior=t_prior)
+    lo, hi = prior_interval(config)
+    grid = np.union1d(np.linspace(lo, hi, 2001), np.geomspace(lo, hi, 2001)).tolist()
+    model = transient_model(config, k, p00)
+    p0 = np.array([model(T) for T in grid])
+    assert np.all(p0[1:] >= p0[:-1] * (1.0 - 4e-15))
+
+
+def test_constant_model_study_is_all_clamped():
+    # p0 = 1.0 at every T of the prior interval: no count carries information,
+    # and every estimate is the clamp to lo (the grid+golden search returned
+    # grid[1], 4.9e-4, unclamped, for an empirical SNR of 1.8e18).
+    report = empirical_snr_study(COLD_ANCILLA, M=1000, trials=100, seed=0x5EED, k=5, p00=1.0)
+    assert report.singular and report.clamped_fraction == 1.0
+    assert report.t_hat_mean == pytest.approx(prior_interval(COLD_ANCILLA)[0], rel=1e-15)
+    assert report.t_hat_std == 0.0 and report.empirical_snr == math.inf
 
 
 def test_cold_ancilla_model_hits_exact_populations():
