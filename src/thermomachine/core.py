@@ -25,10 +25,11 @@ class GapOrderingWarning(UserWarning):
     """
 
 
-def libm_exp(x: np.ndarray) -> np.ndarray:
-    """libm ``math.exp`` per element, bit for bit the scalar call; numpy's ``exp`` can be
-    one ulp off, which the k = 1 transient sensitivity amplifies some 4,400-fold."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def libm(fn, x: np.ndarray) -> np.ndarray:
+    """The libm function ``fn`` (``math.exp``, ``math.log1p``) per element, bit for bit the
+    scalar call; numpy's ``exp`` can be one ulp off, which the k = 1 transient sensitivity
+    amplifies some 4,400-fold."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _any(mask) -> bool:
@@ -38,10 +39,10 @@ def _any(mask) -> bool:
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
     """1 / (1 + e^-x), branched on the sign of x to avoid overflow; arrays per element."""
-    # A float skips the ndarray check (~50 ns): this is the estimator's hot path.
+    # A float skips the ndarray check (~50 ns): every scalar model call passes here.
     if type(x) is not float and isinstance(x, np.ndarray):
-        e = libm_exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        e = libm(math.exp, -np.abs(x))
+        return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -190,9 +191,12 @@ def _params_at(x_s: float, ancilla: ThermalQubit, x_v: float) -> CollisionParams
     """(r, p0_inf) at sample exponent x_s = eps_s/T; ancilla and x_v = eps_v/T_v fixed.
 
     The T-dependent half of :func:`collision_params`, so a model that varies
-    only T builds the ancilla state once.
+    only T builds the ancilla state once.  As x_s >= 0, one e = e^(-x_s)
+    gives both sample populations, bit for bit the logistics of +-x_s.
     """
-    sample_p0, sample_p1 = stable_logistic(x_s), stable_logistic(-x_s)
+    e = libm(math.exp, -x_s) if isinstance(x_s, np.ndarray) else math.exp(-x_s)
+    total = 1.0 + e
+    sample_p0, sample_p1 = 1.0 / total, e / total
     r = sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1
     return CollisionParams(r=r, p0_inf=_fixed_point(x_s, x_v))
 

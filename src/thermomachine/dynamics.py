@@ -17,26 +17,33 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CollisionParams, MachineConfig, collision_params, libm_exp, thermal_population
+from .core import CollisionParams, MachineConfig, collision_params, libm, thermal_population
 
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
 
 
-def contraction_power(r: float, k: int | np.ndarray) -> float | np.ndarray:
+def contraction_power(r: float | np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
     """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
 
-    An integer ndarray ``k`` gives a float array equal to the scalar calls
-    bit for bit (see :func:`core.libm_exp`).
+    An integer ndarray ``k``, or a float ndarray ``r`` with an int k, gives
+    a float array equal to the scalar calls bit for bit (see :func:`core.libm`).
     """
     if isinstance(k, np.ndarray):
         if np.any(k < 0):
             raise ValueError("k must be >= 0")
         if r >= 1.0:
             return np.where(k == 0, 1.0, 0.0)
-        return libm_exp(k * math.log1p(-r))
+        return libm(math.exp, k * math.log1p(-r))
     if k < 0:
         raise ValueError("k must be >= 0")
+    if isinstance(r, np.ndarray):
+        if k == 0:
+            return np.ones(r.shape)
+        full = r >= 1.0  # log1p(-1) is a domain error; (1 - r)^k is 0.0 there
+        if np.count_nonzero(full):
+            return np.where(full, 0.0, contraction_power(np.where(full, 0.0, r), k))
+        return libm(math.exp, k * libm(math.log1p, -r))
     if k == 0:
         return 1.0
     if r >= 1.0:

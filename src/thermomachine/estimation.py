@@ -23,13 +23,16 @@ Both models are non-decreasing in T, so the binomial ML estimate is the
 root of p0(T) = m0/M, clamped to the prior interval (Mehboudi, Sanpera &
 Correa, J. Phys. A 52, 303001 (2019)): the steady one through its
 closed-form inverse, the transient one by bisection to adjacent floats.
+An estimate reads only (m0, M), so a study draws every trial's count, then
+estimates the distinct counts in one call: the transient bisection steps
+them in lockstep on one float array, one model call per step for all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -135,21 +138,20 @@ def ml_estimate(
 
     The ML condition is p0(T_hat) = m0/M.  With ``monotone`` the model must
     be a ``steady_model``, and that condition is solved through its
-    closed-form inverse; otherwise it is bisected, which needs only a
-    non-decreasing model, such as ``transient_model`` (its docstring
-    derives d p0_k/dT >= 0).
+    closed-form inverse; otherwise it is bisected, which needs a
+    non-decreasing model that also takes a float ndarray T, element by
+    element, as ``steady_model`` and ``transient_model`` do (the latter's
+    docstring derives d p0_k/dT >= 0).
     """
-    return _estimator(model, interval, monotone)(record)
+    t_hat, clamped = _estimator(model, interval, monotone)([record.m0], record.M)
+    return float(t_hat[0]), bool(clamped[0])
 
 
 def _invert_monotone(
-    record: MeasurementRecord,
-    temperature: Callable[[float], float],
-    lo: float,
-    hi: float,
+    m0: int, M: int, temperature: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, bool]:
     """T_hat = temperature(ln(m0/m1)), where p0(T_hat) = m0/M, clamped to [lo, hi]."""
-    m0, m1 = record.m0, record.M - record.m0
+    m1 = M - m0
     if m0 == 0:
         return lo, True
     if m1 == 0:
@@ -170,12 +172,15 @@ def _estimator(
     model: Callable[[float], float],
     interval: tuple[float, float],
     monotone: bool,
-) -> Callable[[MeasurementRecord], tuple[float, bool]]:
-    """record -> (T_hat, clamped) for a fixed model.
+) -> Callable[[Sequence[int], int], tuple[np.ndarray, np.ndarray]]:
+    """(m0 values, M) -> (T_hat array, clamped array) for a fixed model.
 
-    The record-free work is done here, once: the model at the interval ends.
-    A record whose frequency lies strictly between them is bisected on
-    model(T) < m0/M until the midpoint is a bracket end.
+    The m0 values are Python ints, so each m0/M rounds once at any M.  The
+    model is evaluated at the interval ends once, here; the frequencies
+    strictly between them are bisected together on model(T) < m0/M until no
+    midpoint lies inside its bracket.  A finished lane is a fixed point
+    (model(a) < m0/M <= model(b) held when a and b were set), so each lane
+    ends on the midpoint a lone bisection returns.
     """
     lo, hi = interval
     if not 0.0 < lo < hi:
@@ -184,24 +189,28 @@ def _estimator(
         temperature = getattr(model, "temperature", None)
         if temperature is None:
             raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
-        return lambda record: _invert_monotone(record, temperature, lo, hi)
+
+        def invert(m0s: Sequence[int], M: int) -> tuple[np.ndarray, np.ndarray]:
+            pairs = np.array([_invert_monotone(m0, M, temperature, lo, hi) for m0 in m0s], float)
+            return pairs[:, 0], pairs[:, 1] == 1.0
+
+        return invert
     p_lo, p_hi = model(lo), model(hi)
 
-    def estimate(record: MeasurementRecord) -> tuple[float, bool]:
-        frequency = record.m0 / record.M
-        if frequency <= p_lo:
-            return lo, True
-        if frequency >= p_hi:
-            return hi, True
-        a, b = lo, hi
-        while (mid := 0.5 * (a + b)) != a and mid != b:
-            if model(mid) < frequency:
-                a = mid
-            else:
-                b = mid
-        return mid, False
+    def bisect(m0s: Sequence[int], M: int) -> tuple[np.ndarray, np.ndarray]:
+        frequency = np.array([m0 / M for m0 in m0s], float)
+        t_hat = np.where(frequency <= p_lo, lo, hi)
+        inside = ~((frequency <= p_lo) | (frequency >= p_hi))
+        f = frequency[inside]
+        a, b = np.full_like(f, lo), np.full_like(f, hi)
+        while np.count_nonzero((a < (mid := 0.5 * (a + b))) & (mid < b)):
+            below = model(mid) < f
+            np.copyto(a, mid, where=below)
+            np.copyto(b, mid, where=~below)
+        t_hat[inside] = mid
+        return t_hat, ~inside
 
-    return estimate
+    return bisect
 
 
 def steady_model(config: MachineConfig) -> Callable[[float], float]:
@@ -226,6 +235,7 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
 
     The ancilla state and eps_v/T_v are computed once; each call forms
     (r, p0_inf) from T alone, bit for bit as ``collision_params`` would.
+    A float ndarray T gives the scalar calls element by element, bit for bit.
 
     The model is non-decreasing in T for every machine, k and p00, which
     the bisection in ``ml_estimate`` relies on.  With q_j = (1-r)^j and
@@ -240,7 +250,7 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
     ancilla = thermal_population(config.eps_v, config.T_v)
 
     def p0_of(T: float) -> float:
-        if not T > 0.0:
+        if not (np.count_nonzero(T > 0.0) == T.size if isinstance(T, np.ndarray) else T > 0.0):
             raise ValueError(f"temperature must be > 0, got {T}")
         return transient_population(k, p00, _params_at(eps_s / T, ancilla, x_v))
 
@@ -281,22 +291,18 @@ def empirical_snr_study(
     p_true = model(config.T)
     singular = p_true <= 0.0 or p_true >= 1.0
     estimate = _estimator(model, prior_interval(config), monotone=k is None)
-    by_m0: dict[int, tuple[float, bool]] = {}  # an estimate reads only (m0, M)
-    estimates = np.empty(trials)
-    clamped = 0
-    for i in range(trials):
-        record = sample_measurements(p_true, M, trial_seed(seed, i))
-        if record.m0 not in by_m0:
-            by_m0[record.m0] = estimate(record)
-        estimates[i], was_clamped = by_m0[record.m0]
-        clamped += was_clamped
+    m0 = [sample_measurements(p_true, M, trial_seed(seed, i)).m0 for i in range(trials)]
+    distinct, index = np.unique(m0, return_inverse=True)
+    t_hat, was_clamped = estimate(distinct.tolist(), M)
+    estimates, clamped = t_hat[index], int(np.count_nonzero(was_clamped[index]))
 
-    # Equal estimates have no spread; std would read the mean's rounding (~1e-28).
-    std = float(estimates.std(ddof=1)) if estimates.min() < estimates.max() else 0.0
+    # Equal estimates have no spread: std and mean would read rounding (~1e-28, 1 ulp).
+    spread = estimates.min() < estimates.max()
+    std = float(estimates.std(ddof=1)) if spread else 0.0
     rmse = float(np.sqrt(np.mean((estimates - config.T) ** 2)))
     empirical = config.T / std if std > 0.0 else math.inf
     return EstimationReport(
-        t_hat_mean=float(estimates.mean()),
+        t_hat_mean=float(estimates.mean()) if spread else float(estimates[0]),
         t_hat_std=std,
         rmse=rmse,
         empirical_snr=empirical,

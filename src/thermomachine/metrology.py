@@ -12,7 +12,7 @@ snr <= T * sqrt(M * F).
 The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
 (as ``T`` or ``MachineConfig.T``); each element equals the scalar call bit
-for bit (``core.libm_exp`` says why).  An int k or a float T keeps the
+for bit (``core.libm`` says why).  An int k or a float T keeps the
 plain-float scalar path.
 """
 

@@ -20,6 +20,7 @@ from thermomachine import (
     MachineConfig,
     NoisyAncillaSpec,
     collision_params,
+    prior_interval,
     run_scenario,
     sensitivity_transient,
     snr_noisy_ancilla,
@@ -30,10 +31,11 @@ from thermomachine import (
     steady_population,
     thermal_population,
     transient_population,
+    transient_model,
     tune_config,
 )
 from thermomachine.cli import _DEFAULTS
-from thermomachine.core import stable_logistic
+from thermomachine.core import _params_at, stable_logistic
 from thermomachine.dynamics import contraction_power
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import make_table
@@ -227,6 +229,62 @@ logistic_edges += near(EXP_UNDERFLOW) + near(-EXP_UNDERFLOW) + near(745.2) + nea
 def test_logistic_matches_scalar_bits(xs, lo):
     x = np.array(logistic_edges + xs + [lo, -lo])
     assert bits(stable_logistic(x)) == bits([stable_logistic(v) for v in x.tolist()])
+
+
+def two_logistic_params(x_s: float, ancilla, x_v: float) -> tuple[float, float]:
+    """(r, p0_inf) with each sample population from its own logistic: the reference form."""
+    sample_p0, sample_p1 = stable_logistic(x_s), stable_logistic(-x_s)
+    return sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1, stable_logistic(x_v - x_s)
+
+
+sample_exponents = st.one_of(
+    st.just(0.0),  # eps_s/T underflowed
+    st.sampled_from([1e-300, 1e-20, 1.0, *near(EXP_UNDERFLOW), *near(745.2), 800.0]),
+    log_uniform(1e-300, 800.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(sample_exponents, min_size=1, max_size=12),
+    gap=st.one_of(st.just(0.0), log_uniform(1e-2, 1e2)),
+    t_v=log_uniform(1e-3, 1e2),
+)
+def test_shared_sample_exponential_is_the_two_logistic_form(xs, gap, t_v):
+    ancilla, x_v = thermal_population(gap, t_v), gap / t_v
+    want = [two_logistic_params(x, ancilla, x_v) for x in xs]
+    scalar = [_params_at(x, ancilla, x_v) for x in xs]
+    array = _params_at(np.array(xs), ancilla, x_v)
+    for i, field in enumerate(("r", "p0_inf")):
+        expected = bits([w[i] for w in want])
+        assert bits([getattr(p, field) for p in scalar]) == expected, field
+        assert bits(getattr(array, field)) == expected, field
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.one_of(
+        st.sampled_from([0, 1, 2, 5, 10, 50, 1000, 10**4, 10**6]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    p00=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    eps_s=log_uniform(1e-1, 1e1),
+    eps_p=st.one_of(st.just(0.0), log_uniform(1e-3, 1e1)),
+    t_v=log_uniform(1e-2, 1e1),
+    t_prior=log_uniform(1e-2, 1e1),
+    fracs=st.lists(st.floats(min_value=1e-12, max_value=1.0), max_size=20),
+    rs=st.lists(rates, max_size=8),
+)
+def test_transient_model_and_rate_arrays_match_scalar_bits(
+    k, p00, eps_s, eps_p, t_v, t_prior, fracs, rs
+):
+    config = MachineConfig(eps_s=eps_s, eps_p=eps_p, T=t_prior, T_v=t_v, T_prior=t_prior)
+    lo, hi = prior_interval(config)
+    T = np.array([lo, math.nextafter(lo, math.inf), hi, *(f * hi for f in fracs)])
+    model = transient_model(config, k, p00)
+    assert bits(model(T)) == bits([model(t) for t in T.tolist()])
+    r = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0, *rs])
+    assert bits(contraction_power(r, k)) == bits([contraction_power(x, k) for x in r.tolist()])
 
 
 def temperature_axis(scale: float):

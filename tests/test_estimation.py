@@ -380,20 +380,25 @@ def test_clamped_fraction_vanishes_with_m(config):
 
 
 def fresh_estimate_study(config, M, trials, seed, k=None):
-    """The study with its own estimate for every trial, the reference for sharing by m0."""
+    """The study with its own ``ml_estimate`` for every trial, the reference for sharing by m0.
+
+    Returns the report and the m0 every trial drew.
+    """
     p00 = config.p00
     if k is None:
         model, crb = steady_model(config), snr_steady(config, M)
     else:
         model, crb = transient_model(config, k, p00), snr_transient(k, p00, config, M)
     p_true = model(config.T)
-    estimate = estimation._estimator(model, prior_interval(config), monotone=k is None)
+    records = [sample_measurements(p_true, M, trial_seed(seed, i)) for i in range(trials)]
     estimates, clamped = np.empty(trials), 0
-    for i in range(trials):
-        estimates[i], was_clamped = estimate(sample_measurements(p_true, M, trial_seed(seed, i)))
+    for i, record in enumerate(records):
+        estimates[i], was_clamped = ml_estimate(
+            record, model, prior_interval(config), monotone=k is None
+        )
         clamped += was_clamped
     std = float(estimates.std(ddof=1))
-    return EstimationReport(
+    report = EstimationReport(
         t_hat_mean=float(estimates.mean()),
         t_hat_std=std,
         rmse=float(np.sqrt(np.mean((estimates - config.T) ** 2))),
@@ -404,26 +409,28 @@ def fresh_estimate_study(config, M, trials, seed, k=None):
         small_m_warning=M < SMALL_M_THRESHOLD,
         singular=p_true <= 0.0 or p_true >= 1.0,
     )
+    return report, [record.m0 for record in records]
 
 
 @pytest.mark.parametrize("M, trials, k", [(1000, 1000, None), (100, 300, None), (1000, 100, 50)])
 def test_study_estimates_each_distinct_m0_once(config, monkeypatch, M, trials, k):
-    reference = fresh_estimate_study(config, M, trials, 0x5EED, k)
+    reference, drawn = fresh_estimate_study(config, M, trials, 0x5EED, k)
     calls = []
     build = estimation._estimator
 
     def counting_estimator(model, interval, monotone):
         estimate = build(model, interval, monotone)
 
-        def counted(record):
-            calls.append(record.m0)
-            return estimate(record)
+        def counted(m0s, M):
+            calls.append(list(m0s))
+            return estimate(m0s, M)
 
         return counted
 
     monkeypatch.setattr(estimation, "_estimator", counting_estimator)
     report = empirical_snr_study(config, M=M, trials=trials, seed=0x5EED, k=k)
-    assert len(calls) == len(set(calls)) < trials
+    assert len(calls) == 1  # one batch call per study
+    assert sorted(calls[0]) == sorted(set(drawn)) and len(set(drawn)) < trials
     assert report == reference
 
 
@@ -577,6 +584,36 @@ def test_clamped_edge_record_equals_reference():
     assert (t_hat, clamped) == reference_estimate(record, reference, lo, hi)
 
 
+@pytest.mark.parametrize("p00", [0.0, 1.0])
+@pytest.mark.parametrize("k", [50, 60])
+def test_one_batch_call_equals_the_per_record_reference(k, p00):
+    config = tune_config(**STUDY_MACHINES[k][0])
+    model, reference = transient_model(config, k, p00), reference_model(config, k, p00)
+    lo, hi = prior_interval(config)
+    M = 1000
+    # Counts at and just inside each clamp, 0 and M, and repeats in no order.
+    low, high = math.floor(model(lo) * M), math.ceil(model(hi) * M)
+    counts = [M // 2, 0, high, M, low, low + 1, high - 1, M // 2, 0, M, high, 1, M - 1, low]
+    t_hat, clamped = estimation._estimator(model, (lo, hi), monotone=False)(counts, M)
+    want = [reference_estimate(MeasurementRecord(m0, M, 0), reference, lo, hi) for m0 in counts]
+    assert t_hat.tolist() == [t for t, _ in want]
+    assert clamped.tolist() == [c for _, c in want]
+    assert lo in t_hat and hi in t_hat and not clamped.all()
+
+
+def test_transient_frequency_past_2_53_is_rounded_once():
+    # m0/M of the Python ints rounds once; float(m0) / float(M) rounds three times,
+    # which moves this root by one ulp.
+    config = tune_config(**STUDY_MACHINES[50][0])
+    model, reference = transient_model(config, 50, 1.0), reference_model(config, 50, 1.0)
+    lo, hi = prior_interval(config)
+    m0, M = 1287881513619328512, 2301474159646987124
+    assert m0 / M != float(m0) / float(M)
+    t_hat, clamped = estimation._estimator(model, (lo, hi), monotone=False)([m0], M)
+    want = reference_estimate(MeasurementRecord(m0, M, 0), reference, lo, hi)
+    assert (t_hat.tolist(), clamped.tolist()) == ([want[0]], [want[1]])
+
+
 #: The transient estimates that perfbench recomputes with grid+golden must stay within this * T.
 TRANSIENT_TOL = 1e-7
 
@@ -593,9 +630,10 @@ def test_bisection_is_within_tolerance_of_the_grid_golden_search(k, p00):
     config = tune_config(**STUDY_MACHINES[k][0])
     model = transient_model(config, k, p00)
     lo, hi = prior_interval(config)
+    estimate = estimation._estimator(model, (lo, hi), monotone=False)
     for M in (7, 1000, 10_000):
-        for record in transient_records(M):
-            t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
+        records = transient_records(M)
+        for record, t_hat, clamped in zip(records, *estimate([r.m0 for r in records], M)):
             if record.m0 / record.M <= model(lo):
                 # p0 is flat at its low-T plateau p0(lo), where the likelihood has no
                 # unique maximum; the grid search returned an unclamped point on it.
@@ -622,12 +660,13 @@ def test_transient_estimate_is_the_decimal_root_to_1e14(k, p00):
     # The grid+golden search was up to 5e-8 off this root on these records.
     config = tune_config(**STUDY_MACHINES[k][0])
     model, interval = transient_model(config, k, p00), prior_interval(config)
+    estimate = estimation._estimator(model, interval, monotone=False)
     inside = 0
     with localcontext() as ctx:
         ctx.prec = 50
         for M in (7, 1000, 10_000):
-            for record in transient_records(M):
-                t_hat, clamped = ml_estimate(record, model, interval, monotone=False)
+            records = transient_records(M)
+            for record, t_hat, clamped in zip(records, *estimate([r.m0 for r in records], M)):
                 if clamped:
                     continue
                 inside += 1
@@ -647,11 +686,10 @@ def test_bisection_of_the_steady_model_is_its_closed_form(config, M):
     model = steady_model(config)
     lo, hi = prior_interval(config)
     top = math.floor(model(hi) * M)
-    counts = {1, 2, M // 2, top - 1, *np.linspace(1, top - 1, 97).astype(int).tolist()}
-    for m0 in sorted(counts):
-        record = MeasurementRecord(m0, M, 0)
-        t_hat, clamped = ml_estimate(record, model, (lo, hi), monotone=False)
-        closed, closed_clamped = ml_estimate(record, model, (lo, hi))
+    counts = sorted({1, 2, M // 2, top - 1, *np.linspace(1, top - 1, 97).astype(int).tolist()})
+    bisected = estimation._estimator(model, (lo, hi), monotone=False)(counts, M)
+    for m0, t_hat, clamped in zip(counts, *bisected):
+        closed, closed_clamped = ml_estimate(MeasurementRecord(m0, M, 0), model, (lo, hi))
         assert not clamped and not closed_clamped, (M, m0)
         assert abs(t_hat - closed) <= 1e-15 * closed, (M, m0)
 
@@ -671,12 +709,13 @@ def test_bisection_of_the_steady_model_is_its_closed_form(config, M):
 def test_transient_model_is_non_decreasing_in_temperature(k, p00, eps_s, eps_p, t_v, t_prior):
     # The precondition of the bisection: d p0_k/dT >= 0 (transient_model's
     # docstring), so p0_k may drop only by rounding along a dense T grid,
-    # which reaches an ancilla colder than the sample (T > t_v).
+    # which reaches an ancilla colder than the sample (T > t_v).  The grid is
+    # one array call, which the bisection makes too; test_array_k checks it
+    # against the scalar calls bit for bit.
     config = MachineConfig(eps_s=eps_s, eps_p=eps_p, T=t_prior, T_v=t_v, T_prior=t_prior)
     lo, hi = prior_interval(config)
-    grid = np.union1d(np.linspace(lo, hi, 2001), np.geomspace(lo, hi, 2001)).tolist()
-    model = transient_model(config, k, p00)
-    p0 = np.array([model(T) for T in grid])
+    grid = np.union1d(np.linspace(lo, hi, 2001), np.geomspace(lo, hi, 2001))
+    p0 = transient_model(config, k, p00)(grid)
     assert np.all(p0[1:] >= p0[:-1] * (1.0 - 4e-15))
 
 
@@ -686,7 +725,7 @@ def test_constant_model_study_is_all_clamped():
     # grid[1], 4.9e-4, unclamped, for an empirical SNR of 1.8e18).
     report = empirical_snr_study(COLD_ANCILLA, M=1000, trials=100, seed=0x5EED, k=5, p00=1.0)
     assert report.singular and report.clamped_fraction == 1.0
-    assert report.t_hat_mean == pytest.approx(prior_interval(COLD_ANCILLA)[0], rel=1e-15)
+    assert report.t_hat_mean == prior_interval(COLD_ANCILLA)[0]
     assert report.t_hat_std == 0.0 and report.empirical_snr == math.inf
 
 
@@ -719,6 +758,8 @@ def test_transient_model_refuses_non_positive_temperature(config):
     for T in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
             model(T)
+        with pytest.raises(ValueError):
+            model(np.array([0.2, T]))
 
 
 def test_steady_model_is_the_collision_fixed_point(config):
