@@ -6,8 +6,9 @@ overrides, then dedicated flags, with later sources winning.  Seeds accept
 decimal or hex (0x...) notation.  When THERMOMACHINE_OUT_DIR is set,
 relative --out paths are written inside that directory.
 
-Exit codes: 0 success, 1 usage error, unevaluable scenario or a table the
-format cannot hold, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error, unevaluable scenario, a table the
+format cannot hold or a run out of memory (a k or T axis too long to
+allocate), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}: an input lies outside the formulas' float range", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -10,6 +10,7 @@ so populations stay finite and exact at extreme arguments.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,9 +33,35 @@ def libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _any(mask) -> bool:
-    # An array's mask.any(), a float comparison as it is: np.any on a float costs microseconds.
-    return mask.any() if isinstance(mask, np.ndarray) else mask
+def _check_range(name: str, x, low: float, high: float = sys.float_info.max, closed: bool = False):
+    """Refuse x unless low < x <= high (low <= x <= high if ``closed``), element-wise on arrays.
+
+    NaN fails as written and the default ``high`` refuses +inf; a float (each scalar model
+    call) takes no numpy call.
+    """
+    if isinstance(x, np.ndarray):
+        ok = (x >= low if closed else x > low) & (x <= high)
+        if ok.all():
+            return
+        x = x[~ok].flat[0]
+    elif (low <= x <= high) if closed else (low < x <= high):
+        return
+    bottom = f"[{low:g}" if closed else f"({low:g}"
+    top = "inf)" if high == sys.float_info.max else f"{high:g}]"
+    raise ValueError(f"{name} must be finite and lie in {bottom}, {top}, got {x}")
+
+
+def _check_count(name: str, value: object, low: int) -> None:
+    """Refuse a count that is not an integer >= low (bool and float alike); arrays per element."""
+    if isinstance(value, np.ndarray):
+        bad = value[~(value >= low)] if value.dtype.kind in "iu" else value.ravel()
+        if bad.size == 0:
+            return
+        value = bad[0].item()
+    # __index__ marks a lossless integer, numpy's too, at a fraction of numbers.Integral's cost.
+    elif not isinstance(value, bool) and hasattr(value, "__index__") and value >= low:
+        return
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
@@ -63,15 +90,13 @@ def thermal_population(gap: float, temperature: float | np.ndarray) -> ThermalQu
     Parameters
     ----------
     gap : float
-        Energy gap, >= 0.
+        Energy gap, finite, >= 0.
     temperature : float or float array
-        Temperature, strictly > 0 (T -> 0 is handled only as analytic
+        Temperature, finite, strictly > 0 (T -> 0 is handled only as analytic
         limits inside the metrology formulas, never as a Gibbs state).
     """
-    if _any(temperature <= 0.0):
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    if gap < 0.0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+    _check_range("temperature", temperature, 0.0)
+    _check_range("gap", gap, 0.0, closed=True)
     x = gap / temperature
     # Both populations from the logistic in their own scale: 1 - p0 would
     # quantize a cold qubit's excited population at the ulp of 1.
@@ -88,12 +113,12 @@ class MachineConfig:
 
     Fields
     ------
-    eps_s : sample qubit gap (> 0)
-    eps_p : probe gap (>= 0)
-    T : sample temperature, the estimand (> 0); a float array is a temperature axis
-    T_v : ancilla bath temperature (> 0)
-    T_prior : prior temperature, half the assumed upper bound on T (> 0)
-    eps_I : three-body coupling strength (> 0); collision time is pi/(2 eps_I)
+    eps_s : sample qubit gap (finite, > 0)
+    eps_p : probe gap (finite, >= 0)
+    T : sample temperature, the estimand (finite, > 0); a float array is a temperature axis
+    T_v : ancilla bath temperature (finite, > 0)
+    T_prior : prior temperature, half the assumed upper bound on T (finite, > 0)
+    eps_I : three-body coupling strength (finite, > 0); collision time is pi/(2 eps_I)
     p00 : initial probe ground population in [0, 1]
     """
 
@@ -106,17 +131,10 @@ class MachineConfig:
     p00: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps_s <= 0.0:
-            raise ValueError("eps_s must be > 0")
-        if self.eps_p < 0.0:
-            raise ValueError("eps_p must be >= 0")
-        for name in ("T", "T_v", "T_prior"):
-            if _any(getattr(self, name) <= 0.0):
-                raise ValueError(f"{name} must be > 0")
-        if self.eps_I <= 0.0:
-            raise ValueError("eps_I must be > 0")
-        if not 0.0 <= self.p00 <= 1.0:
-            raise ValueError("p00 must lie in [0, 1]")
+        for name in ("eps_s", "T", "T_v", "T_prior", "eps_I"):
+            _check_range(name, getattr(self, name), 0.0)
+        _check_range("eps_p", self.eps_p, 0.0, closed=True)
+        _check_range("p00", self.p00, 0.0, 1.0, closed=True)
 
     @property
     def eps_v(self) -> float:
@@ -144,17 +162,17 @@ def tune_config(
     eps_p >= eps_s; a smaller bath temperature is flagged with
     :class:`GapOrderingWarning`; a warnings filter can make it an error.
     """
-    if T_prior <= 0.0 or T_v <= 0.0:
-        raise ValueError("T_prior and T_v must be > 0")
+    _check_range("T_prior", T_prior, 0.0)
+    _check_range("T_v", T_v, 0.0)
     if T_v < 2.0 * T_prior:
         warnings.warn(
             f"T_v = {T_v} < 2 * T_prior = {2.0 * T_prior}: probe gap falls below the sample gap",
             GapOrderingWarning,
             stacklevel=2,
         )
-    eps_p = _probe_gap(eps_s, T_v, T_prior)
-    if eps_p < 0.0:
+    if T_v < T_prior:
         raise ValueError("tuning rule requires T_v >= T_prior")
+    eps_p = _probe_gap(eps_s, T_v, T_prior)
     return MachineConfig(
         eps_s=eps_s, eps_p=eps_p, T=T, T_v=T_v, T_prior=T_prior, eps_I=eps_I, p00=p00
     )

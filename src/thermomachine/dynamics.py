@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CollisionParams, MachineConfig, collision_params, libm, thermal_population
+from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
+from .core import libm, thermal_population
 
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
@@ -29,14 +30,11 @@ def contraction_power(r: float | np.ndarray, k: int | np.ndarray) -> float | np.
     An integer ndarray ``k``, or a float ndarray ``r`` with an int k, gives
     a float array equal to the scalar calls bit for bit (see :func:`core.libm`).
     """
+    _check_count("k", k, 0)
     if isinstance(k, np.ndarray):
-        if np.any(k < 0):
-            raise ValueError("k must be >= 0")
         if r >= 1.0:
             return np.where(k == 0, 1.0, 0.0)
         return libm(math.exp, k * math.log1p(-r))
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if isinstance(r, np.ndarray):
         if k == 0:
             return np.ones(r.shape)
@@ -59,10 +57,8 @@ class ProbeState:
     k: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError("p0 must lie in [0, 1]")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        _check_range("p0", self.p0, 0.0, 1.0, closed=True)
+        _check_count("k", self.k, 0)
 
 
 def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
@@ -95,7 +91,7 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hamiltonian must be square")
     scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
+    if not np.abs(h - h.conj().T).max() <= 1e-12 * scale:
         raise ValueError("hamiltonian must be Hermitian")
     return _unitary(h, t)
 
@@ -151,6 +147,7 @@ def transient_population(k: int, p00: float, params: CollisionParams) -> float:
 
     p0_k = [1 - (1-r)^k] p0_inf + (1-r)^k p00; k = 0 returns p00.
     """
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
     q = contraction_power(params.r, k)
     return (1.0 - q) * params.p0_inf + q * p00
 
@@ -169,7 +166,7 @@ def steady_population(config: MachineConfig) -> float:
 class DLevelSample:
     """Thermal d-level sample with one addressed pair of levels.
 
-    ``levels`` are the energies sorted ascending; the machine couples the
+    ``levels`` are finite energies sorted ascending; the machine couples the
     probe and ancilla to the pair ``(j, j')`` with energies
     levels[j'] > levels[j].
     """
@@ -180,12 +177,9 @@ class DLevelSample:
 
     def __post_init__(self) -> None:
         d = len(self.levels)
-        if d < 2:
-            raise ValueError("need at least two levels")
-        if any(b < a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be sorted ascending")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        _check_count("number of levels", d, 2)
+        _check_range("spacing of levels", np.diff(self.levels), 0.0, closed=True)
+        _check_range("temperature", self.temperature, 0.0)
         j, jp = self.pair
         if not (0 <= j < d and 0 <= jp < d) or j == jp:
             raise ValueError("pair must be two distinct level indices")
@@ -225,7 +219,7 @@ def reduce_d_level(
     The machine must be built on the pair gap: eps_v = pair_gap + eps_p.
     """
     gap = sample.pair_gap
-    if abs(config.eps_s - gap) > 1e-9 * max(gap, config.eps_s):
+    if not abs(config.eps_s - gap) <= 1e-9 * max(gap, config.eps_s):
         raise ValueError(
             "config.eps_s must equal the addressed pair gap "
             f"(got {config.eps_s}, pair gap {gap})"

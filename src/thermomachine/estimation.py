@@ -36,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MachineConfig, _fixed_point, _params_at, thermal_population
+from .core import MachineConfig, _check_count, _check_range, _fixed_point, _params_at
+from .core import thermal_population
 from .dynamics import transient_population
 from .metrology import snr_steady, snr_transient
 
@@ -52,12 +53,6 @@ _DRAW_BLOCK = 2**15
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
 SMALL_M_THRESHOLD = 1000
-
-
-def _check_count(name: str, value: object, low: int) -> None:
-    # __index__ marks a lossless integer, numpy's too, at a fraction of numbers.Integral's cost.
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +107,7 @@ def _ground_threshold(p0: float) -> int:
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
     _check_count("M", M, 1)
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
+    _check_range("p0", p0, 0.0, 1.0, closed=True)
     if p0 == 1.0:
         return MeasurementRecord(m0=M, M=M, seed=seed)
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
@@ -183,8 +177,8 @@ def _estimator(
     ends on the midpoint a lone bisection returns.
     """
     lo, hi = interval
-    if not 0.0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
+    _check_range("interval lo", lo, 0.0)
+    _check_range("interval hi", hi, lo)
     if monotone:
         temperature = getattr(model, "temperature", None)
         if temperature is None:
@@ -250,8 +244,7 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
     ancilla = thermal_population(config.eps_v, config.T_v)
 
     def p0_of(T: float) -> float:
-        if not (np.count_nonzero(T > 0.0) == T.size if isinstance(T, np.ndarray) else T > 0.0):
-            raise ValueError(f"temperature must be > 0, got {T}")
+        _check_range("T", T, 0.0)
         return transient_population(k, p00, _params_at(eps_s / T, ancilla, x_v))
 
     return p0_of
@@ -279,8 +272,7 @@ def empirical_snr_study(
     give a bit-identical report.  The empirical spread needs a real
     ensemble, hence the floor on ``trials``.
     """
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    _check_count("trials", trials, 100)
     if p00 is None:
         p00 = config.p00
 

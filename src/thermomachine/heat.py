@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MachineConfig, collision_params, thermal_population
+from .core import MachineConfig, _check_count, _check_range, collision_params, thermal_population
 from .dynamics import contraction_power, transient_population
 
 
@@ -21,6 +21,7 @@ def heat_sample(k: int, p00: float, config: MachineConfig) -> float:
 
     eps_s (p00 - p0_inf) [1 - (1-r)^k]; bounded by eps_s in magnitude.
     """
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
     return config.eps_s * (p00 - params.p0_inf) * (1.0 - contraction_power(params.r, k))
 
@@ -31,6 +32,7 @@ def heat_ancilla(k: int, p00: float, config: MachineConfig) -> float:
     eps_v (p0_inf - p00) [1 - (1-r)^k]; opposite sign to the sample heat,
     rescaled by eps_v / eps_s.
     """
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
     return config.eps_v * (params.p0_inf - p00) * (1.0 - contraction_power(params.r, k))
 
@@ -69,8 +71,8 @@ def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> He
     Computed analytically from delta_j = r (p0_inf - p0_{j-1}); the matrix
     oracle reproduces the same numbers (cross-checked in the tests).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_count("k_max", k_max, 1)
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
     sample = thermal_population(config.eps_s, config.T)
     ancilla = thermal_population(config.eps_v, config.T_v)

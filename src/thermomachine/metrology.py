@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, _any, _fixed_point, _probe_gap, collision_params
-from .core import thermal_population
+from .core import MachineConfig, _check_count, _check_range, _fixed_point, _probe_gap
+from .core import collision_params, thermal_population
 from .dynamics import contraction_power
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
@@ -90,8 +90,7 @@ def _sqrt(x):
 
 
 def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _check_count("M", M, 1)
     fisher = _fisher_two_sided(p0, p1, sensitivity)
     singular = fisher == math.inf
     snr = T * _sqrt(M * fisher)  # inf where singular
@@ -135,6 +134,7 @@ def sensitivity_transient(k: int, p00: float, config: MachineConfig) -> float:
 
 def _transient_slope(k, p00, config, params, q_k):
     """sensitivity_transient given the collision params and q_k = (1-r)^k already formed."""
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
     # At k = 0 the exponent k - 1 is clamped to 0; both terms are then +0.
     q_km1 = contraction_power(params.r, k - (k > 0))
     lam_inf = sensitivity_steady(config)
@@ -151,8 +151,7 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
     exponential tails therefore underflow to the true limit 0 instead of
     tripping the boundary singularity.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _check_count("M", M, 1)
     p0, p1 = _steady_pair(config)
     lam = _population_slope(p0, p1, config.eps_s, config.T)
     fisher = lam * config.eps_s / (config.T * config.T)
@@ -193,8 +192,7 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T); evaluated via
     the common population/sensitivity pipeline.  M may be an integer array.
     """
-    if _any(M < 1):
-        raise ValueError("M must be >= 1")
+    _check_count("M", M, 1)
     qubit = thermal_population(gap, T)
     lam = _population_slope(qubit.p0, qubit.p1, gap, T)
     return T * _sqrt(M * lam * gap / (T * T))
@@ -223,8 +221,7 @@ class NoisyAncillaSpec:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.delta_Tv_rel < 0.0:
-            raise ValueError("delta_Tv_rel must be >= 0")
+        _check_range("delta_Tv_rel", self.delta_Tv_rel, 0.0, closed=True)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -232,10 +229,9 @@ class NoisyAncillaSpec:
 def _mistuned_config(config: MachineConfig, noisy: NoisyAncillaSpec) -> MachineConfig:
     """Config whose ancilla gap was tuned with the erroneous T_v estimate."""
     tv_est = config.T_v * (1.0 + noisy.sign * noisy.delta_Tv_rel)
-    eps_p = _probe_gap(config.eps_s, tv_est, config.T_prior)
-    if eps_p < 0.0:
+    if tv_est < config.T_prior:
         raise ValueError("mistuned ancilla gap falls below the sample gap")
-    return replace(config, eps_p=eps_p)
+    return replace(config, eps_p=_probe_gap(config.eps_s, tv_est, config.T_prior))
 
 
 def snr_noisy_ancilla(
@@ -283,8 +279,7 @@ def snr_sample_bound(k: int, T: float, eps_s: float) -> float:
     The thermal SNR of k qubits, sqrt(k e^(-eps_s/T)) / (1 + e^(-eps_s/T)) * (eps_s/T);
     any probe scheme that consumed k qubits is bounded by this.
     """
-    if _any(k < 1):
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     return snr_thermal(T, eps_s, k)
 
 
@@ -294,10 +289,9 @@ def required_interactions(target_snr: float, T: float, eps_s: float) -> int:
     Closed-form inversion of the sqrt(k) scaling, then an exact adjustment
     against snr_sample_bound itself.
     """
-    if target_snr <= 0.0:
-        raise ValueError("target_snr must be > 0")
+    _check_range("target_snr", target_snr, 0.0)
     per_qubit = snr_sample_bound(1, T, eps_s)
-    if per_qubit == 0.0:
+    if not per_qubit > 0.0:
         raise ValueError("bound vanishes at this gap/temperature")
     k = max(1, math.ceil((target_snr / per_qubit) ** 2 - 1e-9))
     while snr_sample_bound(k, T, eps_s) < target_snr:

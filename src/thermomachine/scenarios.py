@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .core import CollisionParams, MachineConfig, collision_params, tune_config
+from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
+from .core import tune_config
 from .dynamics import (
     COUPLED_STATES,
     ProbeState,
@@ -88,20 +89,14 @@ class Scenario:
             raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.points < 0:
-            raise ValueError("points must be >= 0")
-        if self.k_step < 1:
-            raise ValueError("k_step must be >= 1")
-        if self.k_max < self.k_min:
-            raise ValueError("k_max must be >= k_min")
-        if self.M < 1 or self.M_alt < 1:
-            raise ValueError("M and M_alt must be >= 1")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        counts = {"points": 0, "k_step": 1, "k_max": self.k_min, "M": 1, "M_alt": 1, "samples": 1}
+        for name, low in counts.items():
+            _check_count(name, getattr(self, name), low)
         if (self.t_min is None) != (self.t_max is None):
             raise ValueError("t_min and t_max must be given together")
-        if self.t_min is not None and not 0.0 < self.t_min < self.t_max:
-            raise ValueError("need 0 < t_min < t_max")
+        if self.t_min is not None:
+            _check_range("t_min", self.t_min, 0.0)
+            _check_range("t_max", self.t_max, self.t_min)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
@@ -235,7 +230,7 @@ def _run_transient_sweep(scenario: Scenario) -> ResultTable:
 def _run_cost_comparison(scenario: Scenario) -> ResultTable:
     if scenario.T is None:
         raise ValueError("cost-comparison needs T")
-    if snr_sample_bound(1, scenario.T, scenario.eps_s) == 0.0:
+    if not snr_sample_bound(1, scenario.T, scenario.eps_s) > 0.0:
         raise ValueError(
             f"eps_s/T = {scenario.eps_s / scenario.T:g} is past ~745, where e^(-eps_s/T) "
             "underflows: the sample bound is 0 and ratio_to_bound undefined"

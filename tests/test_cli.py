@@ -327,3 +327,15 @@ def test_empty_grid_still_builds_and_checks_its_machine(capsys, args, message):
     assert code == EXIT_USAGE
     assert message in err
     assert out == ""
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    # A k axis past memory (k_max=10000000000000) fails this way; raised here, nothing is allocated.
+    def too_big(scenario):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+    monkeypatch.setattr("thermomachine.cli.run_scenario", too_big)
+    code, out, err = run(["transient", "--set", "k_max=10000000000000"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert out == ""

@@ -1,0 +1,283 @@
+"""Domain checks: the library refuses NaN, +-inf and out-of-range inputs with a ValueError.
+
+The checks all go through ``core._check_range`` and ``core._check_count``.  The tables below
+have one row per checked float or count parameter of a public constructor or function; a row
+names the word the refusal must carry, a value the call accepts and values it refuses.  Not
+checked: the oracle's matrix inputs (``exact_unitary``'s h and t, ``collide_oracle_matrix``'s
+rho and t, ``build_triad_hamiltonian``'s detuning), the probe populations of
+``collide_analytic``, ``collide_oracle_dlevel`` and ``fisher_binary``, a ``steady_model``'s T
+and the fields of the result records (``CollisionParams`` and the like).
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from thermomachine import (
+    DLevelSample,
+    MeasurementRecord,
+    NoisyAncillaSpec,
+    ProbeState,
+    collision_params,
+    empirical_snr_study,
+    heat_ancilla,
+    heat_sample,
+    max_thermal_snr,
+    ml_estimate,
+    perturbation_trajectory,
+    probe_energy_change,
+    required_interactions,
+    sample_measurements,
+    sensitivity_transient,
+    snr_sample_bound,
+    snr_steady,
+    snr_thermal,
+    snr_transient,
+    steady_model,
+    thermal_population,
+    transient_model,
+    transient_population,
+    tune_config,
+)
+
+CONFIG = tune_config(eps_s=1.0, T=0.2, T_prior=0.25, T_v=1.0)
+PARAMS = collision_params(CONFIG)
+RECORD = MeasurementRecord(m0=600, M=1000, seed=0)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _tuned(**kw):
+    return tune_config(**{"eps_s": 1.0, "T": 0.2, "T_prior": 0.25, "T_v": 1.0, **kw})
+
+
+# (row id, call of the value, word the message names, a legal value, out-of-range values)
+FLOAT_ROWS = [
+    ("thermal_population.gap", lambda x: thermal_population(x, 1.0), "gap", 1.0, (-0.5,)),
+    (
+        "thermal_population.temperature",
+        lambda x: thermal_population(1.0, x),
+        "temperature",
+        0.2,
+        (0.0, -1.0),
+    ),
+    (
+        "thermal_population.temperature[array]",
+        lambda x: thermal_population(1.0, np.array([0.2, x])),
+        "temperature",
+        0.3,
+        (0.0, -1.0),
+    ),
+    *[
+        (f"MachineConfig.{n}", lambda x, n=n: replace(CONFIG, **{n: x}), n, 0.5, (0.0, -1.0))
+        for n in ("eps_s", "T", "T_v", "T_prior", "eps_I")
+    ],
+    ("MachineConfig.eps_p", lambda x: replace(CONFIG, eps_p=x), "eps_p", 0.0, (-1.0,)),
+    ("MachineConfig.p00", lambda x: replace(CONFIG, p00=x), "p00", 0.0, (-0.1, 1.1)),
+    ("tune_config.eps_s", lambda x: _tuned(eps_s=x), "eps_s", 2.0, (0.0, -1.0)),
+    ("tune_config.T", lambda x: _tuned(T=x), "T", 0.1, (0.0, -1.0)),
+    ("tune_config.T_prior", lambda x: _tuned(T_prior=x), "T_prior", 0.5, (0.0, -1.0, 2.0)),
+    ("tune_config.T_v", lambda x: _tuned(T_v=x), "T_v", 0.5, (0.0, -1.0, 0.2)),
+    ("tune_config.eps_I", lambda x: _tuned(eps_I=x), "eps_I", 2.0, (0.0, -1.0)),
+    ("tune_config.p00", lambda x: _tuned(p00=x), "p00", 0.5, (-0.1, 1.1)),
+    ("ProbeState.p0", ProbeState, "p0", 1.0, (-0.1, 1.1)),
+    (
+        "DLevelSample.levels",
+        lambda x: DLevelSample((0.0, x, 2.0), 0.2, (0, 2)),
+        "levels",
+        1.0,
+        (3.0, -1.0),
+    ),
+    (
+        "DLevelSample.temperature",
+        lambda x: DLevelSample((0.0, 1.0, 2.0), x, (0, 2)),
+        "temperature",
+        0.2,
+        (0.0, -1.0),
+    ),
+    ("transient_population.p00", lambda x: transient_population(3, x, PARAMS), "p00", 0.0, (2.0,)),
+    ("sensitivity_transient.p00", lambda x: sensitivity_transient(3, x, CONFIG), "p00", 0, (-1.0,)),
+    ("snr_transient.p00", lambda x: snr_transient(3, x, CONFIG), "p00", 0.5, (1.5,)),
+    ("snr_thermal.T", lambda x: snr_thermal(x, 1.0), "temperature", 0.2, (0.0, -1.0)),
+    ("snr_thermal.gap", lambda x: snr_thermal(0.2, x), "gap", 1.0, (-1.0,)),
+    ("max_thermal_snr.T", max_thermal_snr, "temperature", 0.2, (0.0, -1.0)),
+    ("NoisyAncillaSpec.delta_Tv_rel", NoisyAncillaSpec, "delta_Tv_rel", 0.0, (-0.1,)),
+    ("snr_sample_bound.T", lambda x: snr_sample_bound(3, x, 1.0), "temperature", 0.2, (0.0,)),
+    ("snr_sample_bound.eps_s", lambda x: snr_sample_bound(3, 0.2, x), "gap", 1.0, (-1.0,)),
+    (
+        "required_interactions.target_snr",
+        lambda x: required_interactions(x, 0.1, 1.0),
+        "target_snr",
+        0.5,
+        (0.0, -1.0),
+    ),
+    (
+        "required_interactions.T",
+        lambda x: required_interactions(1.0, x, 1.0),
+        "temperature",
+        0.1,
+        (0.0,),
+    ),
+    ("required_interactions.eps_s", lambda x: required_interactions(1, 0.1, x), "gap", 1, (-1.0,)),
+    ("heat_sample.p00", lambda x: heat_sample(3, x, CONFIG), "p00", 0.0, (1.5,)),
+    ("heat_ancilla.p00", lambda x: heat_ancilla(3, x, CONFIG), "p00", 0.0, (1.5,)),
+    ("probe_energy_change.p00", lambda x: probe_energy_change(3, x, CONFIG), "p00", 0.0, (1.5,)),
+    (
+        "perturbation_trajectory.p00",
+        lambda x: perturbation_trajectory(3, x, CONFIG),
+        "p00",
+        0.0,
+        (1.5,),
+    ),
+    ("sample_measurements.p0", lambda x: sample_measurements(x, 10, 0), "p0", 0.5, (-0.1, 1.2)),
+    (
+        "ml_estimate.interval[0]",
+        lambda x: ml_estimate(RECORD, steady_model(CONFIG), (x, 0.5)),
+        "interval lo",
+        1e-3,
+        (0.0, -1.0),
+    ),
+    (
+        "ml_estimate.interval[1]",
+        lambda x: ml_estimate(RECORD, steady_model(CONFIG), (0.1, x)),
+        "interval hi",
+        0.5,
+        (0.1, 0.05),
+    ),
+    ("transient_model.T", lambda x: transient_model(CONFIG, 10, 1.0)(x), "T", 0.2, (0.0, -0.1)),
+    (
+        "transient_model.T[array]",
+        lambda x: transient_model(CONFIG, 10, 1.0)(np.array([0.2, x])),
+        "T",
+        0.3,
+        (0.0, -0.1),
+    ),
+    (
+        "empirical_snr_study.p00",
+        lambda x: empirical_snr_study(CONFIG, 1000, 100, k=10, p00=x),
+        "p00",
+        1.0,
+        (1.5,),
+    ),
+]
+
+
+@pytest.mark.filterwarnings("ignore::thermomachine.GapOrderingWarning")
+@pytest.mark.parametrize(
+    "call, word, legal, out_of_range", [r[1:] for r in FLOAT_ROWS], ids=[r[0] for r in FLOAT_ROWS]
+)
+def test_illegal_float_is_refused_by_name(call, word, legal, out_of_range):
+    call(legal)  # the row itself is well formed
+    for x in (*NON_FINITE, *out_of_range):
+        with pytest.raises(ValueError, match=rf"\b{re.escape(word)}\b"):
+            call(x)
+
+
+# (row id, call of the count, word the message names, a legal value, illegal values)
+COUNT_ROWS = [
+    ("snr_steady.M", lambda n: snr_steady(CONFIG, n), "M", 3, (0, 2.5, True)),
+    ("snr_transient.M", lambda n: snr_transient(3, 1.0, CONFIG, n), "M", 3, (0, 2.5)),
+    ("snr_thermal.M", lambda n: snr_thermal(0.2, 1.0, n), "M", np.arange(1, 3), (np.arange(2),)),
+    (
+        "snr_sample_bound.k",
+        lambda n: snr_sample_bound(n, 0.2, 1.0),
+        "k",
+        np.array([1, 2]),
+        (0, 1.0, np.array([1.0]), np.array([2, 0])),
+    ),
+    ("transient_population.k", lambda n: transient_population(n, 1.0, PARAMS), "k", 0, (-1, 0.5)),
+    ("ProbeState.k", lambda n: ProbeState(1.0, n), "k", 0, (-1, 0.5)),
+    (
+        "perturbation_trajectory.k_max",
+        lambda k: perturbation_trajectory(k, 1.0, CONFIG),
+        "k_max",
+        1,
+        (0, 2.0),
+    ),
+    ("DLevelSample.levels", lambda n: DLevelSample((0.0, 1.0)[:n], 0.2, (0, 1)), "levels", 2, (1,)),
+    (
+        "empirical_snr_study.trials",
+        lambda n: empirical_snr_study(CONFIG, 10, n),
+        "trials",
+        100,
+        (99, 100.0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, word, legal, illegal", [r[1:] for r in COUNT_ROWS], ids=[r[0] for r in COUNT_ROWS]
+)
+def test_illegal_count_is_refused_by_name(call, word, legal, illegal):
+    call(legal)
+    for n in illegal:
+        with pytest.raises(ValueError, match=rf"\b{re.escape(word)}\b.*integer"):
+            call(n)
+
+
+def _nan_passing_checks(source: str) -> list[str]:
+    """Each ``if`` whose body raises ValueError and whose test reaches a comparison with a
+    float literal through and/or (or a call's arguments) but not through ``not``.
+
+    Such a test is False at NaN, so NaN passes the check it was written to make.
+    """
+
+    def float_compares(test: ast.expr) -> bool:
+        if isinstance(test, ast.BoolOp):
+            return any(map(float_compares, test.values))
+        if isinstance(test, ast.Call):
+            return any(map(float_compares, test.args))
+        return isinstance(test, ast.Compare) and any(
+            isinstance(node, ast.Constant) and type(node.value) is float
+            for side in (test.left, *test.comparators)
+            for node in ast.walk(side)
+        )
+
+    def raises_value_error(body: list[ast.stmt]) -> bool:
+        return any(
+            isinstance(s, ast.Raise)
+            and isinstance(s.exc, ast.Call)
+            and getattr(s.exc.func, "id", None) == "ValueError"
+            for s in body
+        )
+
+    return [
+        f"{node.lineno}: if {ast.unparse(node.test)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If) and raises_value_error(node.body) and float_compares(node.test)
+    ]
+
+
+def test_the_guard_tells_the_nan_passing_shape_from_the_refusing_one():
+    flagged = """
+if x <= 0.0:
+    raise ValueError("x")
+if a is None or y < 2.0 * b:
+    raise ValueError("y")
+if np.any(z <= 0.0):
+    raise ValueError("z")
+"""
+    assert len(_nan_passing_checks(flagged)) == 3
+    passed = """
+if not x > 0.0:
+    raise ValueError("x")
+if k < 0:
+    raise ValueError("k")
+if x <= 0.0:
+    return math.inf
+"""
+    assert _nan_passing_checks(passed) == []
+
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "thermomachine").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_domain_check_lets_nan_through(path):
+    assert _nan_passing_checks(path.read_text()) == []

@@ -753,15 +753,6 @@ def test_transient_model_matches_rebuilt_config_bits(k, p00, frac, eps_s, eps_p,
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
-def test_transient_model_refuses_non_positive_temperature(config):
-    model = transient_model(config, 10, 1.0)
-    for T in (0.0, -0.1, math.nan):
-        with pytest.raises(ValueError):
-            model(T)
-        with pytest.raises(ValueError):
-            model(np.array([0.2, T]))
-
-
 def test_steady_model_is_the_collision_fixed_point(config):
     model = steady_model(config)
     lo, hi = prior_interval(config)
