@@ -27,9 +27,9 @@ class GapOrderingWarning(UserWarning):
 
 
 def libm(fn, x: np.ndarray) -> np.ndarray:
-    """The libm function ``fn`` (``math.exp``, ``math.log1p``) per element, bit for bit the
-    scalar call; numpy's ``exp`` can be one ulp off, which the k = 1 transient sensitivity
-    amplifies some 4,400-fold."""
+    """The libm function ``fn`` (``math.exp``, ``math.expm1``, ``math.log1p``) per element,
+    bit for bit the scalar call; numpy's ``exp`` can be one ulp off, which the k = 1
+    transient sensitivity amplifies some 4,400-fold."""
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 

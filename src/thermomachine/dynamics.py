@@ -27,26 +27,17 @@ COUPLED_STATES = (1, 6)
 def contraction_power(r: float | np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
     """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
 
-    An integer ndarray ``k``, or a float ndarray ``r`` with an int k, gives
+    An integer ndarray ``k`` or a float ndarray ``r`` (the two broadcast) gives
     a float array equal to the scalar calls bit for bit (see :func:`core.libm`).
     """
     _check_count("k", k, 0)
-    if isinstance(k, np.ndarray):
-        if r >= 1.0:
-            return np.where(k == 0, 1.0, 0.0)
-        return libm(math.exp, k * math.log1p(-r))
-    if isinstance(r, np.ndarray):
-        if k == 0:
-            return np.ones(r.shape)
+    if isinstance(k, np.ndarray) or isinstance(r, np.ndarray):
         full = r >= 1.0  # log1p(-1) is a domain error; (1 - r)^k is 0.0 there
-        if np.count_nonzero(full):
-            return np.where(full, 0.0, contraction_power(np.where(full, 0.0, r), k))
-        return libm(math.exp, k * libm(math.log1p, -r))
-    if k == 0:
-        return 1.0
+        q = libm(math.exp, k * libm(math.log1p, -np.where(full, 0.0, r)))
+        return np.where(full, k == 0, q)
     if r >= 1.0:
-        return 0.0
-    return math.exp(k * math.log1p(-r))
+        return float(k == 0)
+    return math.exp(k * math.log1p(-r))  # 1.0 at k = 0
 
 
 @dataclass(frozen=True)
@@ -82,6 +73,7 @@ def build_triad_hamiltonian(config: MachineConfig, detuning: float = 0.0) -> np.
     ``detuning`` shifts the ancilla gap by delta away from resonance; the
     default 0 keeps [H_I, H_free] = 0 exactly.
     """
+    _check_range("detuning", detuning, -math.inf)
     return _hamiltonian(config, (0.0, config.eps_s), (0, 1), detuning)
 
 
@@ -97,7 +89,8 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
 
 
 def _unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric)."""
+    """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric); t finite."""
+    _check_range("t", t, -math.inf)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -139,6 +132,7 @@ def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
 
 def collide_analytic(p0: float, params: CollisionParams) -> float:
     """Closed-form collision map  p0 -> (1 - r) p0 + r p0_inf."""
+    _check_range("p0", p0, -math.inf)  # finite; an iterated map may round one ulp past 1
     return (1.0 - params.r) * p0 + params.r * params.p0_inf
 
 
@@ -232,6 +226,7 @@ def collide_oracle_dlevel(
     p0_probe: float, sample: DLevelSample, config: MachineConfig
 ) -> float:
     """One collision against a d-level sample, full (4 d)-dimensional oracle."""
+    _check_range("p0_probe", p0_probe, 0.0, 1.0, closed=True)
     h = _hamiltonian(config, sample.levels, sample.pair)
     rho_probe = np.diag([p0_probe, 1.0 - p0_probe])
     return float(_collide_exact(rho_probe, sample.populations(), h, config)[0, 0].real)

@@ -218,6 +218,7 @@ def steady_model(config: MachineConfig) -> Callable[[float], float]:
     eps_s, x_v = config.eps_s, config.eps_v / config.T_v
 
     def p0_of(T: float) -> float:
+        _check_range("T", T, 0.0)
         return _fixed_point(eps_s / T, x_v)
 
     p0_of.temperature = lambda logit: eps_s / (x_v - logit) if logit < x_v else math.inf

@@ -3,45 +3,57 @@
 Sign convention: heat absorbed by a subsystem is positive.  Per collision
 the swap moves one quantum, so eps_v * dp = eps_s * dp + eps_p * dp holds
 identically through the resonance eps_v = eps_s + eps_p, and the three
-cumulative heats always sum to zero.
+cumulative heats always sum to zero.  The heats take an int k or an integer
+ndarray of k; each element equals the scalar call bit for bit (``core.libm``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, collision_params, thermal_population
-from .dynamics import contraction_power, transient_population
+from .core import MachineConfig, _check_count, _check_range, collision_params, libm
+from .core import thermal_population
+from .dynamics import transient_population
 
 
-def heat_sample(k: int, p00: float, config: MachineConfig) -> float:
+def _population_change(k: int | np.ndarray, p00: float, config: MachineConfig):
+    """p0_k - p00 = (p00 - p0_inf) expm1(k log1p(-r)), with no cancellation at small k r.
+
+    r <= 1/2 for every machine (both excited populations are <= 1/2): log1p(-r) is finite.
+    """
+    _check_count("k", k, 0)
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
+    params = collision_params(config)
+    x = k * math.log1p(-params.r)
+    q_k_minus_1 = libm(math.expm1, x) if isinstance(k, np.ndarray) else math.expm1(x)
+    return (p00 - params.p0_inf) * q_k_minus_1
+
+
+def heat_sample(k: int | np.ndarray, p00: float, config: MachineConfig) -> float | np.ndarray:
     """Total heat absorbed by the sample stream after k collisions.
 
-    eps_s (p00 - p0_inf) [1 - (1-r)^k]; bounded by eps_s in magnitude.
+    -eps_s (p0_k - p00) = eps_s (p00 - p0_inf) [1 - (1-r)^k]; bounded by eps_s in magnitude.
     """
-    _check_range("p00", p00, 0.0, 1.0, closed=True)
-    params = collision_params(config)
-    return config.eps_s * (p00 - params.p0_inf) * (1.0 - contraction_power(params.r, k))
+    return -config.eps_s * _population_change(k, p00, config)
 
 
-def heat_ancilla(k: int, p00: float, config: MachineConfig) -> float:
+def heat_ancilla(k: int | np.ndarray, p00: float, config: MachineConfig) -> float | np.ndarray:
     """Total heat absorbed by the ancilla bath after k collisions.
 
-    eps_v (p0_inf - p00) [1 - (1-r)^k]; opposite sign to the sample heat,
-    rescaled by eps_v / eps_s.
+    eps_v (p0_k - p00); opposite sign to the sample heat, rescaled by eps_v / eps_s.
     """
-    _check_range("p00", p00, 0.0, 1.0, closed=True)
-    params = collision_params(config)
-    return config.eps_v * (params.p0_inf - p00) * (1.0 - contraction_power(params.r, k))
+    return config.eps_v * _population_change(k, p00, config)
 
 
 def probe_energy_change(k: int, p00: float, config: MachineConfig) -> float:
     """Probe energy gained after k collisions: eps_p (p00 - p0_k).
 
     Neither heat nor work is claimed for the probe; this is the neutral
-    balance term closing  Q_S + Q_v + Q_P = 0.
+    balance term closing  Q_S + Q_v + Q_P = 0, formed apart from the heats'
+    closed form so that the balance checks one against the other.
     """
     p0_k = transient_population(k, p00, collision_params(config))
     return config.eps_p * (p00 - p0_k)
@@ -49,20 +61,18 @@ def probe_energy_change(k: int, p00: float, config: MachineConfig) -> float:
 
 @dataclass(frozen=True)
 class HeatTrajectory:
-    """Per-collision population perturbations and cumulative heats.
+    """Per-collision population perturbations.
 
     Arrays are indexed by step j = 1..k_max: ``delta_p[j-1]`` is the probe
     ground-population change of the j-th collision, ``sample_p0`` and
     ``ancilla_p0`` the post-collision ground populations of the j-th fresh
-    sample qubit and of the ancilla, and ``q_sample`` / ``q_ancilla`` the
-    cumulative absorbed heats after j collisions.
+    sample qubit and of the ancilla.  The cumulative heats after j
+    collisions are :func:`heat_sample` and :func:`heat_ancilla` at k = j.
     """
 
     delta_p: np.ndarray
     sample_p0: np.ndarray
     ancilla_p0: np.ndarray
-    q_sample: np.ndarray
-    q_ancilla: np.ndarray
 
 
 def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> HeatTrajectory:
@@ -76,19 +86,8 @@ def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> He
     params = collision_params(config)
     sample = thermal_population(config.eps_s, config.T)
     ancilla = thermal_population(config.eps_v, config.T_v)
-
-    delta = np.empty(k_max)
-    p0 = p00
+    delta, p0 = np.empty(k_max), p00
     for j in range(k_max):
-        step = params.r * (params.p0_inf - p0)
-        delta[j] = step
+        delta[j] = step = params.r * (params.p0_inf - p0)
         p0 += step
-    q_sample = -config.eps_s * np.cumsum(delta)
-    q_ancilla = config.eps_v * np.cumsum(delta)
-    return HeatTrajectory(
-        delta_p=delta,
-        sample_p0=sample.p0 + delta,
-        ancilla_p0=ancilla.p0 - delta,
-        q_sample=q_sample,
-        q_ancilla=q_ancilla,
-    )
+    return HeatTrajectory(delta_p=delta, sample_p0=sample.p0 + delta, ancilla_p0=ancilla.p0 - delta)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import MachineConfig, _check_count, _check_range, _fixed_point, _probe_gap
 from .core import collision_params, thermal_population
-from .dynamics import contraction_power
+from .dynamics import contraction_power, transient_population
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
 #: qubits and the full k-qubit energy measurement; emitted alongside ratio
@@ -64,24 +64,20 @@ def fisher_binary(p0: float, sensitivity: float) -> float:
     Boundary populations are the signaled singularity (math.inf, never
     NaN); an interior point with zero sensitivity carries no information.
     """
+    _check_range("p0", p0, 0.0, 1.0, closed=True)
+    _check_range("sensitivity", sensitivity, -math.inf)
     return _fisher_two_sided(p0, 1.0 - p0, sensitivity)
 
 
 def _fisher_two_sided(p0, p1, sensitivity):
     # Same quantity as fisher_binary, but with the excited population given
-    # explicitly so exponential tails keep full relative precision.  Arrays
-    # take the scalar branches below as masks.
-    if isinstance(p0, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fisher = sensitivity * sensitivity / (p0 * p1)
-        fisher[sensitivity == 0.0] = 0.0
-        fisher[(p0 <= 0.0) | (p1 <= 0.0)] = math.inf
-        return fisher
-    if p0 <= 0.0 or p1 <= 0.0:
-        return math.inf
-    if sensitivity == 0.0:
-        return 0.0
-    return sensitivity * sensitivity / (p0 * p1)
+    # explicitly so exponential tails keep full relative precision.  One path
+    # for floats and arrays; a float input gives a float.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fisher = np.divide(sensitivity * sensitivity, p0 * p1)
+    fisher = np.where(sensitivity == 0.0, 0.0, fisher)
+    fisher = np.where((p0 <= 0.0) | (p1 <= 0.0), math.inf, fisher)
+    return fisher if fisher.ndim else float(fisher)
 
 
 def _sqrt(x):
@@ -173,8 +169,8 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
     """
     params = collision_params(config)
     q = contraction_power(params.r, k)
-    p0_inf, p1_inf = _steady_pair(config)
-    p0 = (1.0 - q) * p0_inf + q * p00
+    _, p1_inf = _steady_pair(config)
+    p0 = transient_population(k, p00, params)
     p1 = (1.0 - q) * p1_inf + q * (1.0 - p00)
     return _snr_point(
         T=config.T,
@@ -293,7 +289,11 @@ def required_interactions(target_snr: float, T: float, eps_s: float) -> int:
     per_qubit = snr_sample_bound(1, T, eps_s)
     if not per_qubit > 0.0:
         raise ValueError("bound vanishes at this gap/temperature")
-    k = max(1, math.ceil((target_snr / per_qubit) ** 2 - 1e-9))
+    ratio = target_snr / per_qubit
+    estimate = ratio * ratio  # inf past the float range
+    if not estimate <= 2.0**53:  # past 2^53 a step of k no longer moves the float bound
+        raise ValueError(f"target_snr {target_snr:g} needs more than 2^53 interactions")
+    k = max(1, math.ceil(estimate - 1e-9))
     while snr_sample_bound(k, T, eps_s) < target_snr:
         k += 1
     while k > 1 and snr_sample_bound(k - 1, T, eps_s) >= target_snr:

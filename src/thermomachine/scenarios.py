@@ -33,7 +33,7 @@ from .heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_ener
 from .metrology import (
     SQRT_TWO_OVER_PI,
     NoisyAncillaSpec,
-    fisher_binary,
+    _fisher_two_sided,
     snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
@@ -268,10 +268,11 @@ def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
     u = scenario.eps_s
     blocks = []
     for T, p00 in _blocks(scenario):
-        traj = perturbation_trajectory(scenario.k_max, p00, _tuned(scenario, T, p00))
-        steps = (traj.delta_p, traj.sample_p0, traj.ancilla_p0)
-        heats = (traj.q_sample / u, traj.q_ancilla / u)
-        blocks.append(_block(k, T / u, p00, k.astype(float), *(c[j] for c in steps + heats)))
+        config = _tuned(scenario, T, p00)
+        traj = perturbation_trajectory(scenario.k_max, p00, config)
+        steps = (traj.delta_p[j], traj.sample_p0[j], traj.ancilla_p0[j])
+        heats = (heat_sample(k, p00, config) / u, heat_ancilla(k, p00, config) / u)
+        blocks.append(_block(k, T / u, p00, k.astype(float), *steps, *heats))
     return make_table(
         ("T", "p00", "k", "delta_p", "sample_p0", "ancilla_p0", "q_sample", "q_ancilla"),
         np.vstack(blocks),
@@ -431,10 +432,11 @@ def _run_verify(scenario: Scenario) -> ResultTable:
         ]),
         # 1 where the two heats share a sign; heaviside keeps a NaN product NaN.
         ("heat_sign_opposition", 0.5, np.heaviside(heats[signed].prod(axis=1), 1.0)),
+        # fisher_binary's own form, unguarded, so that a NaN sensitivity fails this row.
         ("snr_fisher_consistency", 1e-12, [
-            abs(pt.snr - c.T * math.sqrt(3 * fisher_binary(steady_population(c), pt.sensitivity)))
+            abs(pt.snr - c.T * math.sqrt(3 * _fisher_two_sided(p, 1.0 - p, pt.sensitivity)))
             / pt.snr
-            for c, pt in zip(configs, steady) if pt.snr != 0.0
+            for c, pt, p in zip(configs, steady, map(steady_population, configs)) if pt.snr != 0.0
         ]),
     )
     rows = []

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -65,3 +67,23 @@ def random_machine_configs(n: int, seed: int = 1) -> list[MachineConfig]:
             )
         )
     return configs
+
+
+def decimal_relaxation(config: MachineConfig, k: int, p00: float, x_s: Decimal | None = None):
+    """The probe's relaxation at 60 digits, from the float inputs the library forms.
+
+    Returns the excited populations ``p1_s`` and ``p1_v``, the jump rate ``r``, the fixed
+    point ``p0_inf`` and the population change ``change = p0_k - p00`` after k collisions,
+    all Decimals.  The sample exponent ``x_s`` defaults to the float eps_s / T; the ancilla
+    exponent is the float eps_v / T_v.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        one = Decimal(1)
+        x_s = Decimal(config.eps_s / config.T) if x_s is None else x_s
+        x_v = Decimal(config.eps_v / config.T_v)
+        p1_s, p1_v = one / (one + x_s.exp()), one / (one + x_v.exp())
+        r = p1_s * (one - p1_v) + (one - p1_s) * p1_v
+        p0_inf = one / (one + (x_s - x_v).exp())
+        change = (p0_inf - Decimal(p00)) * (one - (one - r) ** k)
+    return SimpleNamespace(p1_s=p1_s, p1_v=p1_v, r=r, p0_inf=p0_inf, change=change)

@@ -20,6 +20,8 @@ from thermomachine import (
     MachineConfig,
     NoisyAncillaSpec,
     collision_params,
+    heat_ancilla,
+    heat_sample,
     prior_interval,
     run_scenario,
     sensitivity_transient,
@@ -113,6 +115,8 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
     for field in ("k", "snr", "sensitivity", "fisher"):
         assert bits(getattr(point, field)) == bits([getattr(s, field) for s in scalars])
     assert point.singular.tolist() == [s.singular for s in scalars]
+    for heat in (heat_sample, heat_ancilla):
+        assert bits(heat(ks, p00, config)) == bits([heat(int(k), p00, config) for k in ks])
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +159,8 @@ def test_array_k_validation_and_scalar_types():
     assert type(contraction_power(0.1, 3)) is float
     assert type(sensitivity_transient(3, 1.0, config)) is float
     assert type(snr_transient(3, 1.0, config).snr) is float
+    assert type(snr_transient(3, 1.0, config).fisher) is float
+    assert type(heat_sample(3, 1.0, config)) is type(heat_ancilla(3, 1.0, config)) is float
 
 
 def rebuild_transient_sweep(scenario) -> list[tuple[float, ...]]:

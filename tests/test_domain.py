@@ -3,9 +3,7 @@
 The checks all go through ``core._check_range`` and ``core._check_count``.  The tables below
 have one row per checked float or count parameter of a public constructor or function; a row
 names the word the refusal must carry, a value the call accepts and values it refuses.  Not
-checked: the oracle's matrix inputs (``exact_unitary``'s h and t, ``collide_oracle_matrix``'s
-rho and t, ``build_triad_hamiltonian``'s detuning), the probe populations of
-``collide_analytic``, ``collide_oracle_dlevel`` and ``fisher_binary``, a ``steady_model``'s T
+checked: the oracle's matrix inputs (``exact_unitary``'s h, ``collide_oracle_matrix``'s rho)
 and the fields of the result records (``CollisionParams`` and the like).
 """
 
@@ -25,8 +23,14 @@ from thermomachine import (
     MeasurementRecord,
     NoisyAncillaSpec,
     ProbeState,
+    build_triad_hamiltonian,
+    collide_analytic,
+    collide_oracle_dlevel,
+    collide_oracle_matrix,
     collision_params,
     empirical_snr_study,
+    exact_unitary,
+    fisher_binary,
     heat_ancilla,
     heat_sample,
     max_thermal_snr,
@@ -51,6 +55,8 @@ CONFIG = tune_config(eps_s=1.0, T=0.2, T_prior=0.25, T_v=1.0)
 PARAMS = collision_params(CONFIG)
 RECORD = MeasurementRecord(m0=600, M=1000, seed=0)
 NON_FINITE = (math.nan, math.inf, -math.inf)
+TRIAD = build_triad_hamiltonian(CONFIG)
+THREE_LEVEL = DLevelSample((0.0, 1.0, 2.5), 0.2, (0, 1))
 
 
 def _tuned(**kw):
@@ -135,6 +141,32 @@ FLOAT_ROWS = [
         0.0,
         (1.5,),
     ),
+    ("fisher_binary.p0", lambda x: fisher_binary(x, 0.1), "p0", 0.5, (-0.1, 1.1)),
+    ("fisher_binary.sensitivity", lambda x: fisher_binary(0.5, x), "sensitivity", -0.1, ()),
+    # Not bounded to [0, 1]: an iterated map may round one ulp past 1.
+    ("collide_analytic.p0", lambda x: collide_analytic(x, PARAMS), "p0", 1.0 + 2**-52, ()),
+    (
+        "collide_oracle_dlevel.p0_probe",
+        lambda x: collide_oracle_dlevel(x, THREE_LEVEL, CONFIG),
+        "p0_probe",
+        0.5,
+        (-0.1, 1.1),
+    ),
+    ("exact_unitary.t", lambda x: exact_unitary(TRIAD, x), "t", -1.0, ()),
+    (
+        "collide_oracle_matrix.t",
+        lambda x: collide_oracle_matrix(np.diag([0.5, 0.5]), CONFIG, x),
+        "t",
+        1.0,
+        (),
+    ),
+    (
+        "build_triad_hamiltonian.detuning",
+        lambda x: build_triad_hamiltonian(CONFIG, x),
+        "detuning",
+        -0.1,
+        (),
+    ),
     ("sample_measurements.p0", lambda x: sample_measurements(x, 10, 0), "p0", 0.5, (-0.1, 1.2)),
     (
         "ml_estimate.interval[0]",
@@ -150,6 +182,7 @@ FLOAT_ROWS = [
         0.5,
         (0.1, 0.05),
     ),
+    ("steady_model.T", lambda x: steady_model(CONFIG)(x), "T", 0.2, (0.0, -0.1)),
     ("transient_model.T", lambda x: transient_model(CONFIG, 10, 1.0)(x), "T", 0.2, (0.0, -0.1)),
     (
         "transient_model.T[array]",

@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import decimal_relaxation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -646,12 +647,7 @@ def test_bisection_is_within_tolerance_of_the_grid_golden_search(k, p00):
 
 def decimal_transient_p0(config, k, p00, T):
     """p0_k at T (a Decimal), from the float eps_s, eps_v and x_v = eps_v/T_v the model forms."""
-    one = Decimal(1)
-    x_s, x_v = Decimal(config.eps_s) / T, Decimal(config.eps_v / config.T_v)
-    p1_s, p1_v = one / (one + x_s.exp()), one / (one + x_v.exp())
-    r = p1_s * (one - p1_v) + (one - p1_s) * p1_v
-    p0_inf = one / (one + (x_s - x_v).exp())
-    return p0_inf + (one - r) ** k * (Decimal(p00) - p0_inf)
+    return Decimal(p00) + decimal_relaxation(config, k, p00, Decimal(config.eps_s) / T).change
 
 
 @pytest.mark.parametrize("p00", [0.0, 1.0])

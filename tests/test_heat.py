@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
-from conftest import random_machine_configs
+from conftest import decimal_relaxation, random_machine_configs
 
 from thermomachine import (
+    PRESETS,
     build_triad_hamiltonian,
     collision_params,
     exact_unitary,
@@ -14,10 +17,12 @@ from thermomachine import (
     heat_sample,
     perturbation_trajectory,
     probe_energy_change,
+    run_scenario,
     thermal_population,
     transient_population,
     tune_config,
 )
+from thermomachine.scenarios import _blocks, _tuned
 
 
 @pytest.fixture
@@ -79,12 +84,47 @@ def test_mixed_probe_can_cool_the_sample():
 
 
 def test_trajectory_telescopes(config):
+    # The recurrence's running sums against the closed-form heats at every k.
     traj = perturbation_trajectory(300, config.p00, config)
     params = collision_params(config)
     p0_300 = transient_population(300, config.p00, params)
     assert float(traj.delta_p.sum()) == pytest.approx(p0_300 - config.p00, abs=1e-13)
-    assert traj.q_sample[-1] == pytest.approx(heat_sample(300, config.p00, config), abs=1e-12)
-    assert traj.q_ancilla[-1] == pytest.approx(heat_ancilla(300, config.p00, config), abs=1e-12)
+    k, change = np.arange(1, 301), traj.delta_p.cumsum()
+    heats = (heat_sample(k, config.p00, config), heat_ancilla(k, config.p00, config))
+    np.testing.assert_allclose(-config.eps_s * change, heats[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(config.eps_v * change, heats[1], rtol=0, atol=1e-12)
+
+
+# k of the scalar heats, and the rows of the table's k axis (figS1b steps k by 10 from 1)
+# nearest them.
+DECIMAL_KS = {
+    "figS1a": ((1, 10, 300), (1, 10, 300)),
+    "figS1b": ((1, 10, 1000, 50_000), (1, 11, 1001, 49_991)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIMAL_KS))
+def test_heats_are_the_decimal_relaxation_to_1e14(name):
+    scenario = PRESETS[name]
+    scalar_ks, table_ks = DECIMAL_KS[name]
+    table = run_scenario(scenario)
+    column = {c: table.cells[:, i] for i, c in enumerate(table.columns)}
+    u = scenario.eps_s
+    for T, p00 in _blocks(scenario):
+        config = _tuned(scenario, T, p00)
+        in_block = (column["T"] == T / u) & (column["p00"] == p00)
+        for k in sorted({*scalar_ks, *table_ks}):
+            change = decimal_relaxation(config, k, p00).change
+            want = (-Decimal(config.eps_s) * change, Decimal(config.eps_v) * change)
+            got = []
+            if k in scalar_ks:
+                got += [heat_sample(k, p00, config), heat_ancilla(k, p00, config)]
+            if k in table_ks:
+                row = np.flatnonzero(in_block & (column["k"] == k))
+                assert row.size == 1, (T, p00, k)
+                got += [column["q_sample"][row[0]] * u, column["q_ancilla"][row[0]] * u]
+            for value, exact in zip(got, want * (len(got) // 2)):
+                assert abs(Decimal(value) - exact) <= Decimal("1e-14") * abs(exact), (T, p00, k)
 
 
 def test_trajectory_steps_decay_geometrically(config):

@@ -355,6 +355,18 @@ def test_required_interactions_inverts_bound():
     assert required_interactions(SAMPLE_BOUND_X5_K100 * 1.000001, 0.2, 1.0) == 101
 
 
+def test_required_interactions_refuses_targets_past_2_to_53():
+    # Past 2^53 a step of k no longer moves the float bound; 1e200 squared overflows.
+    per_qubit = snr_sample_bound(1, 0.1, 1.0)
+    for target in (1e11 * per_qubit, 1e200):
+        with pytest.raises(ValueError, match=r"2\^53"):
+            required_interactions(target, 0.1, 1.0)
+    target = 1e6 * per_qubit  # k ~ 1e12 returns after a few adjustment steps
+    k = required_interactions(target, 0.1, 1.0)
+    assert 0.99e12 < k < 1.01e12
+    assert snr_sample_bound(k - 1, 0.1, 1.0) < target <= snr_sample_bound(k, 0.1, 1.0)
+
+
 def test_required_interactions_exponential_scaling():
     # k ~ e^(eps_s/T) dominates: after dividing out the known x^2 prefactor
     # the log-count grows with unit slope in x = eps_s/T.
