@@ -68,9 +68,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON file of scenario fields")
-    parser.add_argument(
+def build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    common.add_argument("--config", metavar="FILE", help="JSON file of scenario fields")
+    common.add_argument(
         "--set",
         dest="settings",
         metavar="KEY=VALUE",
@@ -78,20 +79,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=[],
         help="override one scenario field (repeatable)",
     )
-    parser.add_argument("--out", metavar="FILE", help="write the table here (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", metavar="S", help="master seed, decimal or 0x hex")
-
-
-def build_parser() -> _Parser:
+    common.add_argument("--out", metavar="FILE", help="write the table here (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--seed", metavar="S", help="master seed, decimal or 0x hex")
     parser = _Parser(prog="thermomachine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, scenario in _DEFAULTS.items():
-        p = sub.add_parser(command, help=f"run a {scenario.kind} scenario")
-        _add_common(p)
-    p = sub.add_parser("preset", help="run a named preset scenario")
+        sub.add_parser(command, parents=[common], help=f"run a {scenario.kind} scenario")
+    p = sub.add_parser("preset", parents=[common], help="run a named preset scenario")
     p.add_argument("preset_name", metavar="NAME", help=", ".join(sorted(PRESETS)))
-    _add_common(p)
     return parser
 
 

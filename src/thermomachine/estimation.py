@@ -137,8 +137,21 @@ def ml_estimate(
     element, as ``steady_model`` and ``transient_model`` do (the latter's
     docstring derives d p0_k/dT >= 0).
     """
+    if monotone:
+        t_hat, clamped = _invert_monotone(record.m0, record.M, *_checked(model, interval, True))
+        return float(t_hat), clamped
     t_hat, clamped = _estimator(model, interval, monotone)([record.m0], record.M)
     return float(t_hat[0]), bool(clamped[0])
+
+
+def _checked(model: Callable, interval: tuple[float, float], monotone: bool) -> tuple:
+    """(the model's exact inverse or None, lo, hi) after the checks; monotone needs the inverse."""
+    lo, hi = interval
+    _check_range("interval lo", lo, 0.0)
+    _check_range("interval hi", hi, lo)
+    if monotone and not hasattr(model, "temperature"):
+        raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
+    return getattr(model, "temperature", None), lo, hi
 
 
 def _invert_monotone(
@@ -176,13 +189,8 @@ def _estimator(
     (model(a) < m0/M <= model(b) held when a and b were set), so each lane
     ends on the midpoint a lone bisection returns.
     """
-    lo, hi = interval
-    _check_range("interval lo", lo, 0.0)
-    _check_range("interval hi", hi, lo)
+    temperature, lo, hi = _checked(model, interval, monotone)
     if monotone:
-        temperature = getattr(model, "temperature", None)
-        if temperature is None:
-            raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
 
         def invert(m0s: Sequence[int], M: int) -> tuple[np.ndarray, np.ndarray]:
             pairs = np.array([_invert_monotone(m0, M, temperature, lo, hi) for m0 in m0s], float)

@@ -1,12 +1,12 @@
 """Machine-readable result tables with deterministic CSV/JSON export.
 
-A table's cells are one read-only float64 array of shape
-(rows, len(columns)), from the runner that builds it to the exporter that
-writes it.  CSV layout: leading ``# key=value`` metadata lines, a header row
-of column names, then one newline-terminated row per sweep point with every
-number printed to 17 significant digits, so a re-imported table reproduces
-the original float64 values bit for bit and re-export is byte-identical.
-Export and the CLI stream either format to its destination a block at a time.
+A table's cells are one read-only float64 array of shape (rows, len(columns)),
+from the runner that builds it to the exporter that writes it.  CSV layout:
+leading ``# key=value`` metadata lines, a header row of column names, then one
+newline-terminated row per sweep point with every number printed to 17
+significant digits, so re-import is bit-exact and re-export byte-identical.
+Both formats stream in 2,048-row blocks, each writing a constant column's text
+once and an integer column with %d; from_csv parses with numpy's C reader.
 """
 
 from __future__ import annotations
@@ -66,27 +66,43 @@ def _meta_value(value: object) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
+def _row_specs(block: np.ndarray, fmt: str, whole: str) -> tuple[list[str], list[float]]:
+    """Each column's text in the block's row template, and the cells left to format.
+
+    A column whose cells all have row 0's bits is formatted once.  One of integers
+    below 2^53 in magnitude, none -0.0 (bits -2^63), takes ``whole``, which writes
+    them as ``fmt`` does; the rest take ``fmt``.
+    """
+    bits = block.view(np.int64)
+    same = (bits == bits[0]).all(axis=0)
+    integer = ((abs(block) < 2.0**53) & (block == np.trunc(block)) & (bits != -(2**63))).all(axis=0)
+    kinds = zip(block[0].tolist(), same, integer)
+    specs = [fmt % x if fixed else whole if is_int else fmt for x, fixed, is_int in kinds]
+    return specs, block.compress(~same, axis=1).ravel().tolist()
+
+
 def _csv_chunks(table: ResultTable) -> Iterator[str]:
     head = [f"# {key}={_meta_value(value)}" for key, value in table.meta.items()]
     yield "\n".join([*head, ",".join(table.columns)]) + "\n"
-    # "%.17g" % x gives the same text as format(x, ".17g") for every float.
-    row = ",".join(["%.17g"] * len(table.columns)) + "\n"
     for start in range(0, len(table.cells), _BLOCK):
         block = table.cells[start : start + _BLOCK]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        # "%.17g" % x gives the same text as format(x, ".17g") for every float.
+        specs, values = _row_specs(block, "%.17g", "%d")
+        yield ((",".join(specs) + "\n") * len(block)) % tuple(values)
 
 
 def _json_chunks(table: ResultTable) -> Iterator[str]:
     head = {"meta": table.meta, "columns": list(table.columns), "rows": []}
     text = json.dumps(head, indent=2, allow_nan=False)  # ends with '"rows": []\n}'
     yield text[:-3] + "\n" if len(table.cells) else text + "\n"
-    width = len(table.columns)
-    row = "    [" + ",".join(["\n      %s"] * width) + "\n    ]" if width else "    []"
     for start in range(0, len(table.cells), _BLOCK):
         block = table.cells[start : start + _BLOCK]
-        values = block.ravel().tolist()
-        if not np.isfinite(block).all():
-            values = [x if math.isfinite(x) else "null" for x in values]
+        if np.isfinite(block).all():
+            specs, values = _row_specs(block, "%s", "%d.0")
+        else:
+            specs = ["%s"] * block.shape[1]
+            values = [x if math.isfinite(x) else "null" for x in block.ravel().tolist()]
+        row = "    [" + ",".join("\n      " + s for s in specs) + "\n    ]" if specs else "    []"
         end = ",\n" if start + _BLOCK < len(table.cells) else "\n  ]\n}\n"
         yield (",\n".join([row] * len(block)) + end) % tuple(values)
 
@@ -137,11 +153,16 @@ def from_csv(text: str) -> ResultTable:
             else:
                 rows.append(ln)
         width, done, start = len(columns), sum(map(len, parts)), end
-        # Per row: a count over the chunk would miss a short row beside a long one.
-        for i in (i for i, ln in enumerate(rows) if ln.count(",") != width - 1):
-            raise ValueError(f"CSV row {done + i} has {rows[i].count(',') + 1} cells, expected {width}")
-        if rows:
-            parts.append(np.array(",".join(rows).split(","), dtype=float).reshape(-1, width))
+        if not rows:
+            continue
+        try:  # numpy's C reader; reshape refuses a chunk whose rows share one wrong width
+            parts.append(np.loadtxt(rows, delimiter=",", comments=None).reshape(len(rows), width))
+        except ValueError as exc:
+            # Per row: a count over the chunk would miss a short row beside a long one.
+            for i in (i for i, ln in enumerate(rows) if ln.count(",") != width - 1):
+                n = rows[i].count(",") + 1
+                raise ValueError(f"CSV row {done + i} has {n} cells, expected {width}") from None
+            raise ValueError(f"in CSV rows {done}-{done + len(rows) - 1}: {exc}") from exc
     if not columns:
         raise ValueError("CSV has no header row")
     return ResultTable(columns, np.concatenate([np.empty((0, len(columns))), *parts]), meta)

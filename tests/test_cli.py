@@ -80,6 +80,18 @@ def test_missing_subcommand_usage_error(capsys):
     assert run([], capsys)[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [*_DEFAULTS, "preset"])
+def test_every_subcommand_lists_each_common_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    options = [ln.split()[0] for ln in lines if ln.startswith("  -")]  # one per option entry
+    for flag in ("--config", "--set", "--out", "--format", "--seed"):
+        assert options.count(flag) == 1, (command, flag)
+    assert run([command, "--bogus"], capsys)[0] == EXIT_USAGE
+
+
 def test_set_overrides_point_count(capsys):
     code, out, _ = run(["steady", "--set", "points=5", "--set", "T_prior=0.2"], capsys)
     assert code == EXIT_OK

@@ -260,6 +260,18 @@ def test_monotone_estimate_needs_the_steady_inverse(config):
         ml_estimate(MeasurementRecord(1, 2, 0), transient_model(config, 5, 1.0), prior_interval(config))
 
 
+def test_lone_steady_estimate_is_the_study_estimate_bit_for_bit(config):
+    # ml_estimate inverts one record directly; a study sends its counts through _estimator.
+    model, interval = steady_model(config), prior_interval(config)
+    rng = np.random.default_rng(18)
+    for M in rng.integers(1, 10**6, 200).tolist():
+        m0 = int(rng.integers(0, M + 1)) if rng.random() < 0.2 else int(rng.binomial(M, 0.3))
+        t_hat, clamped = estimation._estimator(model, interval, True)([m0], M)
+        got = ml_estimate(MeasurementRecord(m0, M, 0), model, interval)
+        assert (got[0].hex(), got[1]) == (float(t_hat[0]).hex(), bool(clamped[0])), (m0, M)
+        assert type(got[1]) is bool
+
+
 def test_ml_transient_matches_steady_when_converged(config):
     from thermomachine import MeasurementRecord
 

@@ -89,6 +89,29 @@ def _json_reference(table: ResultTable) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+# Column layouts the block writers classify: whole-column and one-block constants, a
+# constant inf, one non-finite cell, and integer columns holding one edge value each.
+_WHOLE_EDGES = [-0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 1e16, 1e17]
+_COLUMN_KINDS = ["noise", "constant", "block-1 constant", "inf", "one non-finite", *_WHOLE_EDGES]
+_LONG, _NOISE = 2 * _BLOCK + 1, ["noise"] * 7
+
+
+def _shape_columns(cells, kinds, rng):
+    n = len(cells)
+    for j, kind in enumerate(kinds[: cells.shape[1]]):
+        if kind == "constant":
+            cells[:, j] = rng.choice(_FINITE_SPECIAL)
+        elif kind == "block-1 constant":
+            cells[:_BLOCK, j] = rng.choice(_FINITE_SPECIAL)
+        elif kind == "inf":
+            cells[:, j] = math.inf
+        elif kind == "one non-finite" and n:
+            cells[rng.integers(n), j] = rng.choice(_NON_FINITE)
+        elif not isinstance(kind, str):  # integers below 2^53, then one edge value
+            cells[:, j] = rng.integers(-(2**53) + 1, 2**53, n) >> rng.integers(0, 53, n)
+            cells[rng.integers(n, size=min(n, 2)), j] = kind
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.sampled_from([0, 1, _BLOCK, 2 * _BLOCK + 1]),
@@ -99,15 +122,27 @@ def _json_reference(table: ResultTable) -> str:
     meta_value=st.one_of(
         st.text(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False)
     ),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=7, max_size=7),
 )
-@example(n=2 * _BLOCK + 1, width=3, seed=1, non_finite_row=0, meta_value='Tempé "ratur" \\ ∞')
-@example(n=2 * _BLOCK + 1, width=7, seed=2, non_finite_row=2 * _BLOCK, meta_value=True)
-@example(n=_BLOCK, width=1, seed=3, non_finite_row=_BLOCK - 1, meta_value=False)
-def test_block_writers_match_the_whole_table_reference(n, width, seed, non_finite_row, meta_value):
+@example(n=_LONG, width=3, seed=1, non_finite_row=0, meta_value='Tempé "ratur" \\ ∞', kinds=_NOISE)
+@example(n=_LONG, width=7, seed=2, non_finite_row=2 * _BLOCK, meta_value=True, kinds=_NOISE)
+@example(n=_BLOCK, width=1, seed=3, non_finite_row=_BLOCK - 1, meta_value=False, kinds=_NOISE)
+# Every column kind: an edge value per integer column; constants broken in block one's last row.
+@example(n=_LONG, width=7, seed=4, non_finite_row=None, meta_value=0, kinds=_WHOLE_EDGES)
+@example(
+    n=_LONG, width=7, seed=5, non_finite_row=None, meta_value=0, kinds=[*_COLUMN_KINDS[:5], 0.0, 1.0]
+)
+@example(
+    n=_LONG, width=7, seed=6, non_finite_row=_BLOCK - 1, meta_value=0, kinds=_COLUMN_KINDS[1:8]
+)
+def test_block_writers_match_the_whole_table_reference(
+    n, width, seed, non_finite_row, meta_value, kinds
+):
     rng = np.random.default_rng(seed)
     cells = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-300, 300, (n, width))
     special = rng.random((n, width)) < 0.2
     cells[special] = rng.choice(_FINITE_SPECIAL, size=int(special.sum()))
+    _shape_columns(cells, kinds, rng)
     if non_finite_row is not None and non_finite_row < n and width:
         cells[non_finite_row] = rng.choice(_NON_FINITE, size=width)
     meta = {"scenario": "x", "kind": "verify", "version": "0", "note": meta_value}
@@ -194,6 +229,20 @@ def test_from_csv_refuses_a_short_row_beside_a_long_one():
     rows = ["1,2"] * 10
     rows[4:6] = ["1", "1,2,3"]
     with pytest.raises(ValueError, match="CSV row 4 has 1 cells, expected 2"):
+        from_csv("a,b\n" + "\n".join(rows) + "\n")
+
+
+def test_from_csv_refuses_rows_that_all_have_one_wrong_width():
+    # numpy's reader parses these into a (2, 4) array; only the width check refuses them.
+    with pytest.raises(ValueError, match="CSV row 0 has 4 cells, expected 2"):
+        from_csv("a,b\n1,2,3,4\n5,6,7,8\n")
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0663"])  # Python's float reads both; no writer emits them
+def test_from_csv_refuses_cells_numpy_cannot_read(cell):
+    rows = ["1,2"] * 50_000
+    rows[40_000] = f"{cell},2"  # past the first chunk: the error names the chunk's CSV rows
+    with pytest.raises(ValueError, match=r"in CSV rows \d+-49999: "):
         from_csv("a,b\n" + "\n".join(rows) + "\n")
 
 
