@@ -12,10 +12,11 @@ product, so u < p0 holds iff x < ceil(p0 2^53) 2^11, and counting words
 below that threshold counts the same trials without forming any uniform
 (p0 = 1, whose threshold 2^64 exceeds uint64, counts all M).  The words
 are drawn from that one stream in blocks of 2^15, which gives the counts
-of a single draw of all M while holding one block in memory.  Per-trial
-seeds are split from the master seed as
-SeedSequence(master, spawn_key=(trial,)) -> first uint64, which makes
-trials independent of execution order and safe to run concurrently.
+of a single draw of all M while holding one block in memory.  Trial t's
+seed is SeedSequence(master, spawn_key=(t,)) -> first uint64, independent of
+execution order, and its stream is Philox(SeedSequence(seed)).  A study
+hashes every trial's seed and key in one pass, SeedSequence's hash on uint32
+arrays, and restarts one Philox at each key.
 
 Maximum likelihood
 ------------------
@@ -48,7 +49,7 @@ DEFAULT_SEED = 0x5EED
 #: open end T -> 0 of the prior interval is represented by this point.
 _INTERVAL_FLOOR = 1e-12
 
-#: Raw Philox words per draw in ``sample_measurements``; it caps a trial's memory at any M.
+#: Raw Philox words per draw; one block lives at a time (two ran 30% slower at M = 1e5).
 _DRAW_BLOCK = 2**15
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
@@ -91,8 +92,40 @@ class EstimationReport:
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Per-trial 64-bit seed split from the master seed (documented above)."""
+    _check_count("seed", master_seed, 0)
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _seed_state(head: list[int], tail: np.ndarray, n64: int) -> np.ndarray:
+    """SeedSequence(words).generate_state(n64, np.uint64), one lane per element of ``tail``.
+
+    A lane's uint32 entropy words are ``head``, its uint64's low word and, from 2^32 on,
+    its high word.  Lanes stay arrays: uint32 arrays wrap silently, a scalar product warns.
+    """
+    h, length = 0x43B0D7E5, len(head) + 1 + (tail >> 32 > 0)
+    words = [(w + 0 * tail).astype(np.uint32) for w in [*head, tail % 2**32, tail >> 32]]
+
+    def hashmix(v: np.ndarray, multiplier: int = 0x931E8875) -> np.ndarray:
+        nonlocal h  # it advances on every call, whatever the data
+        v = (v ^ h) * (h := h * multiplier % 2**32)
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in (words + [0 * words[0]] * 4)[:4]]  # zeros pad the pool's 4
+    for s in range(max(4, len(words))):  # the pool mixes within, then each later word into all
+        for d in (d for d in range(4) if d != s):
+            r = pool[d] * 0xCA01F9DD - hashmix(pool[s] if s < 4 else words[s]) * 0x4973F715
+            pool[d] = np.where(s < 4 or s < length, r ^ (r >> 16), pool[d])
+    h = 0x8B51F9DD
+    state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(2 * n64)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state joins them
+
+
+def _trial_seeds(master_seed: int, trials: np.ndarray) -> np.ndarray:
+    """trial_seed(master_seed, t) per t of a uint64 array: master's words padded to 4, then t's."""
+    n = int(master_seed)
+    head = [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+    return _seed_state(head + [0] * (4 - len(head)), trials, 1)[:, 0]
 
 
 def _ground_threshold(p0: float) -> int:
@@ -104,17 +137,22 @@ def _ground_threshold(p0: float) -> int:
     return math.ceil(p0 * 2.0**53) << 11
 
 
-def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
-    """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
+def _ground_counts(p0: float, M: int, trials: int, stream: Callable) -> list[int]:
+    """Each trial's m0: the count of ``stream(trial)``'s next M words below p0's threshold."""
     _check_count("M", M, 1)
     _check_range("p0", p0, 0.0, 1.0, closed=True)
     if p0 == 1.0:
-        return MeasurementRecord(m0=M, M=M, seed=seed)
-    bitgen = np.random.Philox(np.random.SeedSequence(seed))
-    threshold = np.uint64(_ground_threshold(p0))
-    m0 = 0
-    for start in range(0, M, _DRAW_BLOCK):
-        m0 += int(np.count_nonzero(bitgen.random_raw(min(_DRAW_BLOCK, M - start)) < threshold))
+        return [M] * trials
+    threshold, counts = np.uint64(_ground_threshold(p0)), []
+    for bitgen in map(stream, range(trials)):
+        sizes = (min(_DRAW_BLOCK, M - start) for start in range(0, M, _DRAW_BLOCK))
+        counts.append(sum(int(np.count_nonzero(bitgen.random_raw(n) < threshold)) for n in sizes))
+    return counts
+
+
+def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
+    """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
+    (m0,) = _ground_counts(p0, M, 1, lambda _: np.random.Philox(np.random.SeedSequence(seed)))
     return MeasurementRecord(m0=m0, M=M, seed=seed)
 
 
@@ -282,6 +320,7 @@ def empirical_snr_study(
     ensemble, hence the floor on ``trials``.
     """
     _check_count("trials", trials, 100)
+    _check_count("seed", seed, 0)
     if p00 is None:
         p00 = config.p00
 
@@ -292,7 +331,15 @@ def empirical_snr_study(
     p_true = model(config.T)
     singular = p_true <= 0.0 or p_true >= 1.0
     estimate = _estimator(model, prior_interval(config), monotone=k is None)
-    m0 = [sample_measurements(p_true, M, trial_seed(seed, i)).m0 for i in range(trials)]
+    keys = _seed_state([], _trial_seeds(seed, np.arange(trials, dtype=np.uint64)), 2)
+    bitgen, zeros = np.random.Philox(key=keys[0]), np.zeros(4, np.uint64)
+
+    def restart(trial: int) -> np.random.BitGenerator:  # as Philox(SeedSequence(seed)) starts
+        state = {"state": {"counter": zeros, "key": keys[trial]}, "buffer": zeros, "buffer_pos": 4}
+        bitgen.state = {"bit_generator": "Philox", **state, "has_uint32": 0, "uinteger": 0}
+        return bitgen
+
+    m0 = _ground_counts(p_true, M, trials, restart)
     distinct, index = np.unique(m0, return_inverse=True)
     t_hat, was_clamped = estimate(distinct.tolist(), M)
     estimates, clamped = t_hat[index], int(np.count_nonzero(was_clamped[index]))

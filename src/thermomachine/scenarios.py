@@ -89,7 +89,7 @@ class Scenario:
             raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        counts = {"points": 0, "k_step": 1, "k_max": self.k_min, "M": 1, "M_alt": 1, "samples": 1}
+        counts = dict(points=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, samples=1, seed=0)
         for name, low in counts.items():
             _check_count(name, getattr(self, name), low)
         if (self.t_min is None) != (self.t_max is None):

@@ -74,8 +74,11 @@ def _row_specs(block: np.ndarray, fmt: str, whole: str) -> tuple[list[str], list
     them as ``fmt`` does; the rest take ``fmt``.
     """
     bits = block.view(np.int64)
-    same = (bits == bits[0]).all(axis=0)
-    integer = ((abs(block) < 2.0**53) & (block == np.trunc(block)) & (bits != -(2**63))).all(axis=0)
+    same = bits[-1] == bits[0]  # a full-column test runs only where row 0 (and -1) pass it
+    same[same] = (bits[:, same] == bits[0, same]).all(axis=0)
+    integer = ~same & (block[0] == np.trunc(block[0]))
+    c = block[:, integer]
+    integer[integer] = ((abs(c) < 2**53) & (c == np.trunc(c)) & (c.view("i8") != -(2**63))).all(0)
     kinds = zip(block[0].tolist(), same, integer)
     specs = [fmt % x if fixed else whole if is_int else fmt for x, fixed, is_int in kinds]
     return specs, block.compress(~same, axis=1).ravel().tolist()

@@ -119,6 +119,13 @@ def test_bad_seed_usage_error(capsys):
     assert run(["montecarlo", "--seed", "zz"], capsys)[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["montecarlo", "verify"])
+def test_negative_seed_is_refused_by_name(command, capsys):
+    code, _, err = run([command, "--seed", "-1"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: seed must be an integer >= 0")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(["verify", "--set", "samples=40"], capsys)
     assert code == EXIT_OK

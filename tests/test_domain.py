@@ -48,8 +48,10 @@ from thermomachine import (
     thermal_population,
     transient_model,
     transient_population,
+    trial_seed,
     tune_config,
 )
+from thermomachine.scenarios import Scenario
 
 CONFIG = tune_config(eps_s=1.0, T=0.2, T_prior=0.25, T_v=1.0)
 PARAMS = collision_params(CONFIG)
@@ -241,6 +243,16 @@ COUNT_ROWS = [
         100,
         (99, 100.0),
     ),
+    # A seed is refused before it is split into uint32 words, where a negative int never ends.
+    ("trial_seed.seed", lambda n: trial_seed(n, 0), "seed", 0, (-1, 1.0, True)),
+    (
+        "empirical_snr_study.seed",
+        lambda n: empirical_snr_study(CONFIG, 10, 100, seed=n),
+        "seed",
+        2**200 + 17,
+        (-1, 2.5, True, np.float64(3.0)),
+    ),
+    ("Scenario.seed", lambda n: Scenario("x", "verify", seed=n), "seed", 0, (-1, 0.5, False)),
 ]
 
 

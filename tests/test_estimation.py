@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from conftest import decimal_relaxation
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermomachine import (
@@ -126,6 +126,55 @@ def test_trial_seed_splitting_is_stable():
     seeds = [trial_seed(0x5EED, i) for i in range(5)]
     assert len(set(seeds)) == 5
     assert seeds == [trial_seed(0x5EED, i) for i in range(5)]
+
+
+#: Masters and trials at the edges of SeedSequence's uint32 word split.
+EDGE_MASTERS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 17]
+EDGE_TRIALS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master=st.one_of(st.sampled_from(EDGE_MASTERS), st.integers(0, 2**256)),
+    trials=st.lists(
+        st.one_of(st.sampled_from(EDGE_TRIALS), st.integers(0, 2**64 - 1)), min_size=1, max_size=6
+    ),
+    small_seeds=st.lists(st.integers(0, 2**32 - 1), max_size=3),
+)
+@example(master=0x5EED, trials=[*EDGE_TRIALS, 1, 7], small_seeds=[0, 1, 2**32 - 1])
+@example(master=2**200 + 17, trials=EDGE_TRIALS, small_seeds=[])
+def test_batch_seeds_and_philox_keys_are_numpys(master, trials, small_seeds):
+    def numpy_seed(t):
+        return np.random.SeedSequence(entropy=master, spawn_key=(t,)).generate_state(1, np.uint64)[0]
+
+    seeds = estimation._trial_seeds(master, np.array(trials, dtype=np.uint64))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [int(numpy_seed(t)) for t in trials]
+    # A seed below 2^32 is one entropy word; the batch's zero high word must hash the same.
+    lanes = np.array([*seeds.tolist(), *small_seeds], dtype=np.uint64)
+    keys = estimation._seed_state([], lanes, 2)
+    assert keys.dtype == np.uint64 and keys.shape == (len(lanes), 2)
+    expected = [np.random.SeedSequence(s).generate_state(2, np.uint64).tolist() for s in lanes.tolist()]
+    assert keys.tolist() == expected
+    philox = np.random.Philox(np.random.SeedSequence(int(lanes[0])))  # its key is that state
+    assert philox.state["state"]["key"].tolist() == expected[0]
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("M", [1, 2**15, 2**15 + 1])
+def test_study_draws_the_per_call_m0_of_every_trial(config, monkeypatch, p0, M):
+    # The study's shared Philox, restarted at each batch-hashed key, against one
+    # sample_measurements call per trial; p0 is set at the draw itself.
+    drawn, draw = [], estimation._ground_counts
+
+    def at_p0(p_true, M, trials, stream):
+        drawn.append(draw(p0, M, trials, stream))
+        return drawn[-1]
+
+    monkeypatch.setattr(estimation, "_ground_counts", at_p0)
+    for seed in (0x5EED, 2**64 + 3):
+        empirical_snr_study(config, M=M, trials=100, seed=seed)
+        assert drawn.pop() == [sample_measurements(p0, M, trial_seed(seed, i)).m0 for i in range(100)]
 
 
 def test_record_validation():

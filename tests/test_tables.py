@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tracemalloc
+from itertools import zip_longest
 
 import jsonschema
 import numpy as np
@@ -59,6 +61,10 @@ def _old_csv_row(row):
     return ",".join(format(float(x), ".17g") for x in row)
 
 
+def _csv_reference(cells):
+    return "".join(f"{_old_csv_row(row)}\n" for row in cells)
+
+
 def _old_json_row(row):
     if all(map(math.isfinite, row)):
         return row
@@ -87,6 +93,21 @@ def _json_reference(table: ResultTable) -> str:
     rows = [[x if math.isfinite(x) else None for x in row] for row in table.cells.tolist()]
     payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_same_text(got, want):
+    """Equal texts (or bytes), compared by digest: on a mismatch, name the first differing
+    line, where pytest's own diff of two multi-MB strings runs for minutes."""
+    __tracebackhide__ = True
+    if hashlib.sha256(_raw(got)).digest() == hashlib.sha256(_raw(want)).digest():
+        return
+    lines = zip_longest(_raw(got).splitlines(True), _raw(want).splitlines(True))
+    i, (a, b) = next((i, pair) for i, pair in enumerate(lines) if pair[0] != pair[1])
+    pytest.fail(f"first difference on line {i}: got {a!r:.200}, want {b!r:.200}")
+
+
+def _raw(text):
+    return text.encode() if isinstance(text, str) else text
 
 
 # Column layouts the block writers classify: whole-column and one-block constants, a
@@ -147,11 +168,22 @@ def test_block_writers_match_the_whole_table_reference(
         cells[non_finite_row] = rng.choice(_NON_FINITE, size=width)
     meta = {"scenario": "x", "kind": "verify", "version": "0", "note": meta_value}
     table = make_table([f"c{j}" for j in range(width)], cells, meta)
-    assert to_json(table) == _json_reference(table)
+    _assert_same_text(to_json(table), _json_reference(table))
     csv_text = to_csv(make_table(table.columns, cells))  # meta text may hold a line break
-    assert csv_text.splitlines()[1:] == [_old_csv_row(row) for row in cells]
+    _assert_same_text(csv_text.partition("\n")[2], _csv_reference(cells))
     if width:  # a zero-width row is an empty line, which from_csv skips
-        assert from_csv(csv_text).cells.tobytes() == table.cells.tobytes()
+        _assert_same_text(from_csv(csv_text).cells.tobytes(), table.cells.tobytes())
+
+
+def test_a_column_broken_only_between_its_first_and_last_rows_is_written_per_cell():
+    # The writers test full columns only where row 0 (and, for constancy, the last
+    # row) passes; the break here is in a middle row of each block.
+    cells = np.tile([2.5, 3.0, 0.0], (2 * _BLOCK + 3, 1))
+    for row in (7, _BLOCK + 9):
+        cells[row] = [7.0, 3.5, -0.0]
+    table = make_table(("a", "b", "c"), cells)
+    _assert_same_text(to_csv(table).partition("\n")[2], _csv_reference(cells))
+    _assert_same_text(to_json(table), _json_reference(table))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
