@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--out", metavar="FILE", help="write the table here (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", metavar="S", help="master seed, decimal or 0x hex")
+    common.add_argument("--seed", type=seed, metavar="S", help="master seed, decimal or 0x hex")
     parser = _Parser(prog="thermomachine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, scenario in _DEFAULTS.items():
@@ -91,11 +91,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError as exc:
-        raise UsageError(f"invalid seed {text!r}") from exc
+def seed(text: str) -> int:
+    """--seed's value as ``--set seed=`` parses it; argparse names this function when it fails."""
+    return coerce_setting("seed", text)
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
@@ -126,7 +124,7 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
             raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
         settings[key.strip()] = coerce_setting(key.strip(), value.strip())
     if args.seed is not None:
-        settings["seed"] = _parse_seed(args.seed)
+        settings["seed"] = args.seed
 
     return apply_settings(scenario, settings)
 

@@ -36,8 +36,8 @@ def libm(fn, x: np.ndarray) -> np.ndarray:
 def _check_range(name: str, x, low: float, high: float = sys.float_info.max, closed: bool = False):
     """Refuse x unless low < x <= high (low <= x <= high if ``closed``), element-wise on arrays.
 
-    NaN fails as written and the default ``high`` refuses +inf; a float (each scalar model
-    call) takes no numpy call.
+    NaN fails as written and the default ``high`` refuses +inf; a float (a scalar call, as
+    the oracle's or a model's at _bisect's two interval ends) takes no numpy call.
     """
     if isinstance(x, np.ndarray):
         ok = (x >= low if closed else x > low) & (x <= high)
@@ -66,7 +66,8 @@ def _check_count(name: str, value: object, low: int) -> None:
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
     """1 / (1 + e^-x), branched on the sign of x to avoid overflow; arrays per element."""
-    # A float skips the ndarray check (~50 ns): every scalar model call passes here.
+    # A float skips the ndarray check (~50 ns) on the scalar calls: the oracle's
+    # thermal_population and a model at _bisect's two interval ends.
     if type(x) is not float and isinstance(x, np.ndarray):
         e = libm(math.exp, -np.abs(x))
         return np.where(x >= 0.0, 1.0, e) / (1.0 + e)

@@ -67,6 +67,7 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         _check_count("m0", self.m0, 0)
         _check_count("M", self.M, max(self.m0, 1))  # so 0 <= m0 <= M
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,7 @@ class EstimationReport:
 def trial_seed(master_seed: int, trial: int) -> int:
     """Per-trial 64-bit seed split from the master seed (documented above)."""
     _check_count("seed", master_seed, 0)
+    _check_count("trial", trial, 0)
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -152,6 +154,7 @@ def _ground_counts(p0: float, M: int, trials: int, stream: Callable) -> list[int
 
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
+    _check_count("seed", seed, 0)
     (m0,) = _ground_counts(p0, M, 1, lambda _: np.random.Philox(np.random.SeedSequence(seed)))
     return MeasurementRecord(m0=m0, M=M, seed=seed)
 
@@ -175,21 +178,22 @@ def ml_estimate(
     element, as ``steady_model`` and ``transient_model`` do (the latter's
     docstring derives d p0_k/dT >= 0).
     """
+    lo, hi = _checked(interval)
     if monotone:
-        t_hat, clamped = _invert_monotone(record.m0, record.M, *_checked(model, interval, True))
+        if not hasattr(model, "temperature"):
+            raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
+        t_hat, clamped = _invert_monotone(record.m0, record.M, model.temperature, lo, hi)
         return float(t_hat), clamped
-    t_hat, clamped = _estimator(model, interval, monotone)([record.m0], record.M)
+    t_hat, clamped = _bisect(model, lo, hi, [record.m0], record.M)
     return float(t_hat[0]), bool(clamped[0])
 
 
-def _checked(model: Callable, interval: tuple[float, float], monotone: bool) -> tuple:
-    """(the model's exact inverse or None, lo, hi) after the checks; monotone needs the inverse."""
+def _checked(interval: tuple[float, float]) -> tuple[float, float]:
+    """(lo, hi), refused unless 0 < lo < hi < inf."""
     lo, hi = interval
     _check_range("interval lo", lo, 0.0)
     _check_range("interval hi", hi, lo)
-    if monotone and not hasattr(model, "temperature"):
-        raise TypeError("monotone=True needs a steady_model, which carries its exact inverse")
-    return getattr(model, "temperature", None), lo, hi
+    return lo, hi
 
 
 def _invert_monotone(
@@ -213,44 +217,30 @@ def _invert_monotone(
     return t_hat, False
 
 
-def _estimator(
-    model: Callable[[float], float],
-    interval: tuple[float, float],
-    monotone: bool,
-) -> Callable[[Sequence[int], int], tuple[np.ndarray, np.ndarray]]:
-    """(m0 values, M) -> (T_hat array, clamped array) for a fixed model.
+def _bisect(
+    model: Callable[[float], float], lo: float, hi: float, m0s: Sequence[int], M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T_hat array, clamped array) with model(T_hat) = m0/M for each m0, clamped to [lo, hi].
 
     The m0 values are Python ints, so each m0/M rounds once at any M.  The
-    model is evaluated at the interval ends once, here; the frequencies
-    strictly between them are bisected together on model(T) < m0/M until no
-    midpoint lies inside its bracket.  A finished lane is a fixed point
+    model is evaluated at the interval ends once; the frequencies strictly
+    between them are bisected together on model(T) < m0/M until no midpoint
+    lies inside its bracket.  A finished lane is a fixed point
     (model(a) < m0/M <= model(b) held when a and b were set), so each lane
     ends on the midpoint a lone bisection returns.
     """
-    temperature, lo, hi = _checked(model, interval, monotone)
-    if monotone:
-
-        def invert(m0s: Sequence[int], M: int) -> tuple[np.ndarray, np.ndarray]:
-            pairs = np.array([_invert_monotone(m0, M, temperature, lo, hi) for m0 in m0s], float)
-            return pairs[:, 0], pairs[:, 1] == 1.0
-
-        return invert
     p_lo, p_hi = model(lo), model(hi)
-
-    def bisect(m0s: Sequence[int], M: int) -> tuple[np.ndarray, np.ndarray]:
-        frequency = np.array([m0 / M for m0 in m0s], float)
-        t_hat = np.where(frequency <= p_lo, lo, hi)
-        inside = ~((frequency <= p_lo) | (frequency >= p_hi))
-        f = frequency[inside]
-        a, b = np.full_like(f, lo), np.full_like(f, hi)
-        while np.count_nonzero((a < (mid := 0.5 * (a + b))) & (mid < b)):
-            below = model(mid) < f
-            np.copyto(a, mid, where=below)
-            np.copyto(b, mid, where=~below)
-        t_hat[inside] = mid
-        return t_hat, ~inside
-
-    return bisect
+    frequency = np.array([m0 / M for m0 in m0s], float)
+    t_hat = np.where(frequency <= p_lo, lo, hi)
+    inside = ~((frequency <= p_lo) | (frequency >= p_hi))
+    f = frequency[inside]
+    a, b = np.full_like(f, lo), np.full_like(f, hi)
+    while np.count_nonzero((a < (mid := 0.5 * (a + b))) & (mid < b)):
+        below = model(mid) < f
+        np.copyto(a, mid, where=below)
+        np.copyto(b, mid, where=~below)
+    t_hat[inside] = mid
+    return t_hat, ~inside
 
 
 def steady_model(config: MachineConfig) -> Callable[[float], float]:
@@ -279,7 +269,7 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
     A float ndarray T gives the scalar calls element by element, bit for bit.
 
     The model is non-decreasing in T for every machine, k and p00, which
-    the bisection in ``ml_estimate`` relies on.  With q_j = (1-r)^j and
+    ``_bisect`` relies on.  With q_j = (1-r)^j and
     g_k = 1 - q_k - k r q_(k-1) = P(Binomial(k, r) >= 2), the identity
     r p0_inf = p1_s p0_v gives
 
@@ -324,13 +314,10 @@ def empirical_snr_study(
     if p00 is None:
         p00 = config.p00
 
-    if k is None:
-        model, crb = steady_model(config), snr_steady(config, M)
-    else:
-        model, crb = transient_model(config, k, p00), snr_transient(k, p00, config, M)
-    p_true = model(config.T)
+    crb = snr_steady(config, M) if k is None else snr_transient(k, p00, config, M)
+    p_true = crb.p0  # the model at config.T, bit for bit: one closed form on the same floats
     singular = p_true <= 0.0 or p_true >= 1.0
-    estimate = _estimator(model, prior_interval(config), monotone=k is None)
+    lo, hi = _checked(prior_interval(config))
     keys = _seed_state([], _trial_seeds(seed, np.arange(trials, dtype=np.uint64)), 2)
     bitgen, zeros = np.random.Philox(key=keys[0]), np.zeros(4, np.uint64)
 
@@ -341,7 +328,12 @@ def empirical_snr_study(
 
     m0 = _ground_counts(p_true, M, trials, restart)
     distinct, index = np.unique(m0, return_inverse=True)
-    t_hat, was_clamped = estimate(distinct.tolist(), M)
+    if k is None:
+        temperature = steady_model(config).temperature
+        pairs = [_invert_monotone(m, M, temperature, lo, hi) for m in distinct.tolist()]
+        t_hat, was_clamped = np.array(pairs, float).T  # clamped reads 1.0, unclamped 0.0
+    else:
+        t_hat, was_clamped = _bisect(transient_model(config, k, p00), lo, hi, distinct.tolist(), M)
     estimates, clamped = t_hat[index], int(np.count_nonzero(was_clamped[index]))
 
     # Equal estimates have no spread: std and mean would read rounding (~1e-28, 1 ulp).

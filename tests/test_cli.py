@@ -116,7 +116,9 @@ def test_montecarlo_seed_hex_and_determinism(capsys):
 
 
 def test_bad_seed_usage_error(capsys):
-    assert run(["montecarlo", "--seed", "zz"], capsys)[0] == EXIT_USAGE
+    code, _, err = run(["montecarlo", "--seed", "zz"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "seed" in err and "'zz'" in err
 
 
 @pytest.mark.parametrize("command", ["montecarlo", "verify"])

@@ -245,6 +245,15 @@ COUNT_ROWS = [
     ),
     # A seed is refused before it is split into uint32 words, where a negative int never ends.
     ("trial_seed.seed", lambda n: trial_seed(n, 0), "seed", 0, (-1, 1.0, True)),
+    ("trial_seed.trial", lambda n: trial_seed(0, n), "trial", 0, (-1, 1.5, True)),
+    (
+        "sample_measurements.seed",
+        lambda n: sample_measurements(0.5, 10, n),
+        "seed",
+        0,
+        (-1, 1.5, True),
+    ),
+    ("MeasurementRecord.seed", lambda n: MeasurementRecord(1, 2, n), "seed", 0, (-1, 1.5, True)),
     (
         "empirical_snr_study.seed",
         lambda n: empirical_snr_study(CONFIG, 10, 100, seed=n),

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from conftest import decimal_relaxation
+from conftest import decimal_relaxation, random_machine_configs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -310,12 +310,14 @@ def test_monotone_estimate_needs_the_steady_inverse(config):
 
 
 def test_lone_steady_estimate_is_the_study_estimate_bit_for_bit(config):
-    # ml_estimate inverts one record directly; a study sends its counts through _estimator.
+    # ml_estimate inverts one record; a study also puts its pairs through a float array.
     model, interval = steady_model(config), prior_interval(config)
     rng = np.random.default_rng(18)
     for M in rng.integers(1, 10**6, 200).tolist():
         m0 = int(rng.integers(0, M + 1)) if rng.random() < 0.2 else int(rng.binomial(M, 0.3))
-        t_hat, clamped = estimation._estimator(model, interval, True)([m0], M)
+        t_hat, clamped = np.array(
+            [estimation._invert_monotone(m0, M, model.temperature, *interval)], float
+        ).T
         got = ml_estimate(MeasurementRecord(m0, M, 0), model, interval)
         assert (got[0].hex(), got[1]) == (float(t_hat[0]).hex(), bool(clamped[0])), (m0, M)
         assert type(got[1]) is bool
@@ -478,22 +480,40 @@ def fresh_estimate_study(config, M, trials, seed, k=None):
 def test_study_estimates_each_distinct_m0_once(config, monkeypatch, M, trials, k):
     reference, drawn = fresh_estimate_study(config, M, trials, 0x5EED, k)
     calls = []
-    build = estimation._estimator
+    if k is None:
+        invert = estimation._invert_monotone
 
-    def counting_estimator(model, interval, monotone):
-        estimate = build(model, interval, monotone)
+        def counting_invert(m0, M, temperature, lo, hi):
+            calls.append([m0])
+            return invert(m0, M, temperature, lo, hi)
 
-        def counted(m0s, M):
+        monkeypatch.setattr(estimation, "_invert_monotone", counting_invert)
+    else:
+        bisect = estimation._bisect
+
+        def counting_bisect(model, lo, hi, m0s, M):
             calls.append(list(m0s))
-            return estimate(m0s, M)
+            return bisect(model, lo, hi, m0s, M)
 
-        return counted
-
-    monkeypatch.setattr(estimation, "_estimator", counting_estimator)
+        monkeypatch.setattr(estimation, "_bisect", counting_bisect)
     report = empirical_snr_study(config, M=M, trials=trials, seed=0x5EED, k=k)
-    assert len(calls) == 1  # one batch call per study
-    assert sorted(calls[0]) == sorted(set(drawn)) and len(set(drawn)) < trials
+    estimated = [m0 for call in calls for m0 in call]
+    assert k is None or len(calls) == 1  # one transient batch call per study
+    assert sorted(estimated) == sorted(set(drawn)) and len(set(drawn)) < trials
     assert report == reference
+
+
+@pytest.mark.parametrize(
+    "k, p00", [(None, None)] + [(k, p00) for k in (0, 1, 50, 10**4) for p00 in (0.0, 0.37, 1.0)]
+)
+def test_crb_point_p0_is_the_model_at_the_true_temperature(k, p00):
+    # A study draws its counts at its CRB point's p0 rather than at model(config.T).
+    for config in random_machine_configs(20, seed=31):
+        if k is None:
+            point, model = snr_steady(config, 1000), steady_model(config)
+        else:
+            point, model = snr_transient(k, p00, config, 1000), transient_model(config, k, p00)
+        assert float(point.p0).hex() == float(model(config.T)).hex(), config
 
 
 # ----------------------------------------------------------------------
@@ -656,7 +676,7 @@ def test_one_batch_call_equals_the_per_record_reference(k, p00):
     # Counts at and just inside each clamp, 0 and M, and repeats in no order.
     low, high = math.floor(model(lo) * M), math.ceil(model(hi) * M)
     counts = [M // 2, 0, high, M, low, low + 1, high - 1, M // 2, 0, M, high, 1, M - 1, low]
-    t_hat, clamped = estimation._estimator(model, (lo, hi), monotone=False)(counts, M)
+    t_hat, clamped = estimation._bisect(model, lo, hi, counts, M)
     want = [reference_estimate(MeasurementRecord(m0, M, 0), reference, lo, hi) for m0 in counts]
     assert t_hat.tolist() == [t for t, _ in want]
     assert clamped.tolist() == [c for _, c in want]
@@ -671,7 +691,7 @@ def test_transient_frequency_past_2_53_is_rounded_once():
     lo, hi = prior_interval(config)
     m0, M = 1287881513619328512, 2301474159646987124
     assert m0 / M != float(m0) / float(M)
-    t_hat, clamped = estimation._estimator(model, (lo, hi), monotone=False)([m0], M)
+    t_hat, clamped = estimation._bisect(model, lo, hi, [m0], M)
     want = reference_estimate(MeasurementRecord(m0, M, 0), reference, lo, hi)
     assert (t_hat.tolist(), clamped.tolist()) == ([want[0]], [want[1]])
 
@@ -692,7 +712,7 @@ def test_bisection_is_within_tolerance_of_the_grid_golden_search(k, p00):
     config = tune_config(**STUDY_MACHINES[k][0])
     model = transient_model(config, k, p00)
     lo, hi = prior_interval(config)
-    estimate = estimation._estimator(model, (lo, hi), monotone=False)
+    estimate = functools.partial(estimation._bisect, model, lo, hi)
     for M in (7, 1000, 10_000):
         records = transient_records(M)
         for record, t_hat, clamped in zip(records, *estimate([r.m0 for r in records], M)):
@@ -717,7 +737,7 @@ def test_transient_estimate_is_the_decimal_root_to_1e14(k, p00):
     # The grid+golden search was up to 5e-8 off this root on these records.
     config = tune_config(**STUDY_MACHINES[k][0])
     model, interval = transient_model(config, k, p00), prior_interval(config)
-    estimate = estimation._estimator(model, interval, monotone=False)
+    estimate = functools.partial(estimation._bisect, model, *interval)
     inside = 0
     with localcontext() as ctx:
         ctx.prec = 50
@@ -744,7 +764,7 @@ def test_bisection_of_the_steady_model_is_its_closed_form(config, M):
     lo, hi = prior_interval(config)
     top = math.floor(model(hi) * M)
     counts = sorted({1, 2, M // 2, top - 1, *np.linspace(1, top - 1, 97).astype(int).tolist()})
-    bisected = estimation._estimator(model, (lo, hi), monotone=False)(counts, M)
+    bisected = estimation._bisect(model, lo, hi, counts, M)
     for m0, t_hat, clamped in zip(counts, *bisected):
         closed, closed_clamped = ml_estimate(MeasurementRecord(m0, M, 0), model, (lo, hi))
         assert not clamped and not closed_clamped, (M, m0)
