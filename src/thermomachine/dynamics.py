@@ -130,8 +130,11 @@ def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
     return ProbeState(p0=min(1.0, max(0.0, float(reduced[0, 0].real))), k=probe.k + 1)
 
 
-def collide_analytic(p0: float, params: CollisionParams) -> float:
-    """Closed-form collision map  p0 -> (1 - r) p0 + r p0_inf."""
+def collide_analytic(p0: float | np.ndarray, params: CollisionParams) -> float | np.ndarray:
+    """Closed-form collision map  p0 -> (1 - r) p0 + r p0_inf.
+
+    An array ``p0`` or array-valued ``params`` maps per element, bit for bit the scalar calls.
+    """
     _check_range("p0", p0, -math.inf)  # finite; an iterated map may round one ulp past 1
     return (1.0 - params.r) * p0 + params.r * params.p0_inf
 
@@ -139,7 +142,8 @@ def collide_analytic(p0: float, params: CollisionParams) -> float:
 def transient_population(k: int, p00: float, params: CollisionParams) -> float:
     """Probe ground population after k (int or integer array) collisions.
 
-    p0_k = [1 - (1-r)^k] p0_inf + (1-r)^k p00; k = 0 returns p00.
+    p0_k = [1 - (1-r)^k] p0_inf + (1-r)^k p00; k = 0 returns p00.  An array p00 or
+    array-valued params broadcast with k, each element bit for bit the scalar call.
     """
     _check_range("p00", p00, 0.0, 1.0, closed=True)
     q = contraction_power(params.r, k)

@@ -3,8 +3,9 @@
 Sign convention: heat absorbed by a subsystem is positive.  Per collision
 the swap moves one quantum, so eps_v * dp = eps_s * dp + eps_p * dp holds
 identically through the resonance eps_v = eps_s + eps_p, and the three
-cumulative heats always sum to zero.  The heats take an int k or an integer
-ndarray of k; each element equals the scalar call bit for bit (``core.libm``).
+cumulative heats always sum to zero.  The heats and the probe's energy change
+take an int k or an integer ndarray of k; each element equals the scalar call
+bit for bit (``core.libm``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def heat_ancilla(k: int | np.ndarray, p00: float, config: MachineConfig) -> floa
     return config.eps_v * _population_change(k, p00, config)
 
 
-def probe_energy_change(k: int, p00: float, config: MachineConfig) -> float:
+def probe_energy_change(
+    k: int | np.ndarray, p00: float, config: MachineConfig
+) -> float | np.ndarray:
     """Probe energy gained after k collisions: eps_p (p00 - p0_k).
 
     Neither heat nor work is claimed for the probe; this is the neutral

@@ -10,7 +10,6 @@ reproducible from its seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +24,6 @@ from .dynamics import (
     collide_analytic,
     collide_oracle,
     exact_unitary,
-    steady_population,
     transient_population,
 )
 from .estimation import DEFAULT_SEED, empirical_snr_study
@@ -351,43 +349,13 @@ def _run_montecarlo(scenario: Scenario) -> ResultTable:
 
 
 def _random_configs(samples: int, seed: int) -> list[MachineConfig]:
-    rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(samples):
-        eps_s = rng.uniform(0.5, 2.0)
-        t_prior = eps_s * rng.uniform(0.05, 0.45)
-        T = t_prior * rng.uniform(0.15, 1.85)
-        t_v = rng.uniform(2.0, 4.0) * t_prior
-        configs.append(
-            tune_config(
-                eps_s=eps_s,
-                T=T,
-                T_prior=t_prior,
-                T_v=t_v,
-                eps_I=rng.uniform(0.5, 2.0),
-                p00=rng.uniform(0.0, 1.0),
-            )
-        )
-    return configs
-
-
-def _commutator_norm(config: MachineConfig) -> float:
-    """Largest entry of [H_int, H_free] for the triad; zero on resonance."""
-    a, b = COUPLED_STATES
-    h_full = build_triad_hamiltonian(config)
-    h_free = h_full.copy()
-    h_free[[a, b], [b, a]] = 0.0
-    h_int = h_full - h_free
-    return float(np.abs(h_int @ h_free - h_free @ h_int).max())
-
-
-def _iteration_errors(config: MachineConfig, params: CollisionParams) -> Iterator[float]:
-    """Closed form against the iterated map at k = 1, 10, 100 and 500."""
-    p0 = config.p00
-    for k in range(1, 501):
-        p0 = collide_analytic(p0, params)
-        if k in (1, 10, 100, 500):
-            yield abs(p0 - transient_population(k, config.p00, params))
+    # One uniform row per machine: eps_s, T_prior / eps_s, T / T_prior, T_v / T_prior, eps_I, p00.
+    low, high = (0.5, 0.05, 0.15, 2.0, 0.5, 0.0), (2.0, 0.45, 1.85, 4.0, 2.0, 1.0)
+    draws = np.random.default_rng(seed).uniform(low, high, (samples, 6))
+    return [
+        tune_config(eps_s=e, T=(e * f) * g, T_prior=e * f, T_v=f_v * (e * f), eps_I=i, p00=p)
+        for e, f, g, f_v, i, p in draws.tolist()
+    ]
 
 
 def _run_verify(scenario: Scenario) -> ResultTable:
@@ -395,53 +363,61 @@ def _run_verify(scenario: Scenario) -> ResultTable:
 
     One row per check: (check index, ok flag, worst error), the
     machine-checkable health gate behind the ``verify`` CLI command.  A NaN
-    error propagates to its row and fails the check.
+    error propagates to its row and fails the check.  Each check is an array
+    expression over the machines; only calls that take one MachineConfig run per machine.
     """
     configs = _random_configs(scenario.samples, scenario.seed)
-    params = [collision_params(c) for c in configs]
+    p00 = np.array([c.p00 for c in configs])
+    params = CollisionParams(*np.array([(p.r, p.p0_inf) for p in map(collision_params, configs)]).T)
     ref = configs[0]
     u = exact_unitary(build_triad_hamiltonian(ref), ref.collision_time)
     swap = np.arange(8)  # column j of a full swap has its 1 in row swap[j]
     swap[list(COUPLED_STATES)] = COUPLED_STATES[::-1]
-    heats = np.array([(heat_sample(60, c.p00, c), heat_ancilla(60, c.p00, c)) for c in configs])
+    h = np.array([build_triad_hamiltonian(c) for c in configs])
+    free = h * np.eye(8)  # h - free is the swap coupling
+    first = CollisionParams(params.r[:25], params.p0_inf[:25])  # the map iterated on 25 machines
+    iterated = [p00[:25]]
+    for _ in range(500):
+        iterated.append(collide_analytic(iterated[-1], first))
+    ks = np.array([1, 7, 150, 60])  # the balance at k = 1, 7, 150 and the signs at k = 60
+    q_s, q_v, q_p = (
+        np.array([f(ks, c.p00, c) for c in configs])
+        for f in (heat_sample, heat_ancilla, probe_energy_change)
+    )
+    heats = np.array((q_s[:, 3], q_v[:, 3]))
     # Skip heats within 1e-15 of zero, written so that a NaN heat is not skipped.
-    signed = ~(np.abs(heats) <= 1e-15).any(axis=1)
+    signed = ~(np.abs(heats) <= 1e-15).any(axis=0)
     steady = [snr_steady(c, M=3) for c in configs]
+    T, snr, lam = np.array([(c.T, pt.snr, pt.sensitivity) for c, pt in zip(configs, steady)]).T
+    p, kept = params.p0_inf, snr != 0.0
     # (name, tolerance, the errors it finds on the random machines), in row order.
     battery = (
-        ("unitarity", 1e-12, [np.abs(u @ u.conj().T - np.eye(8)).max()]),
+        ("unitarity", 1e-12, np.abs(u @ u.conj().T - np.eye(8)).max()),
         ("full_swap_permutation", 1e-10, np.abs(np.abs(u[swap, np.arange(8)]) - 1.0)),
-        ("resonant_commutation", 1e-12, [_commutator_norm(c) for c in configs]),
-        ("oracle_vs_analytic", 1e-10, [
-            abs(collide_oracle(ProbeState(p0=c.p00), c).p0 - collide_analytic(c.p00, p))
-            for c, p in zip(configs, params)
-        ]),
-        ("closed_form_vs_iteration", 1e-12, [
-            e for c, p in zip(configs[:25], params) for e in _iteration_errors(c, p)
-        ]),
-        ("fixed_point", 1e-12, [abs(collide_analytic(p.p0_inf, p) - p.p0_inf) for p in params]),
-        ("heat_conservation", 1e-12, [
-            abs(heat_sample(k, c.p00, c) + heat_ancilla(k, c.p00, c)
-                + probe_energy_change(k, c.p00, c))
-            for c in configs for k in (1, 7, 150)
-        ]),
-        ("telescoping", 1e-12, [
-            abs(float(perturbation_trajectory(40, c.p00, c).delta_p.sum())
-                - (transient_population(40, c.p00, p) - c.p00))
-            for c, p in zip(configs, params)
-        ]),
+        ("resonant_commutation", 1e-12, np.abs((h - free) @ free - free @ (h - free))),
+        ("oracle_vs_analytic", 1e-10, np.abs(
+            [collide_oracle(ProbeState(p0=c.p00), c).p0 for c in configs]
+            - collide_analytic(p00, params)
+        )),
+        ("closed_form_vs_iteration", 1e-12, np.abs([
+            iterated[k] - transient_population(k, p00[:25], first) for k in (1, 10, 100, 500)
+        ])),
+        ("fixed_point", 1e-12, np.abs(collide_analytic(p, params) - p)),
+        ("heat_conservation", 1e-12, np.abs(q_s + q_v + q_p)[:, :3]),
+        ("telescoping", 1e-12, np.abs(
+            [perturbation_trajectory(40, c.p00, c).delta_p.sum() for c in configs]
+            - (transient_population(40, p00, params) - p00)
+        )),
         # 1 where the two heats share a sign; heaviside keeps a NaN product NaN.
-        ("heat_sign_opposition", 0.5, np.heaviside(heats[signed].prod(axis=1), 1.0)),
+        ("heat_sign_opposition", 0.5, np.heaviside(heats[:, signed].prod(axis=0), 1.0)),
         # fisher_binary's own form, unguarded, so that a NaN sensitivity fails this row.
-        ("snr_fisher_consistency", 1e-12, [
-            abs(pt.snr - c.T * math.sqrt(3 * _fisher_two_sided(p, 1.0 - p, pt.sensitivity)))
-            / pt.snr
-            for c, pt, p in zip(configs, steady, map(steady_population, configs)) if pt.snr != 0.0
-        ]),
+        ("snr_fisher_consistency", 1e-12, np.abs(
+            snr - T * np.sqrt(3 * _fisher_two_sided(p, 1.0 - p, lam))
+        )[kept] / snr[kept]),
     )
     rows = []
     for i, (_, tol, errors) in enumerate(battery):
-        error = np.max([0.0, *errors])  # NaN propagates here and fails error <= tol
+        error = np.max(np.append(0.0, errors))  # NaN propagates here and fails error <= tol
         rows.append((i, float(error <= tol), error))
     checks = ",".join(name for name, _, _ in battery)
     meta = _base_meta(scenario) | {"samples": scenario.samples, "checks": checks}

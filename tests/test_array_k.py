@@ -23,6 +23,7 @@ from thermomachine import (
     heat_ancilla,
     heat_sample,
     prior_interval,
+    probe_energy_change,
     run_scenario,
     sensitivity_transient,
     snr_noisy_ancilla,
@@ -38,7 +39,7 @@ from thermomachine import (
 )
 from thermomachine.cli import _DEFAULTS
 from thermomachine.core import _params_at, stable_logistic
-from thermomachine.dynamics import contraction_power
+from thermomachine.dynamics import collide_analytic, contraction_power
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import make_table
 
@@ -87,6 +88,27 @@ def test_contraction_and_population_match_scalar_bits(r, p0_inf, p00, extra):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    machines=st.lists(
+        st.tuples(rates, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=25,
+    ),
+    k=st.integers(0, 10**6),
+)
+def test_collision_map_on_machine_arrays_matches_scalar_bits(machines, k):
+    r, p0_inf, p0 = map(np.array, zip(*machines))
+    params = CollisionParams(r=r, p0_inf=p0_inf)
+    scalar = [CollisionParams(r=a, p0_inf=b) for a, b, _ in machines]
+    assert bits(collide_analytic(p0, params)) == bits(
+        [collide_analytic(x, one) for (_, _, x), one in zip(machines, scalar)]
+    )
+    assert bits(transient_population(k, p0, params)) == bits(
+        [transient_population(k, x, one) for (_, _, x), one in zip(machines, scalar)]
+    )
+
+
 def log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
@@ -115,7 +137,7 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
     for field in ("k", "snr", "sensitivity", "fisher"):
         assert bits(getattr(point, field)) == bits([getattr(s, field) for s in scalars])
     assert point.singular.tolist() == [s.singular for s in scalars]
-    for heat in (heat_sample, heat_ancilla):
+    for heat in (heat_sample, heat_ancilla, probe_energy_change):
         assert bits(heat(ks, p00, config)) == bits([heat(int(k), p00, config) for k in ks])
 
 

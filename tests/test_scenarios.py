@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
 from thermomachine import cli, scenarios
-from thermomachine.core import GapOrderingWarning, collision_params
+from thermomachine.core import GapOrderingWarning, collision_params, tune_config
 from thermomachine.dynamics import (
     COUPLED_STATES,
     ProbeState,
@@ -166,6 +166,36 @@ def test_verification_battery_passes():
     assert len(names) == len(table.rows)
 
 
+def scalar_configs(samples, seed):
+    """The verify machines drawn one number at a time, in the order of the uniform row."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(samples):
+        eps_s = rng.uniform(0.5, 2.0)
+        t_prior = eps_s * rng.uniform(0.05, 0.45)
+        T = t_prior * rng.uniform(0.15, 1.85)
+        t_v = rng.uniform(2.0, 4.0) * t_prior
+        configs.append(
+            tune_config(
+                eps_s=eps_s,
+                T=T,
+                T_prior=t_prior,
+                T_v=t_v,
+                eps_I=rng.uniform(0.5, 2.0),
+                p00=rng.uniform(0.0, 1.0),
+            )
+        )
+    return configs
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 7, 24301])
+@pytest.mark.parametrize("samples", [1, 2, 25, 200])
+def test_random_configs_equal_the_scalar_draws(samples, seed):
+    configs = scenarios._random_configs(samples, seed)
+    assert configs == scalar_configs(samples, seed)
+    assert all(type(getattr(c, f.name)) is float for c in configs for f in fields(c))
+
+
 def loop_battery(samples, seed):
     """The verify battery as one loop per check: the reference for its cells and meta."""
     configs = scenarios._random_configs(samples, seed)
@@ -278,7 +308,7 @@ def nan_probe(probe, config):
 
 
 def nan_heat(k, p00, config):
-    return math.nan
+    return np.full(np.shape(k), math.nan)
 
 
 def nan_snr(config, M):
