@@ -26,11 +26,13 @@ class GapOrderingWarning(UserWarning):
     """
 
 
-def libm(fn, x: np.ndarray) -> np.ndarray:
-    """The libm function ``fn`` (``math.exp``, ``math.expm1``, ``math.log1p``) per element,
-    bit for bit the scalar call; numpy's ``exp`` can be one ulp off, which the k = 1
-    transient sensitivity amplifies some 4,400-fold."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def libm(fn, x: float | np.ndarray) -> float | np.ndarray:
+    """libm's ``fn`` (``math.exp``, ``math.expm1``, ``math.log1p``) of a float, or per array element
+    bit for bit; numpy's ``exp`` can be one ulp off, which the k = 1 transient sensitivity amplifies
+    some 4,400-fold.  The one place that tells a float from an array: formulas have one path."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
 
 
 def _check_range(name: str, x, low: float, high: float = sys.float_info.max, closed: bool = False):
@@ -65,16 +67,17 @@ def _check_count(name: str, value: object, low: int) -> None:
 
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
-    """1 / (1 + e^-x), branched on the sign of x to avoid overflow; arrays per element."""
-    # A float skips the ndarray check (~50 ns) on the scalar calls: the oracle's
-    # thermal_population and a model at _bisect's two interval ends.
-    if type(x) is not float and isinstance(x, np.ndarray):
-        e = libm(math.exp, -np.abs(x))
-        return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    """1 / (1 + e^-x), with no overflow at any x; arrays per element."""
+    return _logistic_pair(x)[0]
+
+
+def _logistic_pair(x: float | np.ndarray) -> tuple:
+    """(1 / (1 + e^-x), 1 / (1 + e^x)) from one e = e^-|x|, so neither overflows; each in its
+    own scale, where 1 minus the other would quantize a tail at the ulp of 1."""
+    e = libm(math.exp, -abs(x))
+    total = 1.0 + e
+    # e ** (x < 0.0) is e where x < 0 and 1.0 elsewhere: pow is exact at exponents 1 and 0.
+    return e ** (x < 0.0) / total, e ** (x >= 0.0) / total
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,7 @@ def thermal_population(gap: float, temperature: float | np.ndarray) -> ThermalQu
     """
     _check_range("temperature", temperature, 0.0)
     _check_range("gap", gap, 0.0, closed=True)
-    x = gap / temperature
-    # Both populations from the logistic in their own scale: 1 - p0 would
-    # quantize a cold qubit's excited population at the ulp of 1.
-    return ThermalQubit(p0=stable_logistic(x), p1=stable_logistic(-x))
+    return ThermalQubit(*_logistic_pair(gap / temperature))
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,10 @@ def _params_at(x_s: float, ancilla: ThermalQubit, x_v: float) -> CollisionParams
     """(r, p0_inf) at sample exponent x_s = eps_s/T; ancilla and x_v = eps_v/T_v fixed.
 
     The T-dependent half of :func:`collision_params`, so a model that varies
-    only T builds the ancilla state once.  As x_s >= 0, one e = e^(-x_s)
-    gives both sample populations, bit for bit the logistics of +-x_s.
+    only T builds the ancilla state once.  A float array x_s gives array-valued
+    params, each element bit for bit the float call.
     """
-    e = libm(math.exp, -x_s) if isinstance(x_s, np.ndarray) else math.exp(-x_s)
-    total = 1.0 + e
-    sample_p0, sample_p1 = 1.0 / total, e / total
+    sample_p0, sample_p1 = _logistic_pair(x_s)
     r = sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1
     return CollisionParams(r=r, p0_inf=_fixed_point(x_s, x_v))
 

@@ -27,17 +27,14 @@ COUPLED_STATES = (1, 6)
 def contraction_power(r: float | np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
     """(1 - r)^k in log space, exact at k = 0 and clean at underflow.
 
-    An integer ndarray ``k`` or a float ndarray ``r`` (the two broadcast) gives
-    a float array equal to the scalar calls bit for bit (see :func:`core.libm`).
+    One path for int or integer-array k and float or float-array r (the two broadcast): scalars
+    give a float, and each array element the scalar call bit for bit (see :func:`core.libm`).
     """
     _check_count("k", k, 0)
-    if isinstance(k, np.ndarray) or isinstance(r, np.ndarray):
-        full = r >= 1.0  # log1p(-1) is a domain error; (1 - r)^k is 0.0 there
-        q = libm(math.exp, k * libm(math.log1p, -np.where(full, 0.0, r)))
-        return np.where(full, k == 0, q)
-    if r >= 1.0:
-        return float(k == 0)
-    return math.exp(k * math.log1p(-r))  # 1.0 at k = 0
+    full = r >= 1.0  # log1p(-r) is a domain error there; (1 - r)^k is 0.0 (1.0 at k = 0)
+    live = 1 - full  # r ** live is r, or 1.0 where full (inf included): log1p(0.0) there
+    q = libm(math.exp, k * libm(math.log1p, full - r ** live))
+    return q * (live | (k == 0))
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,12 @@ def transient_population(k: int, p00: float, params: CollisionParams) -> float:
     array-valued params broadcast with k, each element bit for bit the scalar call.
     """
     _check_range("p00", p00, 0.0, 1.0, closed=True)
-    q = contraction_power(params.r, k)
-    return (1.0 - q) * params.p0_inf + q * p00
+    return _relax(contraction_power(params.r, k), params.p0_inf, p00)
+
+
+def _relax(q, limit, start):
+    """(1 - q) limit + q start: a population relaxed from start towards limit, q = (1-r)^k."""
+    return (1.0 - q) * limit + q * start
 
 
 def steady_population(config: MachineConfig) -> float:

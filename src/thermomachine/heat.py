@@ -4,8 +4,8 @@ Sign convention: heat absorbed by a subsystem is positive.  Per collision
 the swap moves one quantum, so eps_v * dp = eps_s * dp + eps_p * dp holds
 identically through the resonance eps_v = eps_s + eps_p, and the three
 cumulative heats always sum to zero.  The heats and the probe's energy change
-take an int k or an integer ndarray of k; each element equals the scalar call
-bit for bit (``core.libm``).
+take an int k or an integer ndarray of k through one formula path: an int gives
+a float, and each array element equals that float bit for bit (``core.libm``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ def _population_change(k: int | np.ndarray, p00: float, config: MachineConfig):
     _check_count("k", k, 0)
     _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
-    x = k * math.log1p(-params.r)
-    q_k_minus_1 = libm(math.expm1, x) if isinstance(k, np.ndarray) else math.expm1(x)
-    return (p00 - params.p0_inf) * q_k_minus_1
+    return (p00 - params.p0_inf) * libm(math.expm1, k * math.log1p(-params.r))
 
 
 def heat_sample(k: int | np.ndarray, p00: float, config: MachineConfig) -> float | np.ndarray:

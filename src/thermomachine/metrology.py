@@ -11,9 +11,9 @@ snr <= T * sqrt(M * F).
 
 The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
-(as ``T`` or ``MachineConfig.T``); each element equals the scalar call bit
-for bit (``core.libm`` says why).  An int k or a float T keeps the
-plain-float scalar path.
+(as ``T`` or ``MachineConfig.T``).  Each formula has one path for both: an
+int k or a float T gives floats, and each array element equals that float
+bit for bit (``core.libm`` says why).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, _fixed_point, _probe_gap
+from .core import MachineConfig, _check_count, _check_range, _logistic_pair, _probe_gap
 from .core import collision_params, thermal_population
-from .dynamics import contraction_power, transient_population
+from .dynamics import _relax, contraction_power
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
 #: qubits and the full k-qubit energy measurement; emitted alongside ratio
@@ -96,8 +96,8 @@ def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
 
 
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
-    x_s, x_v = config.eps_s / config.T, config.eps_v / config.T_v
-    return _fixed_point(x_s, x_v), _fixed_point(x_v, x_s)
+    """(p0_inf, p1_inf) = logistics of +-(eps_v/T_v - eps_s/T)."""
+    return _logistic_pair(config.eps_v / config.T_v - config.eps_s / config.T)
 
 
 def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:
@@ -169,16 +169,15 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
     """
     params = collision_params(config)
     q = contraction_power(params.r, k)
+    sensitivity = _transient_slope(k, p00, config, params, q)
     _, p1_inf = _steady_pair(config)
-    p0 = transient_population(k, p00, params)
-    p1 = (1.0 - q) * p1_inf + q * (1.0 - p00)
     return _snr_point(
         T=config.T,
         M=M,
-        k=k.astype(float) if isinstance(k, np.ndarray) else float(k),
-        p0=p0,
-        p1=p1,
-        sensitivity=_transient_slope(k, p00, config, params, q),
+        k=k * 1.0,
+        p0=_relax(q, params.p0_inf, p00),
+        p1=_relax(q, p1_inf, 1.0 - p00),
+        sensitivity=sensitivity,
     )
 
 

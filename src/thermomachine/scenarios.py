@@ -123,12 +123,15 @@ def _finite(name: str, text: str) -> float:
 
 
 def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
-    """Override fields of ``scenario``, refusing any field its kind never reads."""
+    """Override fields of ``scenario``, refusing any field its kind never reads (a steady
+    montecarlo study reads neither ``k_measure`` nor ``p00``)."""
     updated = replace(scenario, **settings)
-    _, read = _KINDS[updated.kind]
-    unread = sorted(set(settings) - {"name", "kind", "seed"} - set(read))
+    kind, read = updated.kind, set(_KINDS[updated.kind][1])
+    if kind == "montecarlo" and updated.model == "steady":
+        kind, read = "steady montecarlo", read - {"k_measure", "p00"}
+    unread = sorted(set(settings) - {"name", "kind", "seed"} - read)
     if unread:
-        raise ValueError(f"{updated.kind} scenarios do not read {', '.join(unread)}")
+        raise ValueError(f"{kind} scenarios do not read {', '.join(unread)}")
     return updated
 
 

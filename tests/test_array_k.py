@@ -6,8 +6,10 @@ tables before their column builds are kept here as the reference.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from thermomachine import (
     tune_config,
 )
 from thermomachine.cli import _DEFAULTS
-from thermomachine.core import _params_at, stable_logistic
+from thermomachine.core import _logistic_pair, _params_at, stable_logistic
 from thermomachine.dynamics import collide_analytic, contraction_power
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import make_table
@@ -177,7 +179,7 @@ def test_array_k_validation_and_scalar_types():
         snr_sample_bound(np.array([1, 0]), 0.1, 1.0)
     with pytest.raises(ValueError):
         snr_thermal(0.1, 1.0, np.array([0]))
-    # An int k keeps the scalar path and returns a plain float.
+    # One formula path serves both: an int k gives a plain float.
     assert type(contraction_power(0.1, 3)) is float
     assert type(sensitivity_transient(3, 1.0, config)) is float
     assert type(snr_transient(3, 1.0, config).snr) is float
@@ -257,6 +259,18 @@ logistic_edges += near(EXP_UNDERFLOW) + near(-EXP_UNDERFLOW) + near(745.2) + nea
 def test_logistic_matches_scalar_bits(xs, lo):
     x = np.array(logistic_edges + xs + [lo, -lo])
     assert bits(stable_logistic(x)) == bits([stable_logistic(v) for v in x.tolist()])
+    want = [[branched_logistic(v) for v in x.tolist()], [branched_logistic(-v) for v in x.tolist()]]
+    scalar = list(zip(*map(_logistic_pair, x.tolist())))
+    for pair in (_logistic_pair(x), scalar):
+        assert [bits(pair[0]), bits(pair[1])] == [bits(want[0]), bits(want[1])]
+
+
+def branched_logistic(x: float) -> float:
+    """1 / (1 + e^-x) with a branch on the sign of x: the reference form."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def two_logistic_params(x_s: float, ancilla, x_v: float) -> tuple[float, float]:
@@ -384,7 +398,7 @@ def test_array_temperature_validation_and_scalar_types():
         MachineConfig(eps_s=1.0, eps_p=1.0, T=np.array([0.1, -0.1]), T_v=1.0, T_prior=0.25)
     with pytest.raises(ValueError):
         snr_thermal(np.array([0.1, 0.2]), 1.0, 0)
-    # A float T keeps the scalar path and returns plain floats.
+    # The same path gives plain floats for a float T.
     assert type(stable_logistic(0.3)) is float
     assert type(thermal_population(1.0, 0.2).p1) is float
     assert type(snr_steady(tune_config(1.0, 0.2, 0.25, 1.0)).snr) is float
@@ -452,3 +466,75 @@ def test_temperature_sweeps_equal_the_per_point_loop(base, rebuild, settings_):
     assert table.columns == reference.columns
     assert table.cells.shape == reference.cells.shape
     assert table.cells.tobytes() == reference.cells.tobytes()
+
+
+#: The functions that may tell a float from an array.  libm maps a libm function per
+#: element; a domain check or square root on a float costs ~0.1 us, on a 0-d array ~2.7 us.
+TYPE_BRANCH_EXEMPT = {"libm", "_check_range", "_check_count", "_sqrt"}
+ONE_PATH_MODULES = ("core", "dynamics", "heat", "metrology")
+
+
+def _type_branches(source: str) -> list[str]:
+    """Each ``isinstance(x, <ndarray or float>)`` and ``type(x) is [not] float`` outside the
+    functions in ``TYPE_BRANCH_EXEMPT``."""
+
+    def mentions_float_or_array(node: ast.AST) -> bool:
+        return any(
+            getattr(n, "id", getattr(n, "attr", None)) in ("ndarray", "float")
+            for n in ast.walk(node)
+        )
+
+    def calls(node: ast.AST, name: str) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    def tells_type(node: ast.AST) -> bool:
+        if calls(node, "isinstance"):
+            return mentions_float_or_array(node.args[1])
+        return (
+            isinstance(node, ast.Compare)
+            and any(calls(side, "type") for side in (node.left, *node.comparators))
+            and mentions_float_or_array(node)
+        )
+
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in TYPE_BRANCH_EXEMPT
+        for node in ast.walk(func)
+    }
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if id(node) not in exempt and tells_type(node)
+    ]
+
+
+def test_the_guard_flags_each_type_branch_form():
+    flagged = """
+def f(x):
+    if isinstance(x, np.ndarray):
+        return libm(math.exp, x)
+    y = x if isinstance(x, (int, float)) else 0.0
+    if type(x) is float:
+        return y
+    return y if type(x) is not float else 1.0
+"""
+    assert len(_type_branches(flagged)) == 4
+    passed = """
+def libm(fn, x):
+    if isinstance(x, np.ndarray):
+        return x
+    return fn(x)
+def _check_count(name, value, low):
+    return isinstance(value, bool) or type(value) is float
+def g(x, y):
+    return isinstance(x, bool) or type(x) is type(y)
+"""
+    assert _type_branches(passed) == []
+
+
+@pytest.mark.parametrize("module", ONE_PATH_MODULES)
+def test_formulas_have_one_path_for_floats_and_arrays(module):
+    source = Path(__file__).parents[1] / "src" / "thermomachine" / f"{module}.py"
+    assert _type_branches(source.read_text()) == []

@@ -254,6 +254,18 @@ def test_setting_a_field_the_kind_never_reads_is_usage_error(tmp_path, capsys):
     assert "temps" in err and "cost-comparison" in err
 
 
+def test_steady_montecarlo_refuses_the_transient_fields_a_transient_study_reads(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"trials": 100, "M": 100, "p00": 0.3, "k_measure": 5}))
+    code, out, err = run(["montecarlo", "--config", str(cfg)], capsys)
+    assert code == EXIT_USAGE
+    assert "error: steady montecarlo scenarios do not read k_measure, p00" in err
+    assert out == ""
+    code, out, _ = run(["montecarlo", "--config", str(cfg), "--set", "model=transient"], capsys)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].split(",")[1:3] == ["100", "100"]  # M, trials
+
+
 def test_defaults_and_presets_set_only_fields_their_kind_reads():
     plain = {f.name: f.default for f in fields(Scenario)}
     for scenario in [*_DEFAULTS.values(), *PRESETS.values()]:
@@ -271,10 +283,12 @@ def test_defaults_and_presets_set_only_fields_their_kind_reads():
         (["transient", "--set", "eps_I=7"], "eps_I"),
         (["steady", "--set", "p00=0.3"], "p00"),
         (["noisy", "--set", "p00=0.3"], "p00"),
+        (["montecarlo", "--set", "M=100", "--set", "k_measure=5"], "k_measure"),
+        (["montecarlo", "--set", "p00=0.3"], "p00"),
     ],
 )
 def test_dead_knobs_are_usage_errors(capsys, args, field):
-    # No closed form reads the coupling, and no steady quantity reads p00.
+    # No closed form reads the coupling, and no steady quantity reads p00 or k_measure.
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
     assert field in err

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_machine_configs
 
 from thermomachine import (
+    PRESETS,
     MachineConfig,
     NoisyAncillaSpec,
     SQRT_TWO_OVER_PI,
@@ -20,6 +21,7 @@ from thermomachine import (
     noisy_peak,
     noisy_peak_in_prior,
     required_interactions,
+    run_scenario,
     sensitivity_steady,
     sensitivity_transient,
     snr_noisy_ancilla,
@@ -104,6 +106,27 @@ def test_sensitivity_transient_matches_finite_difference():
             ) / (2.0 * h)
             lam = sensitivity_transient(k, config.p00, config)
             assert lam == pytest.approx(fd, rel=1e-5, abs=floor)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="d p0_k/dT >= 0 holds for every machine (transient_model's docstring), but the "
+    "closed form's two terms cancel on cold machines: 1,842 of these 3,000 read < 0, worst "
+    "-1.7e-16 at eps_s/T = 49.3, k = 300, p00 = 0.632 (ROADMAP item 2)",
+)
+def test_transient_sensitivity_is_never_negative_on_cold_machines():
+    rng = np.random.default_rng(22)
+    # Per machine: eps_s/T, T_prior/T, T_v/T_prior, p00; then one k each.
+    draws = rng.uniform((20.0, 0.55, 2.0, 0.0), (700.0, 1.9, 4.0, 1.0), (3000, 4))
+    ks = rng.choice([1, 10, 300, 10**4, 10**6], len(draws))
+    negative = []
+    for (x, prior, bath, p00), k in zip(draws.tolist(), ks.tolist()):
+        T = 1.0 / x
+        config = tune_config(1.0, T, prior * T, bath * (prior * T), p00=p00)
+        if not sensitivity_transient(k, p00, config) >= 0.0:
+            negative.append((x, k, p00))
+    assert negative == []
 
 
 def test_jump_rate_derivative_matches_finite_difference(config):
@@ -215,6 +238,24 @@ def test_snr_thermal_reference_values():
     # Machine at the same temperature beats it by ~4x (2.0 vs 0.53).
     machine = snr_steady(tune_config(1.0, 0.25, 0.25, 1.0), M=1).snr
     assert machine / snr_thermal(0.25, 1.0, M=1) > 3.5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="six fig1b cells at eps_s/T = 800-1200 read 0 in snr and snr_thermal, where the "
+    "true values are normal floats (snr ~1.1e-170 and snr_thermal ~1.5e-171 at eps_s/T = 800 "
+    "and T_prior = 1/4): a population near e^-800 underflows to 0 before its square root is "
+    "taken (ROADMAP item 2)",
+)
+def test_fig1b_cold_cells_inside_the_float_range_are_not_zero():
+    table = run_scenario(PRESETS["fig1b"])
+    column = table.columns.index
+    x = 1.0 / table.cells[:, column("T")]  # eps_s = 1
+    cold = table.cells[(x > 799.0) & (x < 1201.0)][:, [column("snr"), column("snr_thermal")]]
+    # At eps_s/T >= 1600, e^(-eps_s/2T) itself is below the float range: those cells are 0.
+    assert cold.shape == (6, 2)
+    assert (cold > 0.0).all()
 
 
 def decimal_thermal_peak() -> float:
