@@ -68,7 +68,9 @@ def _check_count(name: str, value: object, low: int) -> None:
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
     """1 / (1 + e^-x), with no overflow at any x; arrays per element."""
-    return _logistic_pair(x)[0]
+    e = libm(math.exp, -abs(x))
+    # e ** (x < 0.0) is e where x < 0 and 1.0 elsewhere: pow is exact at exponents 1 and 0.
+    return e ** (x < 0.0) / (1.0 + e)
 
 
 def _logistic_pair(x: float | np.ndarray) -> tuple:
@@ -76,8 +78,14 @@ def _logistic_pair(x: float | np.ndarray) -> tuple:
     own scale, where 1 minus the other would quantize a tail at the ulp of 1."""
     e = libm(math.exp, -abs(x))
     total = 1.0 + e
-    # e ** (x < 0.0) is e where x < 0 and 1.0 elsewhere: pow is exact at exponents 1 and 0.
     return e ** (x < 0.0) / total, e ** (x >= 0.0) / total
+
+
+def _gibbs_pair(x: float | np.ndarray) -> tuple:
+    """:func:`_logistic_pair` bit for bit at an exponent x >= 0 (-0.0 too), with no sign select."""
+    e = libm(math.exp, -x)
+    total = 1.0 + e
+    return 1.0 / total, e / total
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ def thermal_population(gap: float, temperature: float | np.ndarray) -> ThermalQu
     """
     _check_range("temperature", temperature, 0.0)
     _check_range("gap", gap, 0.0, closed=True)
-    return ThermalQubit(*_logistic_pair(gap / temperature))
+    return ThermalQubit(*_gibbs_pair(gap / temperature))
 
 
 @dataclass(frozen=True)
@@ -207,17 +215,12 @@ def collision_params(config: MachineConfig) -> CollisionParams:
 
 
 def _params_at(x_s: float, ancilla: ThermalQubit, x_v: float) -> CollisionParams:
-    """(r, p0_inf) at sample exponent x_s = eps_s/T; ancilla and x_v = eps_v/T_v fixed.
+    """(r, p0_inf) at sample exponent x_s = eps_s/T >= 0; ancilla and x_v = eps_v/T_v fixed.
 
     The T-dependent half of :func:`collision_params`, so a model that varies
     only T builds the ancilla state once.  A float array x_s gives array-valued
     params, each element bit for bit the float call.
     """
-    sample_p0, sample_p1 = _logistic_pair(x_s)
+    sample_p0, sample_p1 = _gibbs_pair(x_s)
     r = sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1
-    return CollisionParams(r=r, p0_inf=_fixed_point(x_s, x_v))
-
-
-def _fixed_point(x_s: float, x_v: float) -> float:
-    """Steady ground population 1 / (1 + e^(x_s - x_v)) from the two Gibbs exponents."""
-    return stable_logistic(x_v - x_s)
+    return CollisionParams(r=r, p0_inf=stable_logistic(x_v - x_s))  # 1 / (1 + e^(x_s - x_v))

@@ -55,11 +55,10 @@ def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> 
     Basis index (i_P * d + level) * 2 + k_v; the interaction couples
     |0_P j 1_v> with |1_P j' 0_v> at strength eps_I, where (j, j') = ``pair``.
     """
-    eps_v = config.eps_v + detuning
-    h = np.diag([i * config.eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
+    eps_p, eps_v = config.eps_p, config.eps_v + detuning
+    h = np.diag([i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
     a, b = 2 * pair[0] + 1, 2 * (len(levels) + pair[1])
-    h[a, b] = config.eps_I
-    h[b, a] = config.eps_I
+    h[a, b] = h[b, a] = config.eps_I
     return h
 
 
@@ -89,7 +88,8 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric); t finite."""
     _check_range("t", t, -math.inf)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    # -(w t) rounded once, as in exp(-1j * w * t), with one array op fewer; the real part is +-0.
+    return (v * np.exp(w * (-1j * t))) @ v.conj().T
 
 
 def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> np.ndarray:
@@ -99,7 +99,7 @@ def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> 
     """
     d = len(sample_pops)
     ancilla = thermal_population(config.eps_v, config.T_v)
-    rho_sv = np.diag(np.multiply.outer(sample_pops, [ancilla.p0, ancilla.p1]).ravel())
+    rho_sv = np.diag([s * a for s in sample_pops for a in (ancilla.p0, ancilla.p1)])
     rho_p = np.asarray(rho_probe, dtype=complex)
     rho = np.multiply.outer(rho_p, rho_sv).transpose(0, 2, 1, 3).reshape(4 * d, 4 * d)
     u = _unitary(h, config.collision_time if t is None else t)
@@ -116,13 +116,13 @@ def collide_oracle_matrix(
     back to the probe.
     """
     sample = thermal_population(config.eps_s, config.T)
-    h = build_triad_hamiltonian(config)
-    return _collide_exact(rho_probe, [sample.p0, sample.p1], h, config, t)
+    h = _hamiltonian(config, (0.0, config.eps_s), (0, 1))
+    return _collide_exact(rho_probe, (sample.p0, sample.p1), h, config, t)
 
 
 def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
     """One collision of a diagonal probe, via the brute-force matrix path."""
-    rho_probe = np.diag([probe.p0, 1.0 - probe.p0]).astype(complex)
+    rho_probe = np.array([[probe.p0, 0.0], [0.0, 1.0 - probe.p0]], complex)
     reduced = collide_oracle_matrix(rho_probe, config)
     return ProbeState(p0=min(1.0, max(0.0, float(reduced[0, 0].real))), k=probe.k + 1)
 
@@ -193,7 +193,7 @@ class DLevelSample:
     def populations(self) -> np.ndarray:
         """Normalized Gibbs populations over all d levels."""
         e = np.asarray(self.levels, dtype=float)
-        w = np.exp(-(e - e.min()) / self.temperature)
+        w = np.exp((e[0] - e) / self.temperature)  # levels ascend: e[0] is the minimum
         return w / w.sum()
 
     @property
@@ -233,5 +233,5 @@ def collide_oracle_dlevel(
     """One collision against a d-level sample, full (4 d)-dimensional oracle."""
     _check_range("p0_probe", p0_probe, 0.0, 1.0, closed=True)
     h = _hamiltonian(config, sample.levels, sample.pair)
-    rho_probe = np.diag([p0_probe, 1.0 - p0_probe])
-    return float(_collide_exact(rho_probe, sample.populations(), h, config)[0, 0].real)
+    rho_probe = np.array([[p0_probe, 0.0], [0.0, 1.0 - p0_probe]], complex)
+    return float(_collide_exact(rho_probe, sample.populations().tolist(), h, config)[0, 0].real)

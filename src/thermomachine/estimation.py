@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, _fixed_point, _params_at
+from .core import MachineConfig, _check_count, _check_range, _params_at, stable_logistic
 from .core import thermal_population
 from .dynamics import transient_population
 from .metrology import snr_steady, snr_transient
@@ -237,8 +237,7 @@ def _bisect(
     a, b = np.full_like(f, lo), np.full_like(f, hi)
     while np.count_nonzero((a < (mid := 0.5 * (a + b))) & (mid < b)):
         below = model(mid) < f
-        np.copyto(a, mid, where=below)
-        np.copyto(b, mid, where=~below)
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
     t_hat[inside] = mid
     return t_hat, ~inside
 
@@ -255,7 +254,7 @@ def steady_model(config: MachineConfig) -> Callable[[float], float]:
 
     def p0_of(T: float) -> float:
         _check_range("T", T, 0.0)
-        return _fixed_point(eps_s / T, x_v)
+        return stable_logistic(x_v - eps_s / T)
 
     p0_of.temperature = lambda logit: eps_s / (x_v - logit) if logit < x_v else math.inf
     return p0_of

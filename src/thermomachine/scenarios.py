@@ -98,6 +98,7 @@ class Scenario:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 def coerce_setting(name: str, raw: str) -> object:
     """Parse one ``key=value`` override with the field's declared type; floats must be finite."""
@@ -303,6 +304,9 @@ def _run_montecarlo(scenario: Scenario) -> ResultTable:
         raise ValueError(f"unknown estimation model {scenario.model!r}")
     if scenario.model == "transient" and scenario.k_measure is None:
         raise ValueError("transient model needs k_measure (collisions before readout)")
+    # A scenario built in Python skips apply_settings: refuse what a steady study would drop.
+    transient = {f: getattr(scenario, f) for f in ("k_measure", "p00")}
+    apply_settings(scenario, {f: v for f, v in transient.items() if v != _FIELD_DEFAULTS[f]})
     config = _tuned(scenario, scenario.T)
     k = scenario.k_measure if scenario.model == "transient" else None
     report = empirical_snr_study(

@@ -40,7 +40,7 @@ from thermomachine import (
     tune_config,
 )
 from thermomachine.cli import _DEFAULTS
-from thermomachine.core import _logistic_pair, _params_at, stable_logistic
+from thermomachine.core import _gibbs_pair, _logistic_pair, _params_at, libm, stable_logistic
 from thermomachine.dynamics import collide_analytic, contraction_power
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import make_table
@@ -263,6 +263,29 @@ def test_logistic_matches_scalar_bits(xs, lo):
     scalar = list(zip(*map(_logistic_pair, x.tolist())))
     for pair in (_logistic_pair(x), scalar):
         assert [bits(pair[0]), bits(pair[1])] == [bits(want[0]), bits(want[1])]
+
+
+def signed_pair(x):
+    """(1 / (1 + e^-x), 1 / (1 + e^x)) from one e = e^-|x| and a pow sign select, written out:
+    the reference form."""
+    e = libm(math.exp, -abs(x))
+    total = 1.0 + e
+    return e ** (x < 0.0) / total, e ** (x >= 0.0) / total
+
+
+gibbs_exponents = [0.0, -0.0, 5e-324, 1e-300, 36.7, 709.78, 745.13, 746.0, 1e308]
+
+
+def test_gibbs_pair_is_the_signed_pair_at_non_negative_exponents():
+    x = np.array(gibbs_exponents)
+    want = [bits(half) for half in signed_pair(x)]
+    assert [bits(half) for half in _gibbs_pair(x)] == want
+    assert [bits(half) for half in zip(*map(_gibbs_pair, gibbs_exponents))] == want
+    assert type(_gibbs_pair(36.7)[1]) is float
+    both = np.array(gibbs_exponents + [-v for v in gibbs_exponents])
+    assert bits(stable_logistic(both)) == bits(signed_pair(both)[0])
+    assert bits([stable_logistic(v) for v in both.tolist()]) == bits(signed_pair(both)[0])
+    assert [bits(half) for half in _logistic_pair(both)] == [bits(h) for h in signed_pair(both)]
 
 
 def branched_logistic(x: float) -> float:

@@ -24,7 +24,6 @@ from thermomachine import (
     transient_population,
     tune_config,
 )
-from thermomachine.core import thermal_population
 from thermomachine.dynamics import COUPLED_STATES, _hamiltonian, contraction_power
 
 
@@ -232,59 +231,94 @@ def test_steady_population_matches_iterated_oracle(config):
 
 
 # ----------------------------------------------------------------------
-# Reference: the state built with two np.kron calls and the checked public
-# exact_unitary, against which the oracles must agree bit for bit.
+# Reference: the state built with two np.kron calls, the unitary from
+# np.linalg.eigh and the Gibbs populations from their textbook formulas, all
+# written here, against which the oracles must agree bit for bit.
 # ----------------------------------------------------------------------
 
 
-def kron_collide(rho_probe, sample_pops, h, config):
+def textbook_unitary(h, t):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def gibbs_qubit(gap, T):
+    e = math.exp(-gap / T)
+    return [1.0 / (1.0 + e), e / (1.0 + e)]
+
+
+def gibbs_levels(levels, T):
+    e = np.asarray(levels, dtype=float)
+    w = np.exp(-(e - e.min()) / T)
+    return w / w.sum()
+
+
+def kron_collide(rho_probe, sample_pops, h, config, t):
     d = len(sample_pops)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    rho_sv = np.kron(np.diag(sample_pops), np.diag([ancilla.p0, ancilla.p1]))
+    rho_sv = np.kron(np.diag(sample_pops), np.diag(gibbs_qubit(config.eps_v, config.T_v)))
     rho = np.kron(np.asarray(rho_probe, dtype=complex), rho_sv)
-    u = exact_unitary(h, config.collision_time)
+    u = textbook_unitary(h, t)
     return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
 
 
 def oracle_cases(n, seed):
-    """(config, p0, coherent 2x2 probe, three-level sample) on seeded random machines."""
+    """(config, p0, coherent 2x2 probe, three-level sample, four-level sample, time) on seeded
+    random machines; the four-level sample is addressed on an excited pair, its ground level
+    away from 0."""
     rng = np.random.default_rng(seed)
     for config in random_machine_configs(n, seed=seed):
-        p0 = config.p00
+        p0, e = config.p00, config.eps_s
         c = math.sqrt(p0 * (1.0 - p0)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         rho = np.array([[p0, c], [np.conj(c), 1.0 - p0]])
-        levels = (0.0, config.eps_s, config.eps_s * rng.uniform(1.5, 3.0))
-        yield config, p0, rho, DLevelSample(levels=levels, temperature=config.T, pair=(0, 1))
+        three = DLevelSample(levels=(0.0, e, e * rng.uniform(1.5, 3.0)), temperature=config.T,
+                             pair=(0, 1))
+        base, low = rng.uniform(-2.0, 2.0), e * rng.uniform(0.1, 0.9)
+        levels = tuple(base + x for x in (0.0, low, low + e, (low + e) * rng.uniform(1.2, 2.0)))
+        four = DLevelSample(levels=levels, temperature=config.T, pair=(1, 2))
+        yield config, p0, rho, three, four, rng.uniform(-3.0, 3.0)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
 def test_oracles_equal_the_kron_reference_bit_for_bit(seed):
-    for config, p0, rho, sample in oracle_cases(100, seed):
-        qubit = thermal_population(config.eps_s, config.T)
-        triad, pops = build_triad_hamiltonian(config), [qubit.p0, qubit.p1]
-        diagonal = kron_collide(np.diag([p0, 1.0 - p0]), pops, triad, config)
+    for config, p0, rho, three, four, t in oracle_cases(100, seed):
+        triad, pops = build_triad_hamiltonian(config), gibbs_qubit(config.eps_s, config.T)
+        tc = config.collision_time
+        diagonal = kron_collide(np.diag([p0, 1.0 - p0]), pops, triad, config, tc)
         assert collide_oracle_matrix(np.diag([p0, 1.0 - p0]), config).tobytes() == (
             diagonal.tobytes()
         )
         assert collide_oracle(ProbeState(p0=p0), config).p0 == min(
             1.0, max(0.0, float(diagonal[0, 0].real))
         )
-        coherent = kron_collide(rho, pops, triad, config)
-        assert collide_oracle_matrix(rho, config).tobytes() == coherent.tobytes()
-        h = _hamiltonian(config, sample.levels, sample.pair)
-        three = kron_collide(np.diag([p0, 1.0 - p0]), sample.populations(), h, config)
-        assert collide_oracle_dlevel(p0, sample, config) == float(three[0, 0].real)
+        for time in (tc, t, 0.0, -0.0):
+            coherent = kron_collide(rho, pops, triad, config, time)
+            assert collide_oracle_matrix(rho, config, time).tobytes() == coherent.tobytes()
+        for sample in (three, four):
+            pops_d = gibbs_levels(sample.levels, sample.temperature)
+            assert sample.populations().tobytes() == pops_d.tobytes()
+            h = _hamiltonian(config, sample.levels, sample.pair)
+            reduced = kron_collide(np.diag([p0, 1.0 - p0]), pops_d, h, config, tc)
+            assert collide_oracle_dlevel(p0, sample, config) == float(reduced[0, 0].real)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 12])
+def test_exact_unitary_is_the_textbook_eigh_form_byte_for_byte(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(60):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for h in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
+            for t in (0.0, -0.0, rng.uniform(0.0, 5.0), -rng.uniform(0.0, 5.0), math.pi / 2):
+                assert exact_unitary(h, t).tobytes() == textbook_unitary(h, t).tobytes()
 
 
 def test_hamiltonian_is_exactly_symmetric():
     # The oracles skip exact_unitary's Hermitian check because this holds by construction.
-    for config, _, _, sample in oracle_cases(100, 5):
-        four = ((0.0, 0.3, 0.3 + config.eps_s, 2.5 * config.eps_s), (1, 2))
+    for config, _, _, three, four, _ in oracle_cases(100, 5):
         for h in (
             build_triad_hamiltonian(config),
             build_triad_hamiltonian(config, detuning=0.37),
-            _hamiltonian(config, sample.levels, sample.pair),
-            _hamiltonian(config, *four),
+            _hamiltonian(config, three.levels, three.pair),
+            _hamiltonian(config, four.levels, four.pair),
         ):
             assert h.dtype == np.float64
             assert np.array_equal(h, h.T)

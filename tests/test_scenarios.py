@@ -124,6 +124,21 @@ def test_montecarlo_scenario_row():
     assert table.meta["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [(dict(p00=0.3, k_measure=5), "k_measure, p00"), (dict(p00=0.3), "p00"),
+     (dict(k_measure=5), "k_measure")],
+)
+def test_steady_montecarlo_built_in_python_refuses_the_transient_fields(extra, named):
+    plain = Scenario(name="m", kind="montecarlo", T=0.2, T_prior=0.25, M=100, trials=100)
+    with pytest.raises(ValueError, match=f"^steady montecarlo scenarios do not read {named}$"):
+        run_scenario(replace(plain, **extra))
+    # The transient study reads both, and the steady one runs on their defaults.
+    transient = replace(plain, **{"k_measure": 5, **extra, "model": "transient"})
+    assert len(run_scenario(transient).rows) == 1
+    assert len(run_scenario(replace(plain, p00=1.0, k_measure=None)).rows) == 1
+
+
 def test_transient_montecarlo_scenario():
     scenario = Scenario(
         name="mc-k",
