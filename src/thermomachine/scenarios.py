@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -49,11 +50,12 @@ _BLOCKS = ("p00", "T", "temps", "p00_values")  # one block per (T, p00) pair
 class Scenario:
     """One runnable experiment description.
 
-    Only the fields relevant to ``kind`` are consulted, and
-    :func:`apply_settings` refuses an override of any other; energies are in
-    units of eps_s and temperature-like fields are set as fractions of
-    eps_s.  Multi-valued fields (``priors``, ``temps``, ``p00_values``)
-    produce long-format tables with one block per combination.
+    Only the fields relevant to ``kind`` are consulted: :func:`apply_settings`
+    refuses an override of any other, and :func:`run_scenario` any other that
+    differs from its default.  Energies are in units of eps_s and
+    temperature-like fields are set as fractions of eps_s.  Multi-valued
+    fields (``priors``, ``temps``, ``p00_values``) produce long-format tables
+    with one block per combination.
     """
 
     name: str
@@ -87,9 +89,13 @@ class Scenario:
             raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        counts = dict(points=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, samples=1, seed=0)
+        counts = dict(
+            points=0, k_min=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, samples=1, seed=0
+        )
         for name, low in counts.items():
             _check_count(name, getattr(self, name), low)
+        if self.k_measure is not None:
+            _check_count("k_measure", self.k_measure, 0)
         if (self.t_min is None) != (self.t_max is None):
             raise ValueError("t_min and t_max must be given together")
         if self.t_min is not None:
@@ -137,8 +143,6 @@ def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
 
 
 def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineConfig:
-    if scenario.T_prior is None:
-        raise ValueError("scenario requires T_prior")
     return tune_config(
         eps_s=scenario.eps_s,
         T=T,
@@ -146,15 +150,6 @@ def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineCon
         T_v=scenario.T_v,
         p00=scenario.p00 if p00 is None else p00,
     )
-
-
-def _base_meta(scenario: Scenario) -> dict[str, object]:
-    return {
-        "scenario": scenario.name,
-        "kind": scenario.kind,
-        "version": __version__,
-        "seed": scenario.seed,
-    }
 
 
 def _temperature_grid(scenario: Scenario, t_prior: float) -> np.ndarray:
@@ -173,32 +168,22 @@ def _k_values(scenario: Scenario, k_lo: int) -> np.ndarray:
     return np.arange(k_lo, scenario.k_max + 1, scenario.k_step)
 
 
-def _block(axis: np.ndarray, *columns: float | np.ndarray) -> np.ndarray:
-    """One block of a sweep along ``axis`` (k or T); scalar columns repeat down the block."""
-    return np.column_stack([np.broadcast_to(c, axis.shape) for c in columns])
-
-
 # ----------------------------------------------------------------------
-# Scenario runners
+# Scenario runners: each yields its blocks as {column: values} along its k or T
+# axis (a float repeats down the block) and adds only its own keys to ``meta``.
 # ----------------------------------------------------------------------
 
 
-def _run_steady_sweep(scenario: Scenario) -> ResultTable:
+def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u, M = scenario.eps_s, scenario.M  # temperatures reported in units of eps_s
-    blocks = []
     for t_prior in _axis(scenario, "T_prior", "priors"):
         T = _temperature_grid(scenario, t_prior)
         pt = snr_steady(_tuned(replace(scenario, T_prior=t_prior), T), M)
-        thermal = snr_thermal(T, scenario.eps_s, M)
-        at_prior = 0.5 * math.sqrt(M) * scenario.eps_s / T
-        blocks.append(
-            _block(T, t_prior / u, T / u, pt.p0, pt.sensitivity * u, pt.snr, thermal, at_prior)
-        )
-    return make_table(
-        ("T_prior", "T", "p0_inf", "sensitivity", "snr", "snr_thermal", "snr_at_prior"),
-        np.vstack(blocks),
-        _base_meta(scenario),
-    )
+        yield {
+            "T_prior": t_prior / u, "T": T / u, "p0_inf": pt.p0, "sensitivity": pt.sensitivity * u,
+            "snr": pt.snr, "snr_thermal": snr_thermal(T, scenario.eps_s, M),
+            "snr_at_prior": 0.5 * math.sqrt(M) * scenario.eps_s / T,
+        }
 
 
 def _axis(scenario: Scenario, single: str, plural: str) -> tuple:
@@ -215,23 +200,18 @@ def _blocks(scenario: Scenario) -> list[tuple[float, float]]:
     return [(T, p00) for T in _axis(scenario, "T", "temps") for p00 in p00s]
 
 
-def _run_transient_sweep(scenario: Scenario) -> ResultTable:
+def _run_transient_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u = scenario.eps_s
     k = _k_values(scenario, scenario.k_min)
-    blocks = []
     for T, p00 in _blocks(scenario):
         pt = snr_transient(k, p00, _tuned(scenario, T, p00), scenario.M)
-        blocks.append(_block(k, T / u, p00, pt.k, pt.p0, pt.sensitivity * u, pt.snr))
-    return make_table(
-        ("T", "p00", "k", "p0_k", "sensitivity", "snr"),
-        np.vstack(blocks),
-        _base_meta(scenario),
-    )
+        yield {
+            "T": T / u, "p00": p00, "k": pt.k, "p0_k": pt.p0,
+            "sensitivity": pt.sensitivity * u, "snr": pt.snr,
+        }
 
 
-def _run_cost_comparison(scenario: Scenario) -> ResultTable:
-    if scenario.T is None:
-        raise ValueError("cost-comparison needs T")
+def _run_cost_comparison(scenario: Scenario, meta: dict) -> Iterator[dict]:
     if not snr_sample_bound(1, scenario.T, scenario.eps_s) > 0.0:
         raise ValueError(
             f"eps_s/T = {scenario.eps_s / scenario.T:g} is past ~745, where e^(-eps_s/T) "
@@ -243,70 +223,55 @@ def _run_cost_comparison(scenario: Scenario) -> ResultTable:
     snr_m2 = snr_transient(k, scenario.p00, config, scenario.M_alt).snr
     # The k-qubit sample bound is the thermal SNR of k qubits: one column, written twice.
     bound = snr_sample_bound(k, scenario.T, scenario.eps_s)
-    rows = _block(k, snr_m1.k, snr_m1.snr, snr_m2, bound, bound, snr_m1.snr / bound)
-    meta = _base_meta(scenario)
     meta["ref_sqrt_2_over_pi"] = SQRT_TWO_OVER_PI
     # The plateau the transient columns climb toward; the measurement-cost
     # comparison reads the thermal column against these steady limits.
     meta["snr_machine_steady_m1"] = snr_steady(config, scenario.M).snr
     meta["snr_machine_steady_m2"] = snr_steady(config, scenario.M_alt).snr
-    return make_table(
-        (
-            "k",
-            "snr_machine_m1",
-            "snr_machine_m2",
-            "snr_thermal_mk",
-            "snr_sample_bound",
-            "ratio_to_bound",
-        ),
-        rows,
-        meta,
-    )
+    yield {
+        "k": snr_m1.k,
+        "snr_machine_m1": snr_m1.snr,
+        "snr_machine_m2": snr_m2,
+        "snr_thermal_mk": bound,
+        "snr_sample_bound": bound,
+        "ratio_to_bound": snr_m1.snr / bound,
+    }
 
 
-def _run_heat_trajectory(scenario: Scenario) -> ResultTable:
+def _run_heat_trajectory(scenario: Scenario, meta: dict) -> Iterator[dict]:
     k = _k_values(scenario, max(1, scenario.k_min))
     j = k - 1
     u = scenario.eps_s
-    blocks = []
     for T, p00 in _blocks(scenario):
         config = _tuned(scenario, T, p00)
         traj = perturbation_trajectory(scenario.k_max, p00, config)
-        steps = (traj.delta_p[j], traj.sample_p0[j], traj.ancilla_p0[j])
-        heats = (heat_sample(k, p00, config) / u, heat_ancilla(k, p00, config) / u)
-        blocks.append(_block(k, T / u, p00, k.astype(float), *steps, *heats))
-    return make_table(
-        ("T", "p00", "k", "delta_p", "sample_p0", "ancilla_p0", "q_sample", "q_ancilla"),
-        np.vstack(blocks),
-        _base_meta(scenario),
-    )
+        yield {
+            "T": T / u, "p00": p00, "k": k, "delta_p": traj.delta_p[j],
+            "sample_p0": traj.sample_p0[j], "ancilla_p0": traj.ancilla_p0[j],
+            "q_sample": heat_sample(k, p00, config) / u,
+            "q_ancilla": heat_ancilla(k, p00, config) / u,
+        }
 
 
-def _run_noisy_ancilla(scenario: Scenario) -> ResultTable:
-    if scenario.T_prior is None:
-        raise ValueError("noisy-ancilla needs T_prior")
+def _run_noisy_ancilla(scenario: Scenario, meta: dict) -> Iterator[dict]:
     T = _temperature_grid(scenario, scenario.T_prior)
     config, M = _tuned(scenario, T), scenario.M
-    noisy = [
+    plus, minus = (
         snr_noisy_ancilla(config, NoisyAncillaSpec(scenario.delta_Tv_rel, sign), M).snr
         for sign in (1, -1)
-    ]
-    meta = _base_meta(scenario)
+    )
     meta["delta_Tv_rel"] = scenario.delta_Tv_rel
-    rows = _block(T, T / scenario.eps_s, snr_steady(config, M).snr, *noisy)
-    return make_table(("T", "snr_ideal", "snr_plus", "snr_minus"), rows, meta)
+    yield {
+        "T": T / scenario.eps_s, "snr_ideal": snr_steady(config, M).snr,
+        "snr_plus": plus, "snr_minus": minus,
+    }
 
 
-def _run_montecarlo(scenario: Scenario) -> ResultTable:
-    if scenario.T is None:
-        raise ValueError("montecarlo needs T")
+def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
     if scenario.model not in ("steady", "transient"):
         raise ValueError(f"unknown estimation model {scenario.model!r}")
     if scenario.model == "transient" and scenario.k_measure is None:
         raise ValueError("transient model needs k_measure (collisions before readout)")
-    # A scenario built in Python skips apply_settings: refuse what a steady study would drop.
-    transient = {f: getattr(scenario, f) for f in ("k_measure", "p00")}
-    apply_settings(scenario, {f: v for f, v in transient.items() if v != _FIELD_DEFAULTS[f]})
     config = _tuned(scenario, scenario.T)
     k = scenario.k_measure if scenario.model == "transient" else None
     report = empirical_snr_study(
@@ -317,37 +282,21 @@ def _run_montecarlo(scenario: Scenario) -> ResultTable:
         k=k,
         p00=scenario.p00,
     )
-    meta = _base_meta(scenario)
     meta["model"] = scenario.model
     meta["small_m_warning"] = report.small_m_warning
     meta["singular"] = report.singular
     u = scenario.eps_s
-    row = (
-        scenario.T / u,
-        scenario.M,
-        report.trials,
-        report.t_hat_mean / u,
-        report.t_hat_std / u,
-        report.rmse / u,
-        report.empirical_snr,
-        report.crb_snr,
-        report.clamped_fraction,
-    )
-    return make_table(
-        (
-            "T_true",
-            "M",
-            "trials",
-            "t_hat_mean",
-            "t_hat_std",
-            "rmse",
-            "empirical_snr",
-            "crb_snr",
-            "clamped_fraction",
-        ),
-        (row,),
-        meta,
-    )
+    yield {
+        "T_true": scenario.T / u,
+        "M": scenario.M,
+        "trials": report.trials,
+        "t_hat_mean": report.t_hat_mean / u,
+        "t_hat_std": report.t_hat_std / u,
+        "rmse": report.rmse / u,
+        "empirical_snr": report.empirical_snr,
+        "crb_snr": report.crb_snr,
+        "clamped_fraction": report.clamped_fraction,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +314,7 @@ def _random_configs(samples: int, seed: int) -> list[MachineConfig]:
     ]
 
 
-def _run_verify(scenario: Scenario) -> ResultTable:
+def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     """Run the oracle-equivalence and conservation self-checks.
 
     One row per check: (check index, ok flag, worst error), the
@@ -422,33 +371,36 @@ def _run_verify(scenario: Scenario) -> ResultTable:
             snr - T * np.sqrt(3 * _fisher_two_sided(p, 1.0 - p, lam))
         )[kept] / snr[kept]),
     )
-    rows = []
-    for i, (_, tol, errors) in enumerate(battery):
-        error = np.max(np.append(0.0, errors))  # NaN propagates here and fails error <= tol
-        rows.append((i, float(error <= tol), error))
-    checks = ",".join(name for name, _, _ in battery)
-    meta = _base_meta(scenario) | {"samples": scenario.samples, "checks": checks}
-    return make_table(("check", "ok", "max_error"), rows, meta)
+    names, tols, errors = zip(*battery)
+    worst = np.array([np.max(np.append(0.0, e)) for e in errors])  # NaN propagates, fails <= tol
+    meta.update(samples=scenario.samples, checks=",".join(names))
+    yield {"check": np.arange(len(worst)), "ok": worst <= tols, "max_error": worst}
 
 
 def run_verification(samples: int = 200, seed: int = DEFAULT_SEED) -> ResultTable:
     """The ``verify`` battery on ``samples`` random machines drawn from ``seed``."""
-    return _run_verify(Scenario(name="verify", kind="verify", samples=samples, seed=seed))
+    return run_scenario(Scenario(name="verify", kind="verify", samples=samples, seed=seed))
 
 
 def verification_passed(table: ResultTable) -> bool:
     return bool(np.all(table.cells[:, table.columns.index("ok")] == 1.0))
 
 
-#: Per kind: its runner and the fields it reads besides name, kind and seed.
+#: Per kind: its runner, the fields it reads besides name, kind and seed, and those of
+#: them it needs set (not None).
 _KINDS = {
-    "steady-sweep": (_run_steady_sweep, _TUNING + _T_AXIS + ("priors", "M")),
-    "transient-sweep": (_run_transient_sweep, _TUNING + _K_AXIS + _BLOCKS + ("M",)),
-    "cost-comparison": (_run_cost_comparison, _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt")),
-    "heat-trajectory": (_run_heat_trajectory, _TUNING + _K_AXIS + _BLOCKS),
-    "noisy-ancilla": (_run_noisy_ancilla, _TUNING + _T_AXIS + ("delta_Tv_rel", "M")),
-    "montecarlo": (_run_montecarlo, _TUNING + ("p00", "T", "M", "trials", "model", "k_measure")),
-    "verify": (_run_verify, ("samples",)),
+    "steady-sweep": (_run_steady_sweep, _TUNING + _T_AXIS + ("priors", "M"), ()),
+    "transient-sweep": (_run_transient_sweep, _TUNING + _K_AXIS + _BLOCKS + ("M",), ("T_prior",)),
+    "cost-comparison": (
+        _run_cost_comparison, _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt"), ("T", "T_prior")
+    ),
+    "heat-trajectory": (_run_heat_trajectory, _TUNING + _K_AXIS + _BLOCKS, ("T_prior",)),
+    "noisy-ancilla": (_run_noisy_ancilla, _TUNING + _T_AXIS + ("delta_Tv_rel", "M"), ("T_prior",)),
+    "montecarlo": (
+        _run_montecarlo, _TUNING + ("p00", "T", "M", "trials", "model", "k_measure"),
+        ("T", "T_prior"),
+    ),
+    "verify": (_run_verify, ("samples",), ()),
 }
 
 
@@ -533,10 +485,32 @@ PRESETS: dict[str, Scenario] = {
 }
 
 
+def _stacked(block: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """The block's column names and cells; a float column repeats down the block."""
+    cells = np.empty((*np.broadcast_shapes(*map(np.shape, block.values())), len(block)))
+    for i, values in enumerate(block.values()):
+        cells[..., i] = values
+    return tuple(block), cells.reshape(-1, len(block))
+
+
 def run_scenario(scenario: Scenario) -> ResultTable:
     """Produce the result table for any scenario kind."""
-    runner, _ = _KINDS[scenario.kind]
+    runner, _, needs = _KINDS[scenario.kind]
+    # Refuse a field the kind never reads, set in Python as through the CLI's overrides.
+    apply_settings(scenario, {f: v for f, v in vars(scenario).items() if v != _FIELD_DEFAULTS[f]})
+    for field in needs:
+        if getattr(scenario, field) is None:
+            raise ValueError(f"{scenario.kind} needs {field}")
+    meta = {
+        "scenario": scenario.name,
+        "kind": scenario.kind,
+        "version": __version__,
+        "seed": scenario.seed,
+    }
     # numpy would only warn on 0/0, x/0 or overflow and write the NaN or inf to a
     # cell; raised, it is a FloatingPointError, an ArithmeticError.
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        return runner(scenario)
+        # map drops each block once it is stacked, so one block's columns live at a time.
+        names, blocks = zip(*map(_stacked, runner(scenario, meta)))
+    cells = blocks[0] if len(blocks) == 1 else np.vstack(blocks)  # vstack copies even one block
+    return make_table(names[0], cells, meta)

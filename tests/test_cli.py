@@ -285,10 +285,12 @@ def test_defaults_and_presets_set_only_fields_their_kind_reads():
         (["noisy", "--set", "p00=0.3"], "p00"),
         (["montecarlo", "--set", "M=100", "--set", "k_measure=5"], "k_measure"),
         (["montecarlo", "--set", "p00=0.3"], "p00"),
+        (["heat", "--set", "M=1"], "M"),
     ],
 )
 def test_dead_knobs_are_usage_errors(capsys, args, field):
     # No closed form reads the coupling, and no steady quantity reads p00 or k_measure.
+    # An unread field is refused by name, even at its default value (heat never reads M).
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
     assert field in err
@@ -320,6 +322,14 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value):
     code, out, err = run(["steady", "--config", str(cfg)], capsys)
     assert code == EXIT_USAGE
     assert "must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["cost", "heat", "transient"])
+def test_negative_k_min_is_usage_error(capsys, command):
+    code, out, err = run([command, "--set", "k_min=-5"], capsys)
+    assert code == EXIT_USAGE
+    assert "k_min must be an integer >= 0" in err
     assert out == ""
 
 

@@ -383,6 +383,45 @@ def test_missing_axis_names_both_fields(kind, message):
         run_scenario(Scenario(name="x", kind=kind, T_prior=None if kind == "steady-sweep" else 0.25))
 
 
+#: A scenario of each kind that runs: the CLI's default for it.
+BY_KIND = {scenario.kind: scenario for scenario in cli._DEFAULTS.values()}
+
+
+@pytest.mark.parametrize(
+    "kind, unread",
+    [
+        ("steady-sweep", dict(k_max=5)),
+        ("transient-sweep", dict(delta_Tv_rel=0.1)),
+        ("cost-comparison", dict(temps=(0.1, 0.2))),
+        ("heat-trajectory", dict(M=7)),
+        ("noisy-ancilla", dict(p00=0.5)),
+        ("montecarlo", dict(points=10)),
+        ("verify", dict(T=0.2)),
+    ],
+)
+def test_scenario_built_in_python_refuses_a_field_its_kind_never_reads(kind, unread):
+    (field,) = unread  # a montecarlo study is a steady one by default, and says so
+    with pytest.raises(ValueError, match=rf"\b{kind} scenarios do not read {field}$"):
+        run_scenario(replace(BY_KIND[kind], **unread))
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("transient-sweep", "T_prior"),
+        ("cost-comparison", "T"),
+        ("cost-comparison", "T_prior"),
+        ("heat-trajectory", "T_prior"),
+        ("noisy-ancilla", "T_prior"),
+        ("montecarlo", "T"),
+        ("montecarlo", "T_prior"),
+    ],
+)
+def test_missing_needed_field_is_named(kind, field):
+    with pytest.raises(ValueError, match=f"^{kind} needs {field}$"):
+        run_scenario(replace(BY_KIND[kind], **{field: None}))
+
+
 def test_gap_ordering_warns_once_per_prior():
     scenario = Scenario(name="x", kind="steady-sweep", priors=(0.25, 0.3), T_v=0.4, points=50)
     with pytest.warns(GapOrderingWarning) as record:
