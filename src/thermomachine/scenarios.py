@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,21 +39,21 @@ from .metrology import (
     snr_thermal,
     snr_transient,
 )
-from .tables import ResultTable, make_table
+from .tables import ResultTable
 
 _TUNING = ("eps_s", "T_prior", "T_v")
 _T_AXIS = ("points", "t_min", "t_max")
 _K_AXIS = ("k_min", "k_max", "k_step")
 _BLOCKS = ("p00", "T", "temps", "p00_values")  # one block per (T, p00) pair
+_BLOCK_NEEDS = ("T_prior", "T|temps")
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable experiment description.
+    """One runnable experiment description, checked when it is built (and by ``replace``).
 
-    Only the fields relevant to ``kind`` are consulted: :func:`apply_settings`
-    refuses an override of any other, and :func:`run_scenario` any other that
-    differs from its default.  Energies are in units of eps_s and
-    temperature-like fields are set as fractions of eps_s.  Multi-valued
+    A scenario that can be built can be run: it sets every field its kind needs, and
+    no field its kind never reads differs from its default.  Energies are in units of
+    eps_s and temperature-like fields are set as fractions of eps_s.  Multi-valued
     fields (``priors``, ``temps``, ``p00_values``) produce long-format tables
     with one block per combination.
     """
@@ -101,10 +101,17 @@ class Scenario:
         if self.t_min is not None:
             _check_range("t_min", self.t_min, 0.0)
             _check_range("t_max", self.t_max, self.t_min)
+        changed = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        _refuse_unread(self.kind, self.model, changed)
+        readout = ("k_measure",) if self.model == "transient" else ()  # only montecarlo's
+        for group in _KINDS[self.kind][2] + readout:
+            if all(getattr(self, f) in (None, ()) for f in group.split("|")):
+                raise ValueError(f"{self.kind} needs {group.replace('|', ' or ')}")
+        if self.model not in ("steady", "transient"):  # another kind reads no model
+            raise ValueError(f"unknown estimation model {self.model!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 def coerce_setting(name: str, raw: str) -> object:
     """Parse one ``key=value`` override with the field's declared type; floats must be finite."""
@@ -129,17 +136,24 @@ def _finite(name: str, text: str) -> float:
     return value
 
 
-def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
-    """Override fields of ``scenario``, refusing any field its kind never reads (a steady
-    montecarlo study reads neither ``k_measure`` nor ``p00``)."""
-    updated = replace(scenario, **settings)
-    kind, read = updated.kind, set(_KINDS[updated.kind][1])
-    if kind == "montecarlo" and updated.model == "steady":
+def _refuse_unread(kind: str, model: str, names: Iterable[str]) -> None:
+    """Refuse the ``names`` a ``kind`` scenario never reads (a steady montecarlo study
+    reads neither ``k_measure`` nor ``p00``)."""
+    read = {"name", "kind", "seed", *_KINDS[kind][1]}
+    if kind == "montecarlo" and model == "steady":
         kind, read = "steady montecarlo", read - {"k_measure", "p00"}
-    unread = sorted(set(settings) - {"name", "kind", "seed"} - read)
+    unread = sorted(set(names) - read)
     if unread:
         raise ValueError(f"{kind} scenarios do not read {', '.join(unread)}")
-    return updated
+
+
+def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
+    """Override fields of ``scenario``: ``replace`` checks the result, and this adds the pass
+    by name, which refuses a field the kind never reads even when set to its default."""
+    kind = settings.get("kind", scenario.kind)
+    if kind in _KINDS:  # replace names an unknown kind, and an unknown field
+        _refuse_unread(kind, settings.get("model", scenario.model), settings.keys() & _FIELD_TYPES)
+    return replace(scenario, **settings)
 
 
 def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineConfig:
@@ -176,7 +190,7 @@ def _k_values(scenario: Scenario, k_lo: int) -> np.ndarray:
 
 def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u, M = scenario.eps_s, scenario.M  # temperatures reported in units of eps_s
-    for t_prior in _axis(scenario, "T_prior", "priors"):
+    for t_prior in scenario.priors or (scenario.T_prior,):
         T = _temperature_grid(scenario, t_prior)
         pt = snr_steady(_tuned(replace(scenario, T_prior=t_prior), T), M)
         yield {
@@ -186,18 +200,10 @@ def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
         }
 
 
-def _axis(scenario: Scenario, single: str, plural: str) -> tuple:
-    """The values of the multi-valued field ``plural``, else ``single``'s one value."""
-    values = getattr(scenario, plural) or (getattr(scenario, single),)
-    if None in values:
-        raise ValueError(f"{scenario.kind} needs {single} or {plural}")
-    return values
-
-
 def _blocks(scenario: Scenario) -> list[tuple[float, float]]:
     """The (T, p00) pair of each block of a k sweep, temperature outermost."""
-    p00s = _axis(scenario, "p00", "p00_values")
-    return [(T, p00) for T in _axis(scenario, "T", "temps") for p00 in p00s]
+    p00s = scenario.p00_values or (scenario.p00,)
+    return [(T, p00) for T in scenario.temps or (scenario.T,) for p00 in p00s]
 
 
 def _run_transient_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
@@ -268,18 +274,13 @@ def _run_noisy_ancilla(scenario: Scenario, meta: dict) -> Iterator[dict]:
 
 
 def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
-    if scenario.model not in ("steady", "transient"):
-        raise ValueError(f"unknown estimation model {scenario.model!r}")
-    if scenario.model == "transient" and scenario.k_measure is None:
-        raise ValueError("transient model needs k_measure (collisions before readout)")
     config = _tuned(scenario, scenario.T)
-    k = scenario.k_measure if scenario.model == "transient" else None
     report = empirical_snr_study(
         config,
         M=scenario.M,
         trials=scenario.trials,
         seed=scenario.seed,
-        k=k,
+        k=scenario.k_measure,
         p00=scenario.p00,
     )
     meta["model"] = scenario.model
@@ -386,15 +387,15 @@ def verification_passed(table: ResultTable) -> bool:
     return bool(np.all(table.cells[:, table.columns.index("ok")] == 1.0))
 
 
-#: Per kind: its runner, the fields it reads besides name, kind and seed, and those of
-#: them it needs set (not None).
+#: Per kind: its runner, the fields it reads besides name, kind and seed, and those it needs
+#: ("T|temps": one of them set).  Scenario.__post_init__ checks each scenario against its row.
 _KINDS = {
-    "steady-sweep": (_run_steady_sweep, _TUNING + _T_AXIS + ("priors", "M"), ()),
-    "transient-sweep": (_run_transient_sweep, _TUNING + _K_AXIS + _BLOCKS + ("M",), ("T_prior",)),
+    "steady-sweep": (_run_steady_sweep, _TUNING + _T_AXIS + ("priors", "M"), ("T_prior|priors",)),
+    "transient-sweep": (_run_transient_sweep, _TUNING + _K_AXIS + _BLOCKS + ("M",), _BLOCK_NEEDS),
     "cost-comparison": (
         _run_cost_comparison, _TUNING + _K_AXIS + ("p00", "T", "M", "M_alt"), ("T", "T_prior")
     ),
-    "heat-trajectory": (_run_heat_trajectory, _TUNING + _K_AXIS + _BLOCKS, ("T_prior",)),
+    "heat-trajectory": (_run_heat_trajectory, _TUNING + _K_AXIS + _BLOCKS, _BLOCK_NEEDS),
     "noisy-ancilla": (_run_noisy_ancilla, _TUNING + _T_AXIS + ("delta_Tv_rel", "M"), ("T_prior",)),
     "montecarlo": (
         _run_montecarlo, _TUNING + ("p00", "T", "M", "trials", "model", "k_measure"),
@@ -494,13 +495,8 @@ def _stacked(block: dict) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def run_scenario(scenario: Scenario) -> ResultTable:
-    """Produce the result table for any scenario kind."""
-    runner, _, needs = _KINDS[scenario.kind]
-    # Refuse a field the kind never reads, set in Python as through the CLI's overrides.
-    apply_settings(scenario, {f: v for f, v in vars(scenario).items() if v != _FIELD_DEFAULTS[f]})
-    for field in needs:
-        if getattr(scenario, field) is None:
-            raise ValueError(f"{scenario.kind} needs {field}")
+    """Produce the result table of a scenario, which was checked when it was built."""
+    runner = _KINDS[scenario.kind][0]
     meta = {
         "scenario": scenario.name,
         "kind": scenario.kind,
@@ -513,4 +509,4 @@ def run_scenario(scenario: Scenario) -> ResultTable:
         # map drops each block once it is stacked, so one block's columns live at a time.
         names, blocks = zip(*map(_stacked, runner(scenario, meta)))
     cells = blocks[0] if len(blocks) == 1 else np.vstack(blocks)  # vstack copies even one block
-    return make_table(names[0], cells, meta)
+    return ResultTable(names[0], cells, meta)

@@ -39,6 +39,8 @@ class ResultTable:
     def __post_init__(self) -> None:
         width = len(self.columns)
         cells = np.asarray(self.cells, dtype=float).view()
+        if cells.shape == (0,):  # an empty sweep has no row to give the width
+            cells = cells.reshape(0, width)
         if cells.ndim != 2 or cells.shape[1] != width:
             raise ValueError(f"cells have shape {cells.shape}, expected (rows, {width})")
         cells.flags.writeable = False
@@ -55,11 +57,7 @@ def make_table(
     rows: Iterable[Iterable[float]] | np.ndarray,
     meta: dict[str, object] | None = None,
 ) -> ResultTable:
-    columns = tuple(columns)
-    cells = np.asarray(rows, dtype=float)
-    if not len(cells):  # an empty sweep has no row to give the width
-        cells = cells.reshape(0, len(columns))
-    return ResultTable(columns=columns, cells=cells, meta=dict(meta or {}))
+    return ResultTable(tuple(columns), rows, dict(meta or {}))
 
 
 def _meta_value(value: object) -> str:
@@ -168,7 +166,7 @@ def from_csv(text: str) -> ResultTable:
             raise ValueError(f"in CSV rows {done}-{done + len(rows) - 1}: {exc}") from exc
     if not columns:
         raise ValueError("CSV has no header row")
-    return ResultTable(columns, np.concatenate([np.empty((0, len(columns))), *parts]), meta)
+    return ResultTable(columns, np.concatenate(parts) if parts else (), meta)
 
 
 def schema_text() -> str:

@@ -262,10 +262,16 @@ COUNT_ROWS = [
         (-1, 2.5, True, np.float64(3.0)),
     ),
     ("Scenario.seed", lambda n: Scenario("x", "verify", seed=n), "seed", 0, (-1, 0.5, False)),
-    ("Scenario.k_min", lambda n: Scenario("x", "heat-trajectory", k_min=n), "k_min", 0, (-5, 0.5)),
+    (
+        "Scenario.k_min",
+        lambda n: Scenario("x", "heat-trajectory", T=0.2, T_prior=0.25, k_min=n),
+        "k_min",
+        0,
+        (-5, 0.5),
+    ),
     (
         "Scenario.k_measure",
-        lambda n: Scenario("x", "montecarlo", k_measure=n),
+        lambda n: Scenario("x", "montecarlo", T=0.2, T_prior=0.25, model="transient", k_measure=n),
         "k_measure",
         0,
         (-5, 0.5, True),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -420,6 +422,67 @@ def test_scenario_built_in_python_refuses_a_field_its_kind_never_reads(kind, unr
 def test_missing_needed_field_is_named(kind, field):
     with pytest.raises(ValueError, match=f"^{kind} needs {field}$"):
         run_scenario(replace(BY_KIND[kind], **{field: None}))
+
+
+#: Every (kind, need) pair of the kind table, each unset on the kind's CLI default.
+NEEDS = [
+    ("steady-sweep", dict(T_prior=None), "T_prior or priors"),
+    ("transient-sweep", dict(T_prior=None), "T_prior"),
+    ("transient-sweep", dict(T=None), "T or temps"),
+    ("cost-comparison", dict(T=None), "T"),
+    ("cost-comparison", dict(T_prior=None), "T_prior"),
+    ("heat-trajectory", dict(T_prior=None), "T_prior"),
+    ("heat-trajectory", dict(T=None), "T or temps"),
+    ("noisy-ancilla", dict(T_prior=None), "T_prior"),
+    ("montecarlo", dict(T=None), "T"),
+    ("montecarlo", dict(T_prior=None), "T_prior"),
+    ("montecarlo", dict(model="transient"), "k_measure"),  # the transient study's readout
+]
+
+
+def test_needs_cover_the_kind_table():
+    listed = {(kind, need.replace(" or ", "|")) for kind, _, need in NEEDS}
+    table = {(kind, need) for kind, (_, _, needs) in scenarios._KINDS.items() for need in needs}
+    assert table | {("montecarlo", "k_measure")} == listed
+
+
+@pytest.mark.parametrize("kind, unset, need", NEEDS)
+def test_scenario_missing_a_need_is_refused_when_built(kind, unset, need):
+    with pytest.raises(ValueError, match=f"^{kind} needs {need}$"):
+        replace(BY_KIND[kind], **unset)
+
+
+@pytest.mark.parametrize(
+    "kind, unread",
+    [
+        ("steady-sweep", dict(k_step=2)),
+        ("transient-sweep", dict(points=10)),
+        ("cost-comparison", dict(p00_values=(0.5,))),
+        ("heat-trajectory", dict(M_alt=3)),
+        ("noisy-ancilla", dict(k_max=10)),
+        ("montecarlo", dict(temps=(0.2,))),
+        ("verify", dict(eps_s=2.0)),
+    ],
+)
+def test_scenario_with_an_unread_field_is_refused_when_built(kind, unread):
+    (field,) = unread
+    with pytest.raises(ValueError, match=rf"\b{kind} scenarios do not read {field}$"):
+        replace(BY_KIND[kind], **unread)
+
+
+def test_no_runner_checks_a_field():
+    """A scenario is checked when it is built, so run_scenario and the runners raise only the
+    cost comparison's refusal of a sample bound that underflows to 0 (physics, not a field)."""
+    source = inspect.getsource(scenarios)
+    raises = [
+        (fn.name, "underflows" in ast.get_source_segment(source, node))
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+        and (fn.name == "run_scenario" or fn.name.startswith("_run_"))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise)
+    ]
+    assert raises == [("_run_cost_comparison", True)]
 
 
 def test_gap_ordering_warns_once_per_prior():

@@ -45,6 +45,14 @@ def test_width_mismatch_refused_by_make_table_and_from_csv():
     assert make_table(("a", "b"), []).cells.shape == (0, 2)
 
 
+def test_an_empty_table_takes_its_width_from_the_columns():
+    assert ResultTable(("a", "b", "c"), ()).cells.shape == (0, 3)
+    assert from_csv("# seed=1\na,b\n").cells.shape == (0, 2)
+    assert ResultTable(("a", "b"), np.empty((0, 2))).cells.shape == (0, 2)
+    with pytest.raises(ValueError, match=r"shape \(0, 3\), expected \(rows, 2\)"):
+        make_table(("a", "b"), np.empty((0, 3)))  # only the shape (0,) takes the width
+
+
 def test_cells_are_one_read_only_float64_array():
     table = small_table()
     assert table.cells.dtype == np.float64 and table.cells.shape == (3, 2)
