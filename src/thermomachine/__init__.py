@@ -73,7 +73,7 @@ from .metrology import (
     snr_transient,
 )
 from .scenarios import PRESETS, Scenario, run_scenario, run_verification
-from .tables import ResultTable, export, from_csv, make_table, to_csv, to_json
+from .tables import ResultTable, export, from_csv, to_csv, to_json
 
 #: The public names imported above (submodules excluded), plus ``__version__``.
 __all__ = ["__version__"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
-from .core import libm, thermal_population
+from .core import _gibbs_pair, libm
 
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
@@ -95,13 +95,15 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
 def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> np.ndarray:
     """Evolve rho_P (x) diag(sample_pops) (x) rho_v under h and reduce to the probe.
 
-    ``t`` defaults to the full-swap time pi / (2 eps_I).
+    ``t`` defaults to the full-swap time pi / (2 eps_I).  rho[(i, k), (j, l)] is the Kronecker
+    product's rho_p[i, j] rho_sv[k, l]; the config was checked when built, so the Gibbs pairs
+    come unchecked from ``_gibbs_pair``.
     """
     d = len(sample_pops)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    rho_sv = np.diag([s * a for s in sample_pops for a in (ancilla.p0, ancilla.p1)])
+    ancilla = _gibbs_pair(config.eps_v / config.T_v)
+    rho_sv = np.diag([s * a for s in sample_pops for a in ancilla])
     rho_p = np.asarray(rho_probe, dtype=complex)
-    rho = np.multiply.outer(rho_p, rho_sv).transpose(0, 2, 1, 3).reshape(4 * d, 4 * d)
+    rho = (rho_p[:, None, :, None] * rho_sv[None, :, None, :]).reshape(4 * d, 4 * d)
     u = _unitary(h, config.collision_time if t is None else t)
     return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
 
@@ -115,9 +117,8 @@ def collide_oracle_matrix(
     time t (default: the full-swap time pi / (2 eps_I)) and partial traces
     back to the probe.
     """
-    sample = thermal_population(config.eps_s, config.T)
     h = _hamiltonian(config, (0.0, config.eps_s), (0, 1))
-    return _collide_exact(rho_probe, (sample.p0, sample.p1), h, config, t)
+    return _collide_exact(rho_probe, _gibbs_pair(config.eps_s / config.T), h, config, t)
 
 
 def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:

@@ -3,9 +3,9 @@
 Sign convention: heat absorbed by a subsystem is positive.  Per collision
 the swap moves one quantum, so eps_v * dp = eps_s * dp + eps_p * dp holds
 identically through the resonance eps_v = eps_s + eps_p, and the three
-cumulative heats always sum to zero.  The heats and the probe's energy change
-take an int k or an integer ndarray of k through one formula path: an int gives
-a float, and each array element equals that float bit for bit (``core.libm``).
+cumulative heats always sum to zero.  Every function takes an array-valued config or
+p00 (one lane per machine), and those with a k an integer ndarray k, through one formula
+path: scalars give a float, and each array element that float bit for bit (``core.libm``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _population_change(k: int | np.ndarray, p00: float, config: MachineConfig):
     _check_count("k", k, 0)
     _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
-    return (p00 - params.p0_inf) * libm(math.expm1, k * math.log1p(-params.r))
+    return (p00 - params.p0_inf) * libm(math.expm1, k * libm(math.log1p, -params.r))
 
 
 def heat_sample(k: int | np.ndarray, p00: float, config: MachineConfig) -> float | np.ndarray:
@@ -69,6 +69,8 @@ class HeatTrajectory:
     ``ancilla_p0`` the post-collision ground populations of the j-th fresh
     sample qubit and of the ancilla.  The cumulative heats after j
     collisions are :func:`heat_sample` and :func:`heat_ancilla` at k = j.
+    Machine lanes (an array-valued config or p00) are the trailing axes:
+    ``delta_p[j-1]`` then holds step j of every lane.
     """
 
     delta_p: np.ndarray
@@ -80,15 +82,17 @@ def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> He
     """Step-by-step perturbations for the first k_max collisions.
 
     Computed analytically from delta_j = r (p0_inf - p0_{j-1}); the matrix
-    oracle reproduces the same numbers (cross-checked in the tests).
+    oracle reproduces the same numbers (cross-checked in the tests).  All lanes
+    step at once; ``np.ascontiguousarray(delta_p.T).sum(axis=1)`` adds each lane's
+    steps in the scalar ``delta_p.sum()``'s order (a sum over axis 0 does not).
     """
     _check_count("k_max", k_max, 1)
     _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
     sample = thermal_population(config.eps_s, config.T)
     ancilla = thermal_population(config.eps_v, config.T_v)
-    delta, p0 = np.empty(k_max), p00
+    delta, p0 = np.empty((k_max, *np.broadcast_shapes(np.shape(params.r), np.shape(p00)))), p00
     for j in range(k_max):
         delta[j] = step = params.r * (params.p0_inf - p0)
-        p0 += step
+        p0 = p0 + step  # never in place: an array p00 is the caller's
     return HeatTrajectory(delta_p=delta, sample_p0=sample.p0 + delta, ancilla_p0=ancilla.p0 - delta)

@@ -54,8 +54,8 @@ class Scenario:
     A scenario that can be built can be run: it sets every field its kind needs, and
     no field its kind never reads differs from its default.  Energies are in units of
     eps_s and temperature-like fields are set as fractions of eps_s.  Multi-valued
-    fields (``priors``, ``temps``, ``p00_values``) produce long-format tables
-    with one block per combination.
+    fields (``priors``, ``temps``, ``p00_values``) take any sequence of numbers, kept as a
+    tuple of floats, and produce long-format tables with one block per combination.
     """
 
     name: str
@@ -89,6 +89,8 @@ class Scenario:
             raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        for name in ("priors", "temps", "p00_values"):  # a numpy array would compare per element
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         counts = dict(
             points=0, k_min=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, samples=1, seed=0
         )
@@ -320,33 +322,30 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
 
     One row per check: (check index, ok flag, worst error), the
     machine-checkable health gate behind the ``verify`` CLI command.  A NaN
-    error propagates to its row and fails the check.  Each check is an array
-    expression over the machines; only calls that take one MachineConfig run per machine.
+    error propagates to its row and fails the check.  Each check is an array expression over
+    the machines, each closed form one call on a MachineConfig stacking their fields; only the
+    oracle collision and the Hamiltonian, which take one machine, run per machine.
     """
     configs = _random_configs(scenario.samples, scenario.seed)
-    p00 = np.array([c.p00 for c in configs])
-    params = CollisionParams(*np.array([(p.r, p.p0_inf) for p in map(collision_params, configs)]).T)
-    ref = configs[0]
-    u = exact_unitary(build_triad_hamiltonian(ref), ref.collision_time)
+    # vars lists a config's fields in order: one column per field, one lane per machine.
+    machines = MachineConfig(*np.array([list(vars(c).values()) for c in configs]).T)
+    p00, params = machines.p00, collision_params(machines)
     swap = np.arange(8)  # column j of a full swap has its 1 in row swap[j]
     swap[list(COUPLED_STATES)] = COUPLED_STATES[::-1]
     h = np.array([build_triad_hamiltonian(c) for c in configs])
+    u = exact_unitary(h[0], configs[0].collision_time)
     free = h * np.eye(8)  # h - free is the swap coupling
     first = CollisionParams(params.r[:25], params.p0_inf[:25])  # the map iterated on 25 machines
     iterated = [p00[:25]]
     for _ in range(500):
         iterated.append(collide_analytic(iterated[-1], first))
-    ks = np.array([1, 7, 150, 60])  # the balance at k = 1, 7, 150 and the signs at k = 60
-    q_s, q_v, q_p = (
-        np.array([f(ks, c.p00, c) for c in configs])
-        for f in (heat_sample, heat_ancilla, probe_energy_change)
-    )
-    heats = np.array((q_s[:, 3], q_v[:, 3]))
+    k = np.array([1, 7, 150, 60])[:, None]  # the balance at k = 1, 7, 150 and the signs at 60
+    q_s, q_v, q_p = (f(k, p00, machines) for f in (heat_sample, heat_ancilla, probe_energy_change))
+    heats = np.array((q_s[3], q_v[3]))
     # Skip heats within 1e-15 of zero, written so that a NaN heat is not skipped.
     signed = ~(np.abs(heats) <= 1e-15).any(axis=0)
-    steady = [snr_steady(c, M=3) for c in configs]
-    T, snr, lam = np.array([(c.T, pt.snr, pt.sensitivity) for c, pt in zip(configs, steady)]).T
-    p, kept = params.p0_inf, snr != 0.0
+    steady = snr_steady(machines, M=3)
+    p, snr, kept = params.p0_inf, steady.snr, steady.snr != 0.0
     # (name, tolerance, the errors it finds on the random machines), in row order.
     battery = (
         ("unitarity", 1e-12, np.abs(u @ u.conj().T - np.eye(8)).max()),
@@ -360,16 +359,17 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
             iterated[k] - transient_population(k, p00[:25], first) for k in (1, 10, 100, 500)
         ])),
         ("fixed_point", 1e-12, np.abs(collide_analytic(p, params) - p)),
-        ("heat_conservation", 1e-12, np.abs(q_s + q_v + q_p)[:, :3]),
+        ("heat_conservation", 1e-12, np.abs(q_s + q_v + q_p)[:3]),
+        # Each machine's 40 steps summed as one contiguous row, in the scalar sum's order.
         ("telescoping", 1e-12, np.abs(
-            [perturbation_trajectory(40, c.p00, c).delta_p.sum() for c in configs]
+            np.ascontiguousarray(perturbation_trajectory(40, p00, machines).delta_p.T).sum(axis=1)
             - (transient_population(40, p00, params) - p00)
         )),
         # 1 where the two heats share a sign; heaviside keeps a NaN product NaN.
         ("heat_sign_opposition", 0.5, np.heaviside(heats[:, signed].prod(axis=0), 1.0)),
         # fisher_binary's own form, unguarded, so that a NaN sensitivity fails this row.
         ("snr_fisher_consistency", 1e-12, np.abs(
-            snr - T * np.sqrt(3 * _fisher_two_sided(p, 1.0 - p, lam))
+            snr - machines.T * np.sqrt(3 * _fisher_two_sided(p, 1.0 - p, steady.sensitivity))
         )[kept] / snr[kept]),
     )
     names, tols, errors = zip(*battery)

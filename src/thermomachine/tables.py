@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -50,14 +50,6 @@ class ResultTable:
     def rows(self) -> tuple[tuple[float, ...], ...]:
         """The cells as one tuple of Python floats per row (built on each access)."""
         return tuple(map(tuple, self.cells.tolist()))
-
-
-def make_table(
-    columns: Iterable[str],
-    rows: Iterable[Iterable[float]] | np.ndarray,
-    meta: dict[str, object] | None = None,
-) -> ResultTable:
-    return ResultTable(tuple(columns), rows, dict(meta or {}))
 
 
 def _meta_value(value: object) -> str:

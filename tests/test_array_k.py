@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from thermomachine import (
     collision_params,
     heat_ancilla,
     heat_sample,
+    perturbation_trajectory,
     prior_interval,
     probe_energy_change,
     run_scenario,
@@ -42,8 +43,8 @@ from thermomachine import (
 from thermomachine.cli import _DEFAULTS
 from thermomachine.core import _gibbs_pair, _logistic_pair, _params_at, libm, stable_logistic
 from thermomachine.dynamics import collide_analytic, contraction_power
-from thermomachine.scenarios import _temperature_grid
-from thermomachine.tables import make_table
+from thermomachine.scenarios import _random_configs, _temperature_grid
+from thermomachine.tables import ResultTable
 
 EXP_UNDERFLOW = 745.1332191019412  # math.exp(-x) is 0 past here, subnormal just below
 UNDERFLOW_EXPONENT = 745.2
@@ -141,6 +142,46 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
     assert point.singular.tolist() == [s.singular for s in scalars]
     for heat in (heat_sample, heat_ancilla, probe_energy_change):
         assert bits(heat(ks, p00, config)) == bits([heat(int(k), p00, config) for k in ks])
+
+
+def assert_lanes_equal_the_machines(configs, M):
+    """Each closed form on one config stacking the machines' fields, against one call a machine."""
+    stacked = MachineConfig(
+        **{f.name: np.array([getattr(c, f.name) for c in configs]) for f in fields(MachineConfig)}
+    )
+    p00, ks = stacked.p00.copy(), np.array([0, 1, 7, 150, 60])[:, None]
+    params = collision_params(stacked)
+    for field in ("r", "p0_inf"):
+        assert bits(getattr(params, field)) == bits(
+            [getattr(collision_params(c), field) for c in configs]
+        )
+    for heat in (heat_sample, heat_ancilla, probe_energy_change):
+        assert bits(heat(ks, p00, stacked)) == bits(
+            [[heat(k, c.p00, c) for c in configs] for k in ks[:, 0].tolist()]
+        )
+    point, scalars = snr_steady(stacked, M), [snr_steady(c, M) for c in configs]
+    for field in ("T", "p0", "snr", "sensitivity", "fisher"):
+        assert bits(getattr(point, field)) == bits([getattr(s, field) for s in scalars])
+    lanes = perturbation_trajectory(40, p00, stacked)
+    scalars = [perturbation_trajectory(40, c.p00, c) for c in configs]
+    for field in ("delta_p", "sample_p0", "ancilla_p0"):
+        assert bits(getattr(lanes, field).T) == bits([getattr(s, field) for s in scalars])
+    # A lane's steps summed as one contiguous row add in the scalar sum's order.
+    assert bits(np.ascontiguousarray(lanes.delta_p.T).sum(axis=1)) == bits(
+        [s.delta_p.sum() for s in scalars]
+    )
+    assert bits(p00) == bits(stacked.p00)  # the trajectory leaves its p00 lanes as they were
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 3), (200, 7)])
+def test_stacked_battery_machines_equal_the_per_machine_calls(samples, seed):
+    assert_lanes_equal_the_machines(_random_configs(samples, seed), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs=st.lists(machines, min_size=1, max_size=8), M=st.integers(1, 10**6))
+def test_stacked_machines_equal_the_per_machine_calls(configs, M):
+    assert_lanes_equal_the_machines(configs, M)
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,7 +488,7 @@ def per_point_steady_sweep(scenario):
                 )
             )
     columns = ("T_prior", "T", "p0_inf", "sensitivity", "snr", "snr_thermal", "snr_at_prior")
-    return make_table(columns, rows)
+    return ResultTable(columns, rows)
 
 
 def per_point_noisy_ancilla(scenario):
@@ -459,7 +500,7 @@ def per_point_noisy_ancilla(scenario):
         config = tune_config(u, T, scenario.T_prior, scenario.T_v)
         noisy = [snr_noisy_ancilla(config, spec, scenario.M).snr for spec in specs]
         rows.append((T / u, snr_steady(config, scenario.M).snr, *noisy))
-    return make_table(("T", "snr_ideal", "snr_plus", "snr_minus"), rows)
+    return ResultTable(("T", "snr_ideal", "snr_plus", "snr_minus"), rows)
 
 
 T_AXIS_CASES = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
-from thermomachine import cli, scenarios
+from thermomachine import cli, scenarios, to_csv
 from thermomachine.core import GapOrderingWarning, collision_params, tune_config
 from thermomachine.dynamics import (
     COUPLED_STATES,
@@ -325,11 +326,12 @@ def nan_probe(probe, config):
 
 
 def nan_heat(k, p00, config):
-    return np.full(np.shape(k), math.nan)
+    return np.full(np.broadcast_shapes(np.shape(k), np.shape(p00)), math.nan)
 
 
 def nan_snr(config, M):
-    return SimpleNamespace(snr=math.nan, sensitivity=math.nan)
+    nan = np.full(np.shape(config.T), math.nan)
+    return SimpleNamespace(snr=nan, sensitivity=nan)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +353,30 @@ def test_nan_error_fails_its_check(monkeypatch, capsys, target, patch, failed):
             assert ok == 1.0 and math.isfinite(error), name
     assert cli.main(["verify", "--set", "samples=5", "--seed", "3"]) == cli.EXIT_VERIFY
     assert "verification FAILED" in capsys.readouterr().err
+
+
+#: The closed forms verify calls once over all machines, and the calls that take one machine.
+PER_BATTERY = (
+    "collision_params", "heat_sample", "heat_ancilla", "probe_energy_change", "snr_steady",
+    "perturbation_trajectory",
+)
+PER_MACHINE = ("collide_oracle", "build_triad_hamiltonian")
+
+
+def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in PER_BATTERY + PER_MACHINE:
+        monkeypatch.setattr(scenarios, name, counted(name, getattr(scenarios, name)))
+    assert verification_passed(run_verification(samples=200))
+    assert calls == {**dict.fromkeys(PER_BATTERY, 1), **dict.fromkeys(PER_MACHINE, 200)}
 
 
 def test_scenario_validation():
@@ -483,6 +509,23 @@ def test_no_runner_checks_a_field():
         if isinstance(node, ast.Raise)
     ]
     assert raises == [("_run_cost_comparison", True)]
+
+
+@pytest.mark.parametrize(
+    "kind, given",
+    [
+        ("transient-sweep", dict(T_prior=0.25, temps=(0.2, 0.3))),
+        ("transient-sweep", dict(T_prior=0.25, temps=(0.2,), p00_values=(0.5, 1.0))),
+        ("steady-sweep", dict(priors=(0.25, 0.125), points=5)),
+    ],
+)
+def test_multi_valued_fields_take_arrays_and_write_the_tuples_bytes(kind, given):
+    expected = Scenario("x", kind, **given)
+    arrays = {k: np.array(v) if type(v) is tuple else v for k, v in given.items()}
+    built = Scenario("x", kind, **arrays)
+    assert built == expected
+    assert all(type(x) is float for x in built.priors + built.temps + built.p00_values)
+    assert to_csv(run_scenario(built)) == to_csv(run_scenario(expected))
 
 
 def test_gap_ordering_warns_once_per_prior():

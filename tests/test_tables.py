@@ -14,14 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermomachine import PRESETS, ResultTable, from_csv, make_table, run_scenario, to_csv, to_json
+from thermomachine import PRESETS, ResultTable, from_csv, run_scenario, to_csv, to_json
 from thermomachine.cli import EXIT_OK, main
 from thermomachine.scenarios import Scenario
 from thermomachine.tables import _BLOCK, export, schema_text
 
 
 def small_table() -> ResultTable:
-    return make_table(
+    return ResultTable(
         ("a", "b"),
         ((1.0, 2.0), (0.1 + 0.2, 1e-300), (float(2**53 - 1), -4.9406564584124654e-324)),
         {"scenario": "unit", "kind": "steady-sweep", "version": "0.1.0", "seed": 7},
@@ -33,16 +33,16 @@ def test_rectangularity_enforced():
         ResultTable(columns=("a", "b"), cells=((1.0,),))
 
 
-def test_width_mismatch_refused_by_make_table_and_from_csv():
+def test_width_mismatch_refused_by_result_table_and_from_csv():
     with pytest.raises(ValueError):
-        make_table(("a", "b"), ((1.0, 2.0, 3.0),))
+        ResultTable(("a", "b"), ((1.0, 2.0, 3.0),))
     with pytest.raises(ValueError):
-        make_table(("a", "b"), ((1.0, 2.0), (3.0,)))
+        ResultTable(("a", "b"), ((1.0, 2.0), (3.0,)))
     # A one-cell row would broadcast across a numpy row; it must be refused.
     for body in ("1\n", "1,2,3\n"):
         with pytest.raises(ValueError):
             from_csv("a,b\n1,2\n" + body)
-    assert make_table(("a", "b"), []).cells.shape == (0, 2)
+    assert ResultTable(("a", "b"), []).cells.shape == (0, 2)
 
 
 def test_an_empty_table_takes_its_width_from_the_columns():
@@ -50,7 +50,7 @@ def test_an_empty_table_takes_its_width_from_the_columns():
     assert from_csv("# seed=1\na,b\n").cells.shape == (0, 2)
     assert ResultTable(("a", "b"), np.empty((0, 2))).cells.shape == (0, 2)
     with pytest.raises(ValueError, match=r"shape \(0, 3\), expected \(rows, 2\)"):
-        make_table(("a", "b"), np.empty((0, 3)))  # only the shape (0,) takes the width
+        ResultTable(("a", "b"), np.empty((0, 3)))  # only the shape (0,) takes the width
 
 
 def test_cells_are_one_read_only_float64_array():
@@ -61,7 +61,7 @@ def test_cells_are_one_read_only_float64_array():
     assert table.rows[1] == (0.1 + 0.2, 1e-300)
     # A runner's own array stays writeable; the table holds a read-only view of it.
     mine = np.ones((2, 1))
-    assert not make_table(("a",), mine).cells.flags.writeable
+    assert not ResultTable(("a",), mine).cells.flags.writeable
     assert mine.flags.writeable
 
 
@@ -83,7 +83,7 @@ def test_array_exporters_match_the_per_cell_reference():
     special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, float(2**53 - 1), 0.1 + 0.2]
     rows = [tuple(special[(i + j) % len(special)] for j in range(3)) for i in range(len(special))]
     meta = {"scenario": "x", "kind": "verify", "version": "0"}
-    table = make_table(("a", "b", "c"), rows, meta)
+    table = ResultTable(("a", "b", "c"), rows, meta)
     csv_body = to_csv(table).splitlines()[len(meta) + 1 :]
     assert csv_body == [_old_csv_row(row) for row in rows]
     old = {"meta": meta, "columns": ["a", "b", "c"], "rows": list(map(_old_json_row, rows))}
@@ -175,9 +175,9 @@ def test_block_writers_match_the_whole_table_reference(
     if non_finite_row is not None and non_finite_row < n and width:
         cells[non_finite_row] = rng.choice(_NON_FINITE, size=width)
     meta = {"scenario": "x", "kind": "verify", "version": "0", "note": meta_value}
-    table = make_table([f"c{j}" for j in range(width)], cells, meta)
+    table = ResultTable(tuple(f"c{j}" for j in range(width)), cells, meta)
     _assert_same_text(to_json(table), _json_reference(table))
-    csv_text = to_csv(make_table(table.columns, cells))  # meta text may hold a line break
+    csv_text = to_csv(ResultTable(table.columns, cells))  # meta text may hold a line break
     _assert_same_text(csv_text.partition("\n")[2], _csv_reference(cells))
     if width:  # a zero-width row is an empty line, which from_csv skips
         _assert_same_text(from_csv(csv_text).cells.tobytes(), table.cells.tobytes())
@@ -189,7 +189,7 @@ def test_a_column_broken_only_between_its_first_and_last_rows_is_written_per_cel
     cells = np.tile([2.5, 3.0, 0.0], (2 * _BLOCK + 3, 1))
     for row in (7, _BLOCK + 9):
         cells[row] = [7.0, 3.5, -0.0]
-    table = make_table(("a", "b", "c"), cells)
+    table = ResultTable(("a", "b", "c"), cells)
     _assert_same_text(to_csv(table).partition("\n")[2], _csv_reference(cells))
     _assert_same_text(to_json(table), _json_reference(table))
 
@@ -197,7 +197,7 @@ def test_a_column_broken_only_between_its_first_and_last_rows_is_written_per_cel
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("n", [0, _BLOCK + 1])
 def test_non_finite_meta_is_refused_by_to_json(bad, n, tmp_path):
-    table = make_table(("a",), np.ones((n, 1)), {"scenario": "x", "bad": bad})
+    table = ResultTable(("a",), np.ones((n, 1)), {"scenario": "x", "bad": bad})
     with pytest.raises(ValueError):
         to_json(table)
     # export refuses it before opening the destination: an existing file keeps
@@ -218,7 +218,7 @@ def test_export_writes_what_the_string_writers_return(n, width, fmt, tmp_path):
     cells = np.random.default_rng(n + width).standard_normal((n, width))
     if n > _BLOCK and width:
         cells[_BLOCK + 5] = [math.inf, math.nan, -math.inf]  # a non-finite row in block two
-    table = make_table([f"c{j}" for j in range(width)], cells, {"scenario": "x", "seed": 3})
+    table = ResultTable(tuple(f"c{j}" for j in range(width)), cells, {"scenario": "x", "seed": 3})
     written = export(table, fmt, tmp_path / f"t.{fmt}").read_text()
     assert written == (to_csv(table) if fmt == "csv" else to_json(table))
 
@@ -235,7 +235,8 @@ def _traced_peak(call) -> int:
 def test_export_and_from_csv_scratch_memory_is_bounded_by_the_block(tmp_path):
     # fig2b's shape.  Joining the whole text before writing peaked at ~3x the
     # text; streaming a block at a time holds well under a third of it.
-    table = make_table([f"c{j}" for j in range(6)], np.random.default_rng(0).random((30_006, 6)))
+    cells = np.random.default_rng(0).random((30_006, 6))
+    table = ResultTable(tuple(f"c{j}" for j in range(6)), cells)
     for fmt in ("csv", "json"):
         path = tmp_path / f"t.{fmt}"
         peak = _traced_peak(lambda: export(table, fmt, path))
@@ -257,7 +258,7 @@ def test_from_csv_names_the_ragged_row(index, cells):
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_from_csv_reads_any_line_break_in_any_chunk(newline):
-    table = make_table(("a", "b", "c"), np.random.default_rng(1).random((10_000, 3)), {"seed": 2})
+    table = ResultTable(("a", "b", "c"), np.random.default_rng(1).random((10_000, 3)), {"seed": 2})
     text = to_csv(table) + "\n# late=1\n"  # a meta line after the rows, in the last chunk
     back = from_csv(text.replace("\n", newline))
     assert back.cells.tobytes() == table.cells.tobytes()
@@ -428,7 +429,7 @@ def test_unknown_format_rejected(tmp_path):
 
 def test_json_writes_non_finite_cells_as_null(validate_table_json):
     meta = {"scenario": "x", "kind": "verify", "version": "0"}
-    table = make_table(("a", "b"), ((float("inf"), 1.5), (2.0, float("nan"))), meta)
+    table = ResultTable(("a", "b"), ((float("inf"), 1.5), (2.0, float("nan"))), meta)
     payload = json.loads(to_json(table))
     assert payload["rows"] == [[None, 1.5], [2.0, None]]
     validate_table_json(payload)
@@ -439,7 +440,7 @@ def test_json_writes_non_finite_cells_as_null(validate_table_json):
     assert sum(row.count(None) for row in fig2a["rows"]) == 3
     # JSON has no inf token, so a non-finite meta value is still refused.
     with pytest.raises(ValueError):
-        to_json(make_table(("a",), ((1.0,),), dict(meta, bad=float("inf"))))
+        to_json(ResultTable(("a",), ((1.0,),), dict(meta, bad=float("inf"))))
 
 
 def test_fig1b_round_trips_through_csv():
