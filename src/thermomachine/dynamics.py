@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,33 +93,45 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(w * (-1j * t))) @ v.conj().T
 
 
-def _collide_exact(rho_probe, sample_pops, h, config: MachineConfig, t=None) -> np.ndarray:
-    """Evolve rho_P (x) diag(sample_pops) (x) rho_v under h and reduce to the probe.
+@lru_cache(maxsize=4)  # a constant: one machine's triad and d-level channels, never a sweep
+def _channel(config: MachineConfig, sample, t: float, zero_sign: float) -> tuple:
+    """Read-only (rho_s (x) rho_v, u = e^(-iHt), u^H) of a machine and ``sample`` (None: the triad's
+    qubit at config.T).  Keys compare by ==, blind to a zero's sign: t's is ``zero_sign``."""
+    if sample is None:
+        levels, pair, pops = (0.0, config.eps_s), (0, 1), _gibbs_pair(config.eps_s / config.T)
+    else:
+        levels, pair, pops = sample.levels, sample.pair, sample.populations().tolist()
+    ancilla = _gibbs_pair(config.eps_v / config.T_v)  # the config was checked when built
+    u = _unitary(_hamiltonian(config, levels, pair), t)
+    channel = np.diag([s * a for s in pops for a in ancilla]), u, u.conj().T
+    for a in channel:
+        a.setflags(write=False)
+    return channel
 
-    ``t`` defaults to the full-swap time pi / (2 eps_I).  rho[(i, k), (j, l)] is the Kronecker
-    product's rho_p[i, j] rho_sv[k, l]; the config was checked when built, so the Gibbs pairs
-    come unchecked from ``_gibbs_pair``.
-    """
-    d = len(sample_pops)
-    ancilla = _gibbs_pair(config.eps_v / config.T_v)
-    rho_sv = np.diag([s * a for s in sample_pops for a in ancilla])
+
+def _collide_exact(rho_probe, config: MachineConfig, sample=None, t=None) -> np.ndarray:
+    """Evolve rho_P (x) rho_s (x) rho_v by :func:`_channel` at t (default pi / (2 eps_I)) and reduce
+    to the probe; rho[(i, k), (j, l)] is the Kronecker product's rho_p[i, j] rho_sv[k, l]."""
+    t = config.collision_time if t is None else t
+    try:
+        rho_sv, u, u_h = _channel(config, sample, t, math.copysign(1.0, t))
+    except TypeError:  # unhashable: an array field, or a sample's list of levels
+        if any(np.ndim(v) for v in vars(config).values()):
+            raise ValueError("an oracle takes one machine, not a stacked MachineConfig") from None
+        rho_sv, u, u_h = _channel.__wrapped__(config, sample, t, 1.0)
+    d = len(rho_sv) // 2
     rho_p = np.asarray(rho_probe, dtype=complex)
     rho = (rho_p[:, None, :, None] * rho_sv[None, :, None, :]).reshape(4 * d, 4 * d)
-    u = _unitary(h, config.collision_time if t is None else t)
-    return np.einsum("ijkljk->il", (u @ rho @ u.conj().T).reshape(2, d, 2, 2, d, 2))
+    return np.einsum("ijkljk->il", (u @ rho @ u_h).reshape(2, d, 2, 2, d, 2))
 
 
 def collide_oracle_matrix(
     rho_probe: np.ndarray, config: MachineConfig, t: float | None = None
 ) -> np.ndarray:
-    """One collision on an arbitrary 2x2 probe state, full matrix path.
-
-    Builds rho_P (x) rho_s (x) rho_v, conjugates with the exact unitary at
-    time t (default: the full-swap time pi / (2 eps_I)) and partial traces
-    back to the probe.
-    """
-    h = _hamiltonian(config, (0.0, config.eps_s), (0, 1))
-    return _collide_exact(rho_probe, _gibbs_pair(config.eps_s / config.T), h, config, t)
+    """One collision on an arbitrary 2x2 probe state at time t (default: the full-swap time
+    pi / (2 eps_I)), by the exact unitary and a partial trace back to the probe.  The machine's
+    part comes from a memo: a call repeating a recent (machine, t) runs no eigendecomposition."""
+    return _collide_exact(rho_probe, config, None, t)
 
 
 def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
@@ -228,11 +241,8 @@ def reduce_d_level(
     return sample.pair_weight, collision_params(replace(config, T=sample.temperature))
 
 
-def collide_oracle_dlevel(
-    p0_probe: float, sample: DLevelSample, config: MachineConfig
-) -> float:
+def collide_oracle_dlevel(p0_probe: float, sample: DLevelSample, config: MachineConfig) -> float:
     """One collision against a d-level sample, full (4 d)-dimensional oracle."""
     _check_range("p0_probe", p0_probe, 0.0, 1.0, closed=True)
-    h = _hamiltonian(config, sample.levels, sample.pair)
     rho_probe = np.array([[p0_probe, 0.0], [0.0, 1.0 - p0_probe]], complex)
-    return float(_collide_exact(rho_probe, sample.populations().tolist(), h, config)[0, 0].real)
+    return float(_collide_exact(rho_probe, config, sample)[0, 0].real)

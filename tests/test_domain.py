@@ -25,6 +25,7 @@ from thermomachine import (
     ProbeState,
     build_triad_hamiltonian,
     collide_analytic,
+    collide_oracle,
     collide_oracle_dlevel,
     collide_oracle_matrix,
     collision_params,
@@ -287,6 +288,23 @@ def test_illegal_count_is_refused_by_name(call, word, legal, illegal):
     for n in illegal:
         with pytest.raises(ValueError, match=rf"\b{re.escape(word)}\b.*integer"):
             call(n)
+
+
+# (row id, call of a machine): an oracle takes one machine and refuses a MachineConfig stacking
+# several (here two temperatures) by name, not with numpy's IndexError or one lane's float.
+STACKED = tune_config(eps_s=1.0, T=np.array([0.2, 0.3]), T_prior=0.25, T_v=1.0)
+STACKED_ROWS = [
+    ("collide_oracle", lambda c: collide_oracle(ProbeState(0.5), c)),
+    ("collide_oracle_matrix", lambda c: collide_oracle_matrix(np.diag([0.5, 0.5]), c)),
+    ("collide_oracle_dlevel", lambda c: collide_oracle_dlevel(0.5, THREE_LEVEL, c)),
+]
+
+
+@pytest.mark.parametrize("call", [r[1] for r in STACKED_ROWS], ids=[r[0] for r in STACKED_ROWS])
+def test_an_oracle_refuses_a_stacked_machine_by_name(call):
+    call(CONFIG)
+    with pytest.raises(ValueError, match="an oracle takes one machine"):
+        call(STACKED)
 
 
 def _nan_passing_checks(source: str) -> list[str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from thermomachine import (
     transient_population,
     tune_config,
 )
+from thermomachine import dynamics
 from thermomachine.dynamics import COUPLED_STATES, _hamiltonian, contraction_power
 
 
@@ -280,25 +282,75 @@ def oracle_cases(n, seed):
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
 def test_oracles_equal_the_kron_reference_bit_for_bit(seed):
+    # Each oracle runs twice in a row, so the second call reads the channel memo.
     for config, p0, rho, three, four, t in oracle_cases(100, seed):
         triad, pops = build_triad_hamiltonian(config), gibbs_qubit(config.eps_s, config.T)
         tc = config.collision_time
         diagonal = kron_collide(np.diag([p0, 1.0 - p0]), pops, triad, config, tc)
-        assert collide_oracle_matrix(np.diag([p0, 1.0 - p0]), config).tobytes() == (
-            diagonal.tobytes()
-        )
-        assert collide_oracle(ProbeState(p0=p0), config).p0 == min(
-            1.0, max(0.0, float(diagonal[0, 0].real))
-        )
-        for time in (tc, t, 0.0, -0.0):
+        for _ in range(2):
+            assert collide_oracle_matrix(np.diag([p0, 1.0 - p0]), config).tobytes() == (
+                diagonal.tobytes()
+            )
+        for _ in range(2):
+            assert collide_oracle(ProbeState(p0=p0), config).p0 == min(
+                1.0, max(0.0, float(diagonal[0, 0].real))
+            )
+        for time in (tc, t, 0.0, -0.0, 0.0):  # the zeros' signs alternate on memo hits
             coherent = kron_collide(rho, pops, triad, config, time)
-            assert collide_oracle_matrix(rho, config, time).tobytes() == coherent.tobytes()
-        for sample in (three, four):
+            for _ in range(2):
+                assert collide_oracle_matrix(rho, config, time).tobytes() == coherent.tobytes()
+        # three's levels and pair at a temperature other than config.T
+        for sample in (three, replace(three, temperature=1.5 * config.T), four):
             pops_d = gibbs_levels(sample.levels, sample.temperature)
             assert sample.populations().tobytes() == pops_d.tobytes()
             h = _hamiltonian(config, sample.levels, sample.pair)
             reduced = kron_collide(np.diag([p0, 1.0 - p0]), pops_d, h, config, tc)
-            assert collide_oracle_dlevel(p0, sample, config) == float(reduced[0, 0].real)
+            for _ in range(2):
+                assert collide_oracle_dlevel(p0, sample, config) == float(reduced[0, 0].real)
+
+
+def test_a_call_repeating_a_recent_machine_runs_no_new_eigendecomposition(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+    dynamics._channel.cache_clear()
+    configs = random_machine_configs(6, seed=27)
+    config, rho = configs[0], np.diag([0.3, 0.7])
+    collide_oracle(ProbeState(p0=0.3), config)
+    collide_oracle_matrix(rho, config)  # the same machine at the same default t
+    assert calls == [8]
+    sample = DLevelSample((0.0, config.eps_s, 3.0 * config.eps_s), config.T, (0, 1))
+    for call, size in (
+        (lambda: collide_oracle_matrix(rho, config, 0.5), 8),  # a new t
+        (lambda: collide_oracle_matrix(rho, config, 0.0), 8),
+        (lambda: collide_oracle_matrix(rho, config, -0.0), 8),  # the other sign of a zero t
+        (lambda: collide_oracle_dlevel(0.3, sample, config), 12),  # a d-level sample
+        (lambda: collide_oracle_dlevel(0.3, DLevelSample((0.0, config.eps_s), config.T, (0, 1)),
+                                       config), 8),  # the triad's own levels: other populations
+        (lambda: collide_oracle_matrix(rho, configs[1]), 8),  # another machine
+    ):
+        before = len(calls)
+        call()
+        call()
+        assert calls[before:] == [size]
+    # Cycling through more machines than the memo holds runs one per call.
+    cycle = configs[: dynamics._channel.cache_info().maxsize + 1]
+    dynamics._channel.cache_clear()
+    calls.clear()
+    for c in cycle * 3:
+        collide_oracle_matrix(rho, c)
+    assert len(calls) == 3 * len(cycle)
+
+
+def test_an_unhashable_key_skips_the_memo(config):
+    rho = np.diag([0.3, 0.7])
+    zero_d = replace(config, T=np.array(config.T))
+    assert collide_oracle_matrix(rho, zero_d).tobytes() == (
+        collide_oracle_matrix(rho, config).tobytes()
+    )
+    listed = DLevelSample([0.0, 1.0, 2.5], config.T, [0, 1])
+    tupled = DLevelSample((0.0, 1.0, 2.5), config.T, (0, 1))
+    assert collide_oracle_dlevel(0.3, listed, config) == collide_oracle_dlevel(0.3, tupled, config)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 12])
