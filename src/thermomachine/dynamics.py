@@ -50,15 +50,19 @@ class ProbeState:
         _check_count("k", self.k, 0)
 
 
-def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
-    """Probe x sample x ancilla Hamiltonian for a sample with the given ``levels``.
-
-    Basis index (i_P * d + level) * 2 + k_v; the interaction couples
-    |0_P j 1_v> with |1_P j' 0_v> at strength eps_I, where (j, j') = ``pair``.
-    """
+def _layout(config: MachineConfig, levels, pair, detuning: float = 0.0) -> tuple:
+    """(diagonal, (a, b)) of the probe x sample x ancilla Hamiltonian for a sample with ``levels``:
+    basis index (i_P * d + level) * 2 + k_v; the interaction couples a = |0_P j 1_v> with
+    b = |1_P j' 0_v> at strength eps_I, (j, j') = ``pair``.  Array fields give lanes per entry."""
     eps_p, eps_v = config.eps_p, config.eps_v + detuning
-    h = np.diag([i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
-    a, b = 2 * pair[0] + 1, 2 * (len(levels) + pair[1])
+    diagonal = [i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)]
+    return diagonal, (2 * pair[0] + 1, 2 * (len(levels) + pair[1]))
+
+
+def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
+    """Probe x sample x ancilla Hamiltonian for a sample with ``levels``, laid out by _layout."""
+    diagonal, (a, b) = _layout(config, levels, pair, detuning)
+    h = np.diag(diagonal)
     h[a, b] = h[b, a] = config.eps_I
     return h
 
@@ -94,9 +98,10 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)  # a constant: one machine's triad and d-level channels, never a sweep
-def _channel(config: MachineConfig, sample, t: float, zero_sign: float) -> tuple:
+def _channel(config: MachineConfig, sample, t: float) -> tuple:
     """Read-only (rho_s (x) rho_v, u = e^(-iHt), u^H) of a machine and ``sample`` (None: the triad's
-    qubit at config.T).  Keys compare by ==, blind to a zero's sign: t's is ``zero_sign``."""
+    qubit at config.T).  Keys compare by ==, so t = -0.0 reads t = 0.0's entry: the phase
+    exp(w * (-1j t)) has the same bits at either zero (test_dynamics pins it)."""
     if sample is None:
         levels, pair, pops = (0.0, config.eps_s), (0, 1), _gibbs_pair(config.eps_s / config.T)
     else:
@@ -114,11 +119,11 @@ def _collide_exact(rho_probe, config: MachineConfig, sample=None, t=None) -> np.
     to the probe; rho[(i, k), (j, l)] is the Kronecker product's rho_p[i, j] rho_sv[k, l]."""
     t = config.collision_time if t is None else t
     try:
-        rho_sv, u, u_h = _channel(config, sample, t, math.copysign(1.0, t))
-    except TypeError:  # unhashable: an array field, or a sample's list of levels
+        rho_sv, u, u_h = _channel(config, sample, t)
+    except TypeError:  # unhashable: a 0-d array field of the config or the sample
         if any(np.ndim(v) for v in vars(config).values()):
             raise ValueError("an oracle takes one machine, not a stacked MachineConfig") from None
-        rho_sv, u, u_h = _channel.__wrapped__(config, sample, t, 1.0)
+        rho_sv, u, u_h = _channel.__wrapped__(config, sample, t)
     d = len(rho_sv) // 2
     rho_p = np.asarray(rho_probe, dtype=complex)
     rho = (rho_p[:, None, :, None] * rho_sv[None, :, None, :]).reshape(4 * d, 4 * d)
@@ -141,12 +146,43 @@ def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
     return ProbeState(p0=min(1.0, max(0.0, float(reduced[0, 0].real))), k=probe.k + 1)
 
 
+def _triad_lanes(machines: MachineConfig) -> tuple:
+    """The triad oracle over a MachineConfig of array fields, one lane per machine: (h, u, p0).
+
+    Each lane is bit for bit its machine's single path: h = build_triad_hamiltonian, u = e^(-iHt)
+    at t = pi / (2 eps_I), and p0 = collide_oracle(ProbeState(p00)).p0, clamped alike (a NaN
+    reads 0).  Single calls keep their own path: through lane-agnostic code each runs slower.
+    """
+    p0, lanes = machines.p00, len(machines.p00)
+    diagonal, (a, b) = _layout(machines, (0.0, machines.eps_s), (0, 1))
+    h = np.zeros((lanes, 8, 8))
+    h[:, range(8), range(8)] = np.transpose(diagonal)
+    h[:, a, b] = h[:, b, a] = machines.eps_I
+    w, v = np.linalg.eigh(h)  # v is real: v.conj() is v
+    phase = np.exp(w * (-1j * machines.collision_time)[:, None])
+    u = (v * phase[:, None, :]) @ v.swapaxes(1, 2)
+    pairs = _gibbs_pair(machines.eps_s / machines.T), _gibbs_pair(machines.eps_v / machines.T_v)
+    rho_sv = np.zeros((lanes, 4, 4))
+    rho_sv[:, range(4), range(4)] = np.transpose([s * x for s in pairs[0] for x in pairs[1]])
+    rho_p = np.zeros((lanes, 2, 2), complex)
+    rho_p[:, 0, 0], rho_p[:, 1, 1] = p0, 1.0 - p0
+    rho = (rho_p[:, :, None, :, None] * rho_sv[:, None, :, None, :]).reshape(-1, 8, 8)
+    out = (u @ rho @ u.conj().swapaxes(1, 2)).reshape(-1, 2, 2, 2, 2, 2, 2)
+    reduced = np.einsum("nijkljk->nil", out)[:, 0, 0].real
+    return h, u, np.where(reduced > 0.0, np.minimum(reduced, 1.0), 0.0)  # min(1, max(0, x))
+
+
 def collide_analytic(p0: float | np.ndarray, params: CollisionParams) -> float | np.ndarray:
     """Closed-form collision map  p0 -> (1 - r) p0 + r p0_inf.
 
     An array ``p0`` or array-valued ``params`` maps per element, bit for bit the scalar calls.
     """
     _check_range("p0", p0, -math.inf)  # finite; an iterated map may round one ulp past 1
+    return _collide(p0, params)
+
+
+def _collide(p0, params: CollisionParams):
+    """:func:`collide_analytic` unchecked, the map's one formula: iterates a checked p0."""
     return (1.0 - params.r) * p0 + params.r * params.p0_inf
 
 
@@ -189,6 +225,9 @@ class DLevelSample:
     pair: tuple[int, int]
 
     def __post_init__(self) -> None:
+        # Tuples compare and hash as one value (arrays per element): the sample keys the memo.
+        object.__setattr__(self, "levels", tuple(map(float, self.levels)))
+        object.__setattr__(self, "pair", tuple(self.pair))
         d = len(self.levels)
         _check_count("number of levels", d, 2)
         _check_range("spacing of levels", np.diff(self.levels), 0.0, closed=True)

@@ -18,15 +18,7 @@ import numpy as np
 from . import __version__
 from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
 from .core import tune_config
-from .dynamics import (
-    COUPLED_STATES,
-    ProbeState,
-    build_triad_hamiltonian,
-    collide_analytic,
-    collide_oracle,
-    exact_unitary,
-    transient_population,
-)
+from .dynamics import COUPLED_STATES, _collide, _triad_lanes, collide_analytic, transient_population
 from .estimation import DEFAULT_SEED, empirical_snr_study
 from .heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_energy_change
 from .metrology import (
@@ -323,8 +315,9 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     One row per check: (check index, ok flag, worst error), the
     machine-checkable health gate behind the ``verify`` CLI command.  A NaN
     error propagates to its row and fails the check.  Each check is an array expression over
-    the machines, each closed form one call on a MachineConfig stacking their fields; only the
-    oracle collision and the Hamiltonian, which take one machine, run per machine.
+    the machines, and each closed form one call on a MachineConfig stacking their fields; so is
+    the exact oracle (``_triad_lanes``: every machine's Hamiltonian, unitary and collision in one
+    ``eigh``), each lane bit for bit what the single-machine oracle gives.
     """
     configs = _random_configs(scenario.samples, scenario.seed)
     # vars lists a config's fields in order: one column per field, one lane per machine.
@@ -332,13 +325,12 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     p00, params = machines.p00, collision_params(machines)
     swap = np.arange(8)  # column j of a full swap has its 1 in row swap[j]
     swap[list(COUPLED_STATES)] = COUPLED_STATES[::-1]
-    h = np.array([build_triad_hamiltonian(c) for c in configs])
-    u = exact_unitary(h[0], configs[0].collision_time)
+    h, u, oracle = _triad_lanes(machines)  # the unitarity and swap rows read u[0]
     free = h * np.eye(8)  # h - free is the swap coupling
     first = CollisionParams(params.r[:25], params.p0_inf[:25])  # the map iterated on 25 machines
-    iterated = [p00[:25]]
+    iterated = [p00[:25]]  # checked when the machines were built: the steps skip the check
     for _ in range(500):
-        iterated.append(collide_analytic(iterated[-1], first))
+        iterated.append(_collide(iterated[-1], first))
     k = np.array([1, 7, 150, 60])[:, None]  # the balance at k = 1, 7, 150 and the signs at 60
     q_s, q_v, q_p = (f(k, p00, machines) for f in (heat_sample, heat_ancilla, probe_energy_change))
     heats = np.array((q_s[3], q_v[3]))
@@ -348,13 +340,10 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     p, snr, kept = params.p0_inf, steady.snr, steady.snr != 0.0
     # (name, tolerance, the errors it finds on the random machines), in row order.
     battery = (
-        ("unitarity", 1e-12, np.abs(u @ u.conj().T - np.eye(8)).max()),
-        ("full_swap_permutation", 1e-10, np.abs(np.abs(u[swap, np.arange(8)]) - 1.0)),
+        ("unitarity", 1e-12, np.abs(u[0] @ u[0].conj().T - np.eye(8)).max()),
+        ("full_swap_permutation", 1e-10, np.abs(np.abs(u[0][swap, np.arange(8)]) - 1.0)),
         ("resonant_commutation", 1e-12, np.abs((h - free) @ free - free @ (h - free))),
-        ("oracle_vs_analytic", 1e-10, np.abs(
-            [collide_oracle(ProbeState(p0=c.p00), c).p0 for c in configs]
-            - collide_analytic(p00, params)
-        )),
+        ("oracle_vs_analytic", 1e-10, np.abs(oracle - collide_analytic(p00, params))),
         ("closed_form_vs_iteration", 1e-12, np.abs([
             iterated[k] - transient_population(k, p00[:25], first) for k in (1, 10, 100, 500)
         ])),

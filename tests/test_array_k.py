@@ -42,7 +42,15 @@ from thermomachine import (
 )
 from thermomachine.cli import _DEFAULTS
 from thermomachine.core import _gibbs_pair, _logistic_pair, _params_at, libm, stable_logistic
-from thermomachine.dynamics import collide_analytic, contraction_power
+from thermomachine.dynamics import (
+    ProbeState,
+    _triad_lanes,
+    build_triad_hamiltonian,
+    collide_analytic,
+    collide_oracle,
+    contraction_power,
+    exact_unitary,
+)
 from thermomachine.scenarios import _random_configs, _temperature_grid
 from thermomachine.tables import ResultTable
 
@@ -144,11 +152,28 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
         assert bits(heat(ks, p00, config)) == bits([heat(int(k), p00, config) for k in ks])
 
 
-def assert_lanes_equal_the_machines(configs, M):
-    """Each closed form on one config stacking the machines' fields, against one call a machine."""
-    stacked = MachineConfig(
+def stack(configs) -> MachineConfig:
+    """One config whose fields are arrays, one lane per machine."""
+    return MachineConfig(
         **{f.name: np.array([getattr(c, f.name) for c in configs]) for f in fields(MachineConfig)}
     )
+
+
+def assert_oracle_lanes_equal_the_machines(configs):
+    """The stacked triad oracle against the single-machine oracle, Hamiltonian and unitary."""
+    stacked = stack(configs)
+    h, u, p0 = _triad_lanes(stacked)
+    assert bits(p0) == bits([collide_oracle(ProbeState(p0=c.p00), c).p0 for c in configs])
+    assert h.tobytes() == np.array([build_triad_hamiltonian(c) for c in configs]).tobytes()
+    for c, lane in zip(configs[:20], u):
+        single = exact_unitary(build_triad_hamiltonian(c), c.collision_time)
+        assert lane.tobytes() == single.tobytes()
+
+
+def assert_lanes_equal_the_machines(configs, M):
+    """Each closed form on one config stacking the machines' fields, against one call a machine."""
+    stacked = stack(configs)
+    assert_oracle_lanes_equal_the_machines(configs)
     p00, ks = stacked.p00.copy(), np.array([0, 1, 7, 150, 60])[:, None]
     params = collision_params(stacked)
     for field in ("r", "p0_inf"):
@@ -176,6 +201,11 @@ def assert_lanes_equal_the_machines(configs, M):
 @pytest.mark.parametrize("samples, seed", [(1, 3), (200, 7)])
 def test_stacked_battery_machines_equal_the_per_machine_calls(samples, seed):
     assert_lanes_equal_the_machines(_random_configs(samples, seed), 3)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 0x5EED])
+def test_oracle_lanes_equal_the_single_machine_oracle(seed):
+    assert_oracle_lanes_equal_the_machines(_random_configs(1000, seed))
 
 
 @settings(max_examples=100, deadline=None)

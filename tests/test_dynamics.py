@@ -295,7 +295,7 @@ def test_oracles_equal_the_kron_reference_bit_for_bit(seed):
             assert collide_oracle(ProbeState(p0=p0), config).p0 == min(
                 1.0, max(0.0, float(diagonal[0, 0].real))
             )
-        for time in (tc, t, 0.0, -0.0, 0.0):  # the zeros' signs alternate on memo hits
+        for time in (tc, t, 0.0, -0.0, 0.0):  # -0.0 reads 0.0's memo entry, and 0.0 its own
             coherent = kron_collide(rho, pops, triad, config, time)
             for _ in range(2):
                 assert collide_oracle_matrix(rho, config, time).tobytes() == coherent.tobytes()
@@ -320,19 +320,22 @@ def test_a_call_repeating_a_recent_machine_runs_no_new_eigendecomposition(monkey
     collide_oracle_matrix(rho, config)  # the same machine at the same default t
     assert calls == [8]
     sample = DLevelSample((0.0, config.eps_s, 3.0 * config.eps_s), config.T, (0, 1))
-    for call, size in (
-        (lambda: collide_oracle_matrix(rho, config, 0.5), 8),  # a new t
-        (lambda: collide_oracle_matrix(rho, config, 0.0), 8),
-        (lambda: collide_oracle_matrix(rho, config, -0.0), 8),  # the other sign of a zero t
-        (lambda: collide_oracle_dlevel(0.3, sample, config), 12),  # a d-level sample
+    for call, eighs in (
+        (lambda: collide_oracle_matrix(rho, config, 0.5), [8]),  # a new t
+        (lambda: collide_oracle_matrix(rho, config, 0.0), [8]),
+        (lambda: collide_oracle_matrix(rho, config, -0.0), []),  # -0.0 == 0.0: a hit
+        (lambda: collide_oracle_dlevel(0.3, sample, config), [12]),  # a d-level sample
+        # a sample built from lists, anew each time: the second call hits
+        (lambda: collide_oracle_dlevel(0.3, DLevelSample([0.0, 0.5, 4.0], config.T, [0, 1]),
+                                       config), [12]),
         (lambda: collide_oracle_dlevel(0.3, DLevelSample((0.0, config.eps_s), config.T, (0, 1)),
-                                       config), 8),  # the triad's own levels: other populations
-        (lambda: collide_oracle_matrix(rho, configs[1]), 8),  # another machine
+                                       config), [8]),  # the triad's own levels: other populations
+        (lambda: collide_oracle_matrix(rho, configs[1]), [8]),  # another machine
     ):
         before = len(calls)
         call()
         call()
-        assert calls[before:] == [size]
+        assert calls[before:] == eighs
     # Cycling through more machines than the memo holds runs one per call.
     cycle = configs[: dynamics._channel.cache_info().maxsize + 1]
     dynamics._channel.cache_clear()
@@ -348,9 +351,29 @@ def test_an_unhashable_key_skips_the_memo(config):
     assert collide_oracle_matrix(rho, zero_d).tobytes() == (
         collide_oracle_matrix(rho, config).tobytes()
     )
-    listed = DLevelSample([0.0, 1.0, 2.5], config.T, [0, 1])
     tupled = DLevelSample((0.0, 1.0, 2.5), config.T, (0, 1))
-    assert collide_oracle_dlevel(0.3, listed, config) == collide_oracle_dlevel(0.3, tupled, config)
+    zero_d = DLevelSample(tupled.levels, np.array(config.T), tupled.pair)
+    assert collide_oracle_dlevel(0.3, zero_d, config) == collide_oracle_dlevel(0.3, tupled, config)
+
+
+@pytest.mark.parametrize("levels, pair", [
+    ([0.0, 1.0, 2.5], [0, 1]), (np.array([0.0, 1.0, 2.5]), np.array([0, 1])), ((0, 1, 2.5), (0, 1))
+])
+def test_a_sample_keeps_its_levels_and_pair_as_tuples(config, levels, pair):
+    sample = DLevelSample(levels, config.T, pair)
+    tupled = DLevelSample((0.0, 1.0, 2.5), config.T, (0, 1))
+    assert sample == tupled and hash(sample) == hash(tupled)
+    assert sample.levels == (0.0, 1.0, 2.5) and {type(e) for e in sample.levels} == {float}
+    assert sample.pair == (0, 1) and isinstance(sample.pair, tuple)
+
+
+@pytest.mark.parametrize("w", [-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308])
+def test_a_zero_t_of_either_sign_gives_one_phase(w):
+    # At t = +-0, w * (-1j t) holds only signed zeros, whose signs depend on w's sign alone: these
+    # w stand for every finite eigenvalue.  So e^(-iHt) has one set of bits at 0.0 and -0.0, and
+    # the channel memo keys t by ==.
+    w = np.array([w])
+    assert np.exp(w * (-1j * 0.0)).tobytes() == np.exp(w * (-1j * -0.0)).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 8, 12])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
-from thermomachine import cli, scenarios, to_csv
+from thermomachine import cli, dynamics, scenarios, to_csv
 from thermomachine.core import GapOrderingWarning, collision_params, tune_config
 from thermomachine.dynamics import (
     COUPLED_STATES,
@@ -321,8 +321,9 @@ def test_verification_table_equals_loop_battery(samples, seed):
     assert list(table.meta.items()) == list(meta.items())
 
 
-def nan_probe(probe, config):
-    return SimpleNamespace(p0=math.nan)
+def nan_lanes(machines):
+    h, u, _ = dynamics._triad_lanes(machines)
+    return h, u, np.full_like(machines.p00, math.nan)
 
 
 def nan_heat(k, p00, config):
@@ -337,7 +338,7 @@ def nan_snr(config, M):
 @pytest.mark.parametrize(
     "target, patch, failed",
     [
-        ("collide_oracle", nan_probe, {"oracle_vs_analytic"}),
+        ("_triad_lanes", nan_lanes, {"oracle_vs_analytic"}),
         ("heat_sample", nan_heat, {"heat_conservation", "heat_sign_opposition"}),
         ("snr_steady", nan_snr, {"snr_fisher_consistency"}),
     ],
@@ -355,12 +356,13 @@ def test_nan_error_fails_its_check(monkeypatch, capsys, target, patch, failed):
     assert "verification FAILED" in capsys.readouterr().err
 
 
-#: The closed forms verify calls once over all machines, and the calls that take one machine.
+#: The closed forms and the stacked oracle verify calls once over all machines, and the
+#: single-machine oracle calls it never makes.
 PER_BATTERY = (
     "collision_params", "heat_sample", "heat_ancilla", "probe_energy_change", "snr_steady",
-    "perturbation_trajectory",
+    "perturbation_trajectory", "_triad_lanes",
 )
-PER_MACHINE = ("collide_oracle", "build_triad_hamiltonian")
+SINGLE_MACHINE = ("collide_oracle", "build_triad_hamiltonian", "exact_unitary", "_unitary")
 
 
 def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):
@@ -373,10 +375,16 @@ def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):
 
         return call
 
-    for name in PER_BATTERY + PER_MACHINE:
+    for name in PER_BATTERY:
         monkeypatch.setattr(scenarios, name, counted(name, getattr(scenarios, name)))
+    for name in SINGLE_MACHINE:
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
     assert verification_passed(run_verification(samples=200))
-    assert calls == {**dict.fromkeys(PER_BATTERY, 1), **dict.fromkeys(PER_MACHINE, 200)}
+    assert calls == dict.fromkeys(PER_BATTERY, 1)
+    assert shapes == [(200, 8, 8)]  # one eigendecomposition over the stacked Hamiltonians
 
 
 def test_scenario_validation():
