@@ -117,7 +117,8 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in raw.items():
-            settings[key] = _coerce_json(key, value)
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            settings[key] = coerce_setting(key, text)
     for item in args.settings:
         key, sep, value = item.partition("=")
         if not sep:
@@ -127,12 +128,6 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         settings["seed"] = args.seed
 
     return apply_settings(scenario, settings)
-
-
-def _coerce_json(key: str, value: object) -> object:
-    if isinstance(value, list):
-        value = ",".join(map(str, value))
-    return coerce_setting(key, str(value))
 
 
 def _resolve_out(path_text: str) -> Path:

@@ -144,6 +144,10 @@ class MachineConfig:
             _check_range(name, getattr(self, name), 0.0)
         _check_range("eps_p", self.eps_p, 0.0, closed=True)
         _check_range("p00", self.p00, 0.0, 1.0, closed=True)
+        # The oracle's top level eps_p + eps_s + eps_v is 2 (eps_s + eps_p): finite exactly where
+        # the halves (exact there) sum to at most max / 4, warning-free.
+        half = 0.5 * self.eps_s + 0.5 * self.eps_p
+        _check_range("(eps_s + eps_p) / 2", half, 0.0, 0.25 * sys.float_info.max, closed=True)
 
     @property
     def eps_v(self) -> float:
@@ -164,31 +168,33 @@ def tune_config(
     eps_I: float = 1.0,
     p00: float = 1.0,
 ) -> MachineConfig:
-    """Build a machine with the ancilla gap set by the prior-temperature rule.
+    """Build a machine tuned by the prior-temperature rule eps_v = (T_v / T_prior) eps_s, which
+    needs the ancilla bath at or above the prior temperature (:func:`_probe_gap`).
 
-    The ancilla gap is tuned to eps_v = (T_v / T_prior) * eps_s, hence
-    eps_p = eps_s * (T_v - T_prior) / T_prior.  T_v >= 2 * T_prior keeps
-    eps_p >= eps_s; a smaller bath temperature is flagged with
-    :class:`GapOrderingWarning`; a warnings filter can make it an error.
+    T_v >= 2 T_prior keeps eps_p >= eps_s; a colder bath is flagged with
+    :class:`GapOrderingWarning` (a warnings filter can make it an error).  Array fields
+    give one machine per lane, each bit for bit the float call, and one warning for all.
     """
-    _check_range("T_prior", T_prior, 0.0)
-    _check_range("T_v", T_v, 0.0)
-    if T_v < 2.0 * T_prior:
+    eps_p = _probe_gap(eps_s, T_v, T_prior)
+    if not np.asarray(T_v >= 2.0 * T_prior).all():
         warnings.warn(
             f"T_v = {T_v} < 2 * T_prior = {2.0 * T_prior}: probe gap falls below the sample gap",
             GapOrderingWarning,
             stacklevel=2,
         )
-    if T_v < T_prior:
-        raise ValueError("tuning rule requires T_v >= T_prior")
-    eps_p = _probe_gap(eps_s, T_v, T_prior)
     return MachineConfig(
         eps_s=eps_s, eps_p=eps_p, T=T, T_v=T_v, T_prior=T_prior, eps_I=eps_I, p00=p00
     )
 
 
-def _probe_gap(eps_s: float, T_v: float, T_prior: float) -> float:
-    """Probe gap eps_s (T_v - T_prior) / T_prior that puts eps_v at (T_v / T_prior) eps_s."""
+def _probe_gap(eps_s: float, T_v: float, T_prior: float, name: str = "T_v") -> float:
+    """The tuning rule's one statement: probe gap eps_s (T_v - T_prior) / T_prior, where the bath
+    temperature ``name`` it tunes with lies at or above the prior temperature (half the bound on
+    T), both finite and > 0; arrays per element."""
+    _check_range("T_prior", T_prior, 0.0)
+    _check_range(name, T_v, 0.0)
+    if not np.asarray(T_v >= T_prior).all():
+        raise ValueError(f"tuning rule requires {name} >= T_prior, got {T_v} < {T_prior}")
     return eps_s * (T_v - T_prior) / T_prior
 
 

@@ -142,8 +142,9 @@ def collide_oracle_matrix(
 def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
     """One collision of a diagonal probe, via the brute-force matrix path."""
     rho_probe = np.array([[probe.p0, 0.0], [0.0, 1.0 - probe.p0]], complex)
-    reduced = collide_oracle_matrix(rho_probe, config)
-    return ProbeState(p0=min(1.0, max(0.0, float(reduced[0, 0].real))), k=probe.k + 1)
+    p0 = float(collide_oracle_matrix(rho_probe, config)[0, 0].real)
+    # Clamped to [0, 1] (-0.0 to 0.0); a NaN stays NaN, for ProbeState to refuse.
+    return ProbeState(p0=0.0 if p0 <= 0.0 else min(p0, 1.0), k=probe.k + 1)
 
 
 def _triad_lanes(machines: MachineConfig) -> tuple:
@@ -151,7 +152,7 @@ def _triad_lanes(machines: MachineConfig) -> tuple:
 
     Each lane is bit for bit its machine's single path: h = build_triad_hamiltonian, u = e^(-iHt)
     at t = pi / (2 eps_I), and p0 = collide_oracle(ProbeState(p00)).p0, clamped alike (a NaN
-    reads 0).  Single calls keep their own path: through lane-agnostic code each runs slower.
+    stays NaN).  Single calls keep their own path: through lane-agnostic code each runs slower.
     """
     p0, lanes = machines.p00, len(machines.p00)
     diagonal, (a, b) = _layout(machines, (0.0, machines.eps_s), (0, 1))
@@ -169,7 +170,7 @@ def _triad_lanes(machines: MachineConfig) -> tuple:
     rho = (rho_p[:, :, None, :, None] * rho_sv[:, None, :, None, :]).reshape(-1, 8, 8)
     out = (u @ rho @ u.conj().swapaxes(1, 2)).reshape(-1, 2, 2, 2, 2, 2, 2)
     reduced = np.einsum("nijkljk->nil", out)[:, 0, 0].real
-    return h, u, np.where(reduced > 0.0, np.minimum(reduced, 1.0), 0.0)  # min(1, max(0, x))
+    return h, u, np.where(reduced <= 0.0, 0.0, np.minimum(reduced, 1.0))  # collide_oracle's clamp
 
 
 def collide_analytic(p0: float | np.ndarray, params: CollisionParams) -> float | np.ndarray:

@@ -85,16 +85,6 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _snr_point(T: float, M: int, k, p0, p1, sensitivity) -> SnrPoint:
-    _check_count("M", M, 1)
-    fisher = _fisher_two_sided(p0, p1, sensitivity)
-    singular = fisher == math.inf
-    snr = T * _sqrt(M * fisher)  # inf where singular
-    return SnrPoint(
-        T=T, M=M, k=k, snr=snr, sensitivity=sensitivity, fisher=fisher, p0=p0, singular=singular
-    )
-
-
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
     """(p0_inf, p1_inf) = logistics of +-(eps_v/T_v - eps_s/T)."""
     return _logistic_pair(config.eps_v / config.T_v - config.eps_s / config.T)
@@ -170,14 +160,19 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
     params = collision_params(config)
     q = contraction_power(params.r, k)
     sensitivity = _transient_slope(k, p00, config, params, q)
+    _check_count("M", M, 1)
     _, p1_inf = _steady_pair(config)
-    return _snr_point(
+    p0 = _relax(q, params.p0_inf, p00)
+    fisher = _fisher_two_sided(p0, _relax(q, p1_inf, 1.0 - p00), sensitivity)
+    return SnrPoint(
         T=config.T,
         M=M,
         k=k * 1.0,
-        p0=_relax(q, params.p0_inf, p00),
-        p1=_relax(q, p1_inf, 1.0 - p00),
+        snr=config.T * _sqrt(M * fisher),  # inf where singular
         sensitivity=sensitivity,
+        fisher=fisher,
+        p0=p0,
+        singular=fisher == math.inf,
     )
 
 
@@ -221,12 +216,10 @@ class NoisyAncillaSpec:
             raise ValueError("sign must be +1 or -1")
 
 
-def _mistuned_config(config: MachineConfig, noisy: NoisyAncillaSpec) -> MachineConfig:
-    """Config whose ancilla gap was tuned with the erroneous T_v estimate."""
-    tv_est = config.T_v * (1.0 + noisy.sign * noisy.delta_Tv_rel)
-    if tv_est < config.T_prior:
-        raise ValueError("mistuned ancilla gap falls below the sample gap")
-    return replace(config, eps_p=_probe_gap(config.eps_s, tv_est, config.T_prior))
+def _mistuned_gap(tuning, noisy: NoisyAncillaSpec) -> float:
+    """Probe gap of ``tuning`` (a MachineConfig or Scenario) tuned with T_v (1 +/- delta) as T_v."""
+    tv_est = tuning.T_v * (1.0 + noisy.sign * noisy.delta_Tv_rel)
+    return _probe_gap(tuning.eps_s, tv_est, tuning.T_prior, "mistuned T_v")
 
 
 def snr_noisy_ancilla(
@@ -237,7 +230,7 @@ def snr_noisy_ancilla(
     Realized as the ordinary steady SNR of the mistuned machine, so the
     exponent becomes (eps_s/T) x_T with x_T = 1 - (T/T_prior)(1 +/- delta).
     """
-    return snr_steady(_mistuned_config(config, noisy), M)
+    return snr_steady(replace(config, eps_p=_mistuned_gap(config, noisy)), M)
 
 
 def _peak_temperature(config: MachineConfig, noisy: NoisyAncillaSpec) -> float:

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
-from .core import tune_config
+from .core import CollisionParams, MachineConfig, _check_count, _check_range, _probe_gap
+from .core import collision_params, tune_config
 from .dynamics import COUPLED_STATES, _collide, _triad_lanes, collide_analytic, transient_population
 from .estimation import DEFAULT_SEED, empirical_snr_study
 from .heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_energy_change
@@ -25,6 +25,7 @@ from .metrology import (
     SQRT_TWO_OVER_PI,
     NoisyAncillaSpec,
     _fisher_two_sided,
+    _mistuned_gap,
     snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
@@ -103,6 +104,11 @@ class Scenario:
                 raise ValueError(f"{self.kind} needs {group.replace('|', ' or ')}")
         if self.model not in ("steady", "transient"):  # another kind reads no model
             raise ValueError(f"unknown estimation model {self.model!r}")
+        if self.kind != "verify":  # a kind that tunes machines, checked as its runner tunes them
+            for t_prior in self.priors or (self.T_prior,):
+                _probe_gap(self.eps_s, self.T_v, t_prior)
+            for sign in (1, -1) if self.kind == "noisy-ancilla" else ():
+                _mistuned_gap(self, NoisyAncillaSpec(self.delta_Tv_rel, sign))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
@@ -299,14 +305,13 @@ def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
 # ----------------------------------------------------------------------
 
 
-def _random_configs(samples: int, seed: int) -> list[MachineConfig]:
-    # One uniform row per machine: eps_s, T_prior / eps_s, T / T_prior, T_v / T_prior, eps_I, p00.
+def _random_configs(samples: int, seed: int) -> MachineConfig:
+    # One uniform row per machine, tuned as one lane: eps_s, T_prior / eps_s, T / T_prior,
+    # T_v / T_prior, eps_I, p00.
     low, high = (0.5, 0.05, 0.15, 2.0, 0.5, 0.0), (2.0, 0.45, 1.85, 4.0, 2.0, 1.0)
-    draws = np.random.default_rng(seed).uniform(low, high, (samples, 6))
-    return [
-        tune_config(eps_s=e, T=(e * f) * g, T_prior=e * f, T_v=f_v * (e * f), eps_I=i, p00=p)
-        for e, f, g, f_v, i, p in draws.tolist()
-    ]
+    e, f, g, f_v, i, p = np.random.default_rng(seed).uniform(low, high, (samples, 6)).T
+    t_prior = e * f
+    return tune_config(eps_s=e, T=t_prior * g, T_prior=t_prior, T_v=f_v * t_prior, eps_I=i, p00=p)
 
 
 def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
@@ -315,13 +320,11 @@ def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     One row per check: (check index, ok flag, worst error), the
     machine-checkable health gate behind the ``verify`` CLI command.  A NaN
     error propagates to its row and fails the check.  Each check is an array expression over
-    the machines, and each closed form one call on a MachineConfig stacking their fields; so is
+    the machines, and each closed form one call on the MachineConfig that tunes them all; so is
     the exact oracle (``_triad_lanes``: every machine's Hamiltonian, unitary and collision in one
     ``eigh``), each lane bit for bit what the single-machine oracle gives.
     """
-    configs = _random_configs(scenario.samples, scenario.seed)
-    # vars lists a config's fields in order: one column per field, one lane per machine.
-    machines = MachineConfig(*np.array([list(vars(c).values()) for c in configs]).T)
+    machines = _random_configs(scenario.samples, scenario.seed)
     p00, params = machines.p00, collision_params(machines)
     swap = np.arange(8)  # column j of a full swap has its 1 in row swap[j]
     swap[list(COUPLED_STATES)] = COUPLED_STATES[::-1]

@@ -69,6 +69,28 @@ def random_machine_configs(n: int, seed: int = 1) -> list[MachineConfig]:
     return configs
 
 
+def scalar_configs(samples, seed):
+    """The verify machines drawn one number at a time, in the order of the uniform row."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(samples):
+        eps_s = rng.uniform(0.5, 2.0)
+        t_prior = eps_s * rng.uniform(0.05, 0.45)
+        T = t_prior * rng.uniform(0.15, 1.85)
+        t_v = rng.uniform(2.0, 4.0) * t_prior
+        configs.append(
+            tune_config(
+                eps_s=eps_s,
+                T=T,
+                T_prior=t_prior,
+                T_v=t_v,
+                eps_I=rng.uniform(0.5, 2.0),
+                p00=rng.uniform(0.0, 1.0),
+            )
+        )
+    return configs
+
+
 def decimal_relaxation(config: MachineConfig, k: int, p00: float, x_s: Decimal | None = None):
     """The probe's relaxation at 60 digits, from the float inputs the library forms.
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_configs
 from thermomachine import (
     PRESETS,
     CollisionParams,
@@ -51,7 +52,7 @@ from thermomachine.dynamics import (
     contraction_power,
     exact_unitary,
 )
-from thermomachine.scenarios import _random_configs, _temperature_grid
+from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import ResultTable
 
 EXP_UNDERFLOW = 745.1332191019412  # math.exp(-x) is 0 past here, subnormal just below
@@ -200,12 +201,12 @@ def assert_lanes_equal_the_machines(configs, M):
 
 @pytest.mark.parametrize("samples, seed", [(1, 3), (200, 7)])
 def test_stacked_battery_machines_equal_the_per_machine_calls(samples, seed):
-    assert_lanes_equal_the_machines(_random_configs(samples, seed), 3)
+    assert_lanes_equal_the_machines(scalar_configs(samples, seed), 3)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 0x5EED])
 def test_oracle_lanes_equal_the_single_machine_oracle(seed):
-    assert_oracle_lanes_equal_the_machines(_random_configs(1000, seed))
+    assert_oracle_lanes_equal_the_machines(scalar_configs(1000, seed))
 
 
 @settings(max_examples=100, deadline=None)

@@ -363,14 +363,32 @@ def test_temperature_past_float_range_is_usage_error(capsys, recwarn, command):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["steady", "--set", "points=0", "--set", "T_prior=-1"], "T_prior"),
-        (["noisy", "--set", "points=0", "--set", "delta_Tv_rel=3"], "mistuned"),
+        # Fields that only the runner's MachineConfig checks: the scenario builds, then is refused.
+        (["steady", "--set", "points=0", "--set", "eps_s=-1"], "eps_s must be finite"),
+        (["noisy", "--set", "points=0", "--set", "eps_s=-1"], "eps_s must be finite"),
     ],
 )
 def test_empty_grid_still_builds_and_checks_its_machine(capsys, args, message):
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["transient", "--set", "T_v=0.2"], "tuning rule requires T_v >= T_prior, got 0.2 <"),
+        (["steady", "--set", "priors=0.25,2"], "tuning rule requires T_v >= T_prior, got 1.0 <"),
+        (["noisy", "--set", "delta_Tv_rel=0.95"], "tuning rule requires mistuned T_v >= T_prior"),
+        (["noisy", "--set", "delta_Tv_rel=-0.1"], "delta_Tv_rel must be finite and lie in [0,"),
+    ],
+)
+def test_a_broken_tuning_rule_exits_1_before_the_run(capsys, monkeypatch, args, message):
+    monkeypatch.setattr("thermomachine.cli.run_scenario", lambda scenario: pytest.fail("ran"))
+    code, out, err = run(args, capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert out == ""
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from thermomachine import (
     thermal_population,
     tune_config,
 )
+from thermomachine.core import _probe_gap
+from thermomachine.metrology import NoisyAncillaSpec, snr_noisy_ancilla
+from thermomachine.scenarios import Scenario
 
 # 1/(1 + e^-5) evaluated to 50 digits with decimal arithmetic.
 P0_GAP1_T02 = 0.993307149075715144
@@ -73,6 +77,42 @@ def test_cold_bath_strict_mode_raises():
         warnings.simplefilter("error", GapOrderingWarning)
         with pytest.raises(GapOrderingWarning):
             tune_config(eps_s=1.0, T=0.2, T_prior=0.3, T_v=0.5)
+
+
+def test_tune_config_tunes_array_lanes_as_the_float_calls_and_warns_once():
+    t_v = np.array([1.0, 0.4, 0.3])
+    with pytest.warns(GapOrderingWarning) as record:
+        lanes = tune_config(eps_s=1.3, T=0.2, T_prior=np.array([0.25, 0.25, 0.1]), T_v=t_v)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GapOrderingWarning)
+        floats = [tune_config(1.3, 0.2, tp, v) for tp, v in ((0.25, 1.0), (0.25, 0.4), (0.1, 0.3))]
+    assert lanes.eps_p.tobytes() == np.array([c.eps_p for c in floats]).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GapOrderingWarning)
+        tune_config(eps_s=1.0, T=0.2, T_prior=0.25, T_v=np.array([0.5, 1.0]))  # no cold lane
+
+
+@pytest.mark.parametrize(
+    "T_v, T_prior",
+    [(0.2, 0.25), (np.array([1.0, 0.2]), 0.25), (1.0, np.array([0.25, 2.0])), (np.nan, 0.25)],
+)
+def test_the_tuning_rule_refuses_a_bath_below_the_prior(T_v, T_prior):
+    with pytest.raises(ValueError, match=r"\bT_v\b"):
+        _probe_gap(1.0, T_v, T_prior)
+
+
+def test_the_tuning_rule_is_written_once_and_refuses_every_tuning():
+    sources = (Path(__file__).parents[1] / "src" / "thermomachine").glob("*.py")
+    assert sum(path.read_text().count("T_v >= T_prior") for path in sources) == 1
+    config = MachineConfig(eps_s=1.0, eps_p=3.0, T=0.2, T_v=1.0, T_prior=0.25)
+    for tuning, name in (
+        (lambda: tune_config(eps_s=1.0, T=0.2, T_prior=0.25, T_v=0.2), "T_v"),
+        (lambda: snr_noisy_ancilla(config, NoisyAncillaSpec(0.9, -1)), "mistuned T_v"),
+        (lambda: Scenario("x", "montecarlo", T=0.2, T_prior=0.25, T_v=0.2), "T_v"),
+    ):
+        with pytest.raises(ValueError, match=f"^tuning rule requires {name} >= T_prior, got "):
+            tuning()
 
 
 def test_config_field_validation():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 
 from thermomachine import (
     DLevelSample,
+    MachineConfig,
     MeasurementRecord,
     NoisyAncillaSpec,
     ProbeState,
@@ -88,6 +90,21 @@ FLOAT_ROWS = [
         for n in ("eps_s", "T", "T_v", "T_prior", "eps_I")
     ],
     ("MachineConfig.eps_p", lambda x: replace(CONFIG, eps_p=x), "eps_p", 0.0, (-1.0,)),
+    # An eps_p whose oracle top level eps_p + eps_s + eps_v overflows; that refusal names eps_p too.
+    (
+        "MachineConfig.top_level",
+        lambda x: replace(CONFIG, eps_s=1.0, eps_p=x),
+        "eps_p",
+        8.9e307,
+        (9e307, 1e308, 1.7e308),
+    ),
+    (
+        "MachineConfig.top_level[array]",
+        lambda x: replace(CONFIG, eps_s=np.array([1.0, 4e307]), eps_p=np.array([1.0, x])),
+        "eps_p",
+        4.9e307,
+        (5e307, 1e308),
+    ),
     ("MachineConfig.p00", lambda x: replace(CONFIG, p00=x), "p00", 0.0, (-0.1, 1.1)),
     ("tune_config.eps_s", lambda x: _tuned(eps_s=x), "eps_s", 2.0, (0.0, -1.0)),
     ("tune_config.T", lambda x: _tuned(T=x), "T", 0.1, (0.0, -1.0)),
@@ -213,6 +230,39 @@ def test_illegal_float_is_refused_by_name(call, word, legal, out_of_range):
     for x in (*NON_FINITE, *out_of_range):
         with pytest.raises(ValueError, match=rf"\b{re.escape(word)}\b"):
             call(x)
+
+
+@pytest.mark.parametrize(
+    "eps_s, eps_p",
+    [
+        (1e308, 1e308),
+        (1.0, 1.7e308),
+        (1e308, np.array([1.0, 1e308])),
+        (np.array([1.0, 1.0]), 1e308),
+    ],
+)
+def test_an_overflowing_top_level_is_refused_by_name(eps_s, eps_p):
+    message = r"^\(eps_s \+ eps_p\) / 2 must be finite and lie in \[0, 4.49423e\+307\], got "
+    with pytest.raises(ValueError, match=message):
+        MachineConfig(eps_s=eps_s, eps_p=eps_p, T=1.0, T_v=1.0, T_prior=1.0)
+
+
+def test_the_overflow_check_is_the_top_level_s_own():
+    # Refused exactly where the Hamiltonian's top entry would round to inf, at the ulps around
+    # max / 2 (a sum eps_v near it) and max / 4 (two gaps near it); a machine kept builds a
+    # finite Hamiltonian whose top entry is that sum.
+    half, quarter = sys.float_info.max / 2.0, sys.float_info.max / 4.0
+    big = [half, np.nextafter(half, 0.0), 2.0**1022, 2.0**969, 2.0**968, 3.0 * 2.0**968]
+    big += [quarter, np.nextafter(quarter, math.inf), np.nextafter(quarter, 0.0), 2.0**1021, 1.0]
+    for a in map(float, big):
+        for b in map(float, big):
+            top = b + a + (a + b)  # the layout's eps_p + eps_s + eps_v
+            if math.isinf(top):
+                with pytest.raises(ValueError, match=r"\(eps_s \+ eps_p\) / 2"):
+                    MachineConfig(eps_s=a, eps_p=b, T=1.0, T_v=1.0, T_prior=1.0)
+            else:
+                config = MachineConfig(eps_s=a, eps_p=b, T=1.0, T_v=1.0, T_prior=1.0)
+                assert build_triad_hamiltonian(config).max() == top
 
 
 # (row id, call of the count, word the message names, a legal value, illegal values)

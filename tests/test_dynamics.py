@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,48 @@ def test_oracle_matches_analytic_on_random_configs():
         for p0 in (0.0, 0.31, config.p00, 1.0):
             oracle = collide_oracle(ProbeState(p0=p0), config).p0
             assert oracle == pytest.approx(collide_analytic(p0, params), abs=1e-10)
+
+
+#: A machine whose Hamiltonian is finite (its top level 1.4e308) but whose collision phase
+#: e^(-i w t) is not: w t overflows at t = pi / 2, so its collision is NaN.
+NAN_COLLISION = MachineConfig(eps_s=1.0, eps_p=7e307, T=1.0, T_v=1.0, T_prior=1.0)
+
+
+def test_a_nan_collision_is_refused_not_clamped_to_zero(config):
+    with np.errstate(over="ignore", invalid="ignore"):  # the phase overflows
+        with pytest.raises(ValueError, match=r"^p0 must be finite and lie in \[0, 1\], got nan$"):
+            collide_oracle(ProbeState(p0=0.5), NAN_COLLISION)
+    machines = MachineConfig(
+        *(np.array([getattr(c, f.name) for c in (config, NAN_COLLISION)]) for f in fields(config))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the phase overflows in its lane
+        _, _, p0 = dynamics._triad_lanes(machines)
+    assert p0[0] == collide_oracle(ProbeState(p0=config.p00), config).p0 and math.isnan(p0[1])
+
+
+@pytest.mark.parametrize("eps_s, eps_p", [(1.0, sys.float_info.max / 2), (4e307, 4.9e307)])
+def test_the_oracle_collides_a_machine_at_the_overflow_bound(eps_s, eps_p):
+    # The largest Hamiltonians MachineConfig keeps: eigh converges and, at an eps_I that keeps the
+    # phase finite, both oracles collide as the map does, with no floating-point warning.
+    config = MachineConfig(eps_s=eps_s, eps_p=eps_p, T=1e307, T_v=1.0, T_prior=1.0, eps_I=1e300)
+    machines = MachineConfig(*(np.array([getattr(config, f.name)] * 2) for f in fields(config)))
+    with np.errstate(all="raise"):
+        assert np.isfinite(build_triad_hamiltonian(config)).all()
+        _, u, lanes = dynamics._triad_lanes(machines)
+        for p0 in (0.0, 0.3, config.p00):
+            oracle = collide_oracle(ProbeState(p0=p0), config).p0
+            analytic = collide_analytic(p0, collision_params(config))
+            assert oracle == pytest.approx(analytic, abs=1e-12)
+    assert np.isfinite(u).all() and (lanes == oracle).all()
+
+
+@pytest.mark.parametrize(
+    "x", [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, math.inf]
+)
+def test_the_oracle_clamps_as_min_of_one_and_max_of_zero(monkeypatch, config, x):
+    monkeypatch.setattr(dynamics, "collide_oracle_matrix", lambda rho, c: np.diag([x, 0j]))
+    got = collide_oracle(ProbeState(p0=0.5), config).p0
+    assert np.float64(got).tobytes() == np.float64(min(1.0, max(0.0, x))).tobytes()
 
 
 def test_diagonal_states_stay_diagonal(config):

@@ -5,13 +5,18 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import re
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import scalar_configs
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
 from thermomachine import cli, dynamics, scenarios, to_csv
 from thermomachine.core import GapOrderingWarning, collision_params, tune_config
@@ -184,39 +189,19 @@ def test_verification_battery_passes():
     assert len(names) == len(table.rows)
 
 
-def scalar_configs(samples, seed):
-    """The verify machines drawn one number at a time, in the order of the uniform row."""
-    rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(samples):
-        eps_s = rng.uniform(0.5, 2.0)
-        t_prior = eps_s * rng.uniform(0.05, 0.45)
-        T = t_prior * rng.uniform(0.15, 1.85)
-        t_v = rng.uniform(2.0, 4.0) * t_prior
-        configs.append(
-            tune_config(
-                eps_s=eps_s,
-                T=T,
-                T_prior=t_prior,
-                T_v=t_v,
-                eps_I=rng.uniform(0.5, 2.0),
-                p00=rng.uniform(0.0, 1.0),
-            )
-        )
-    return configs
-
-
-@pytest.mark.parametrize("seed", [0x5EED, 7, 24301])
+@pytest.mark.parametrize("seed", [0x5EED, 7, 3])
 @pytest.mark.parametrize("samples", [1, 2, 25, 200])
 def test_random_configs_equal_the_scalar_draws(samples, seed):
-    configs = scenarios._random_configs(samples, seed)
-    assert configs == scalar_configs(samples, seed)
-    assert all(type(getattr(c, f.name)) is float for c in configs for f in fields(c))
+    machines, configs = scenarios._random_configs(samples, seed), scalar_configs(samples, seed)
+    for name in [f.name for f in fields(machines)] + ["eps_v"]:
+        lanes = getattr(machines, name)
+        assert lanes.dtype == np.float64 and lanes.shape == (samples,)
+        assert lanes.tobytes() == np.array([getattr(c, name) for c in configs]).tobytes()
 
 
 def loop_battery(samples, seed):
     """The verify battery as one loop per check: the reference for its cells and meta."""
-    configs = scenarios._random_configs(samples, seed)
+    configs = scalar_configs(samples, seed)
     checks = []
 
     ref = configs[0]
@@ -502,6 +487,109 @@ def test_scenario_with_an_unread_field_is_refused_when_built(kind, unread):
     (field,) = unread
     with pytest.raises(ValueError, match=rf"\b{kind} scenarios do not read {field}$"):
         replace(BY_KIND[kind], **unread)
+
+
+#: (scenario fields, the words of the refusal): each tuning rule a scenario can break, refused
+#: when it is built by the functions its runner tunes with.
+TUNING_REFUSALS = [
+    pytest.param(
+        dict(kind="transient-sweep", T=0.2, T_prior=0.25, T_v=0.2),
+        "tuning rule requires T_v >= T_prior, got 0.2 < 0.25",
+        id="T_prior",
+    ),
+    pytest.param(
+        dict(kind="steady-sweep", priors=(0.25, 2.0), T_v=1.0),
+        "tuning rule requires T_v >= T_prior, got 1.0 < 2.0",
+        id="prior-in-priors",
+    ),
+    pytest.param(
+        dict(kind="noisy-ancilla", T_prior=0.1, T_v=1.0, delta_Tv_rel=0.95),
+        "tuning rule requires mistuned T_v >= T_prior, got 0.050000000000000044 < 0.1",
+        id="noisy-undershoot",
+    ),
+    pytest.param(
+        dict(kind="noisy-ancilla", T_prior=0.1, delta_Tv_rel=-0.1),
+        "delta_Tv_rel must be finite and lie in [0, inf), got -0.1",
+        id="negative-delta_Tv_rel",
+    ),
+]
+
+
+@pytest.mark.parametrize("given, message", TUNING_REFUSALS)
+def test_a_broken_tuning_rule_is_refused_when_built(given, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scenario("x", **given)
+    base = BY_KIND[given["kind"]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(base, **{k: v for k, v in given.items() if k != "kind"})
+
+
+@pytest.mark.filterwarnings("ignore::thermomachine.GapOrderingWarning")
+def test_the_tuning_check_follows_the_runner():
+    # A steady sweep with priors tunes by them alone, and the overshoot of a noisy tuning
+    # never falls below T_v; each builds and runs.
+    for scenario in (
+        Scenario("x", "steady-sweep", T_prior=2.0, priors=(0.25,), T_v=1.0, points=3),
+        Scenario("x", "noisy-ancilla", T_prior=0.1, T_v=0.1, delta_Tv_rel=0.0, points=3),
+    ):
+        assert np.isfinite(run_scenario(scenario).cells).all()
+    with pytest.raises(ValueError, match="mistuned T_v >= T_prior"):
+        Scenario("x", "noisy-ancilla", T_prior=0.1, T_v=0.1, delta_Tv_rel=1e-9, points=3)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def tuning_scenarios(draw):
+    """Fields of a scenario of a kind that tunes machines, with short axes and few trials."""
+    kind = draw(st.sampled_from([kind for kind in scenarios._KINDS if kind != "verify"]))
+    temperature = log_uniform(1e-4, 10.0)
+    given = dict(
+        kind=kind,
+        eps_s=draw(log_uniform(1e-3, 1e3)),
+        T_v=draw(log_uniform(1e-3, 1e3)),
+        T_prior=draw(temperature),
+    )
+    if kind in ("steady-sweep", "noisy-ancilla"):
+        given["points"] = draw(st.integers(0, 6))
+    if kind == "steady-sweep":
+        given["priors"] = draw(st.lists(temperature, max_size=3))
+    if kind == "noisy-ancilla":
+        given["delta_Tv_rel"] = draw(st.floats(-0.5, 1.5))
+    if kind in ("transient-sweep", "cost-comparison", "heat-trajectory"):
+        given.update(k_min=draw(st.integers(0, 3)), k_max=draw(st.integers(3, 40)))
+    if kind != "steady-sweep" and kind != "noisy-ancilla":
+        given.update(T=draw(temperature), p00=draw(st.floats(0.0, 1.0)))
+    if kind in ("steady-sweep", "transient-sweep", "cost-comparison", "noisy-ancilla"):
+        given["M"] = draw(st.integers(1, 10**6))
+    if kind == "montecarlo":
+        given.update(M=draw(st.integers(1, 2000)), trials=100)
+        if draw(st.booleans()):
+            given.update(model="transient", k_measure=draw(st.integers(0, 40)))
+        else:
+            del given["p00"]  # a steady study reads no p00
+    return given
+
+
+@settings(max_examples=300, deadline=None)
+@given(given=tuning_scenarios())
+def test_a_tuning_scenario_that_builds_runs_to_a_table_without_nan(given):
+    """A scenario is refused when built, runs to a table with no NaN cell, or is a cost
+    comparison whose sample bound underflows to 0: physics, not a field."""
+    try:
+        scenario = Scenario("fuzz", **given)
+    except ValueError:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GapOrderingWarning)
+            table = run_scenario(scenario)
+    except ValueError as exc:
+        assert given["kind"] == "cost-comparison" and "underflows" in str(exc)
+        return
+    assert not np.isnan(table.cells).any()
 
 
 def test_no_runner_checks_a_field():
