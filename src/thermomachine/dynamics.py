@@ -50,20 +50,22 @@ class ProbeState:
         _check_count("k", self.k, 0)
 
 
-def _layout(config: MachineConfig, levels, pair, detuning: float = 0.0) -> tuple:
-    """(diagonal, (a, b)) of the probe x sample x ancilla Hamiltonian for a sample with ``levels``:
-    basis index (i_P * d + level) * 2 + k_v; the interaction couples a = |0_P j 1_v> with
-    b = |1_P j' 0_v> at strength eps_I, (j, j') = ``pair``.  Array fields give lanes per entry."""
-    eps_p, eps_v = config.eps_p, config.eps_v + detuning
-    diagonal = [i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)]
-    return diagonal, (2 * pair[0] + 1, 2 * (len(levels) + pair[1]))
+def _diagonal(entries) -> np.ndarray:
+    """The diagonal matrix of ``entries``: n floats give one matrix, n lane arrays a stack."""
+    d, n = np.array(entries).T, len(entries)
+    m = np.zeros(d.shape + (n,))
+    m.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = d  # a view: the flat diagonal's stride
+    return m
 
 
 def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
-    """Probe x sample x ancilla Hamiltonian for a sample with ``levels``, laid out by _layout."""
-    diagonal, (a, b) = _layout(config, levels, pair, detuning)
-    h = np.diag(diagonal)
-    h[a, b] = h[b, a] = config.eps_I
+    """Probe x sample x ancilla Hamiltonian for a sample with ``levels``: basis index
+    (i_P * d + level) * 2 + k_v; the interaction couples a = |0_P j 1_v> with b = |1_P j' 0_v> at
+    strength eps_I, (j, j') = ``pair``.  Array fields give a stack, one matrix per lane."""
+    eps_p, eps_v = config.eps_p, config.eps_v + detuning
+    h = _diagonal([i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
+    a, b = 2 * pair[0] + 1, 2 * (len(levels) + pair[1])
+    h[..., a, b] = h[..., b, a] = config.eps_I
     return h
 
 
@@ -89,45 +91,58 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     return _unitary(h, t)
 
 
+@np.errstate(over="raise", invalid="raise")  # a phase w t past the float range raises, no NaN
 def _unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric); t finite."""
+    """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric); t finite.  A
+    stack of matrices takes a t with its own lane axis, shape (lanes, 1)."""
     _check_range("t", t, -math.inf)
     w, v = np.linalg.eigh(h)
     # -(w t) rounded once, as in exp(-1j * w * t), with one array op fewer; the real part is +-0.
-    return (v * np.exp(w * (-1j * t))) @ v.conj().T
+    return (v * np.exp(w * (-1j * t))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=4)  # a constant: one machine's triad and d-level channels, never a sweep
 def _channel(config: MachineConfig, sample, t: float) -> tuple:
-    """Read-only (rho_s (x) rho_v, u = e^(-iHt), u^H) of a machine and ``sample`` (None: the triad's
-    qubit at config.T).  Keys compare by ==, so t = -0.0 reads t = 0.0's entry: the phase
-    exp(w * (-1j t)) has the same bits at either zero (test_dynamics pins it)."""
+    """Read-only (h, rho_s (x) rho_v, e^(-iHt), its adjoint) of a machine and ``sample`` (None: the
+    triad's qubit), or a stack of lanes; t = -0.0 reads t = 0.0's entry, whose phase bits match."""
     if sample is None:
         levels, pair, pops = (0.0, config.eps_s), (0, 1), _gibbs_pair(config.eps_s / config.T)
     else:
         levels, pair, pops = sample.levels, sample.pair, sample.populations().tolist()
     ancilla = _gibbs_pair(config.eps_v / config.T_v)  # the config was checked when built
-    u = _unitary(_hamiltonian(config, levels, pair), t)
-    channel = np.diag([s * a for s in pops for a in ancilla]), u, u.conj().T
+    h = _hamiltonian(config, levels, pair)
+    try:
+        u = _unitary(h, t)
+    except FloatingPointError:
+        raise ValueError("collision phase w t overflows, t = pi / (2 eps_I) by default") from None
+    # Where eps_v + eps_I rounds to eps_v, eigh cannot split the coupled pair: the swap is lost.
+    _check_range("(eps_v + eps_I) - eps_v", (config.eps_v + config.eps_I) - config.eps_v, 0.0)
+    channel = h, _diagonal([s * a for s in pops for a in ancilla]), u, u.conj().swapaxes(-1, -2)
     for a in channel:
         a.setflags(write=False)
     return channel
 
 
+def _evolve(rho_p: np.ndarray, channel: tuple) -> np.ndarray:
+    """rho_P (x) rho_s (x) rho_v evolved by a :func:`_channel`, reduced to the probe, per lane of a
+    stack: rho[..., (i, k), (j, l)] is the Kronecker product rho_p[..., i, j] rho_sv[..., k, l]."""
+    _, rho_sv, u, u_h = channel
+    d = rho_sv.shape[-1] // 2
+    rho = (rho_p[..., :, None, :, None] * rho_sv[..., None, :, None, :]).reshape(u.shape)
+    out = (u @ rho @ u_h).reshape(*u.shape[:-2], 2, d, 2, 2, d, 2)
+    return np.einsum("...ijkljk->...il", out)
+
+
 def _collide_exact(rho_probe, config: MachineConfig, sample=None, t=None) -> np.ndarray:
-    """Evolve rho_P (x) rho_s (x) rho_v by :func:`_channel` at t (default pi / (2 eps_I)) and reduce
-    to the probe; rho[(i, k), (j, l)] is the Kronecker product's rho_p[i, j] rho_sv[k, l]."""
+    """:func:`_evolve` by the memoised channel of one machine at t (default pi / (2 eps_I))."""
     t = config.collision_time if t is None else t
     try:
-        rho_sv, u, u_h = _channel(config, sample, t)
+        channel = _channel(config, sample, t)
     except TypeError:  # unhashable: a 0-d array field of the config or the sample
         if any(np.ndim(v) for v in vars(config).values()):
             raise ValueError("an oracle takes one machine, not a stacked MachineConfig") from None
-        rho_sv, u, u_h = _channel.__wrapped__(config, sample, t)
-    d = len(rho_sv) // 2
-    rho_p = np.asarray(rho_probe, dtype=complex)
-    rho = (rho_p[:, None, :, None] * rho_sv[None, :, None, :]).reshape(4 * d, 4 * d)
-    return np.einsum("ijkljk->il", (u @ rho @ u_h).reshape(2, d, 2, 2, d, 2))
+        channel = _channel.__wrapped__(config, sample, t)
+    return _evolve(np.asarray(rho_probe, dtype=complex), channel)
 
 
 def collide_oracle_matrix(
@@ -148,29 +163,11 @@ def collide_oracle(probe: ProbeState, config: MachineConfig) -> ProbeState:
 
 
 def _triad_lanes(machines: MachineConfig) -> tuple:
-    """The triad oracle over a MachineConfig of array fields, one lane per machine: (h, u, p0).
-
-    Each lane is bit for bit its machine's single path: h = build_triad_hamiltonian, u = e^(-iHt)
-    at t = pi / (2 eps_I), and p0 = collide_oracle(ProbeState(p00)).p0, clamped alike (a NaN
-    stays NaN).  Single calls keep their own path: through lane-agnostic code each runs slower.
-    """
-    p0, lanes = machines.p00, len(machines.p00)
-    diagonal, (a, b) = _layout(machines, (0.0, machines.eps_s), (0, 1))
-    h = np.zeros((lanes, 8, 8))
-    h[:, range(8), range(8)] = np.transpose(diagonal)
-    h[:, a, b] = h[:, b, a] = machines.eps_I
-    w, v = np.linalg.eigh(h)  # v is real: v.conj() is v
-    phase = np.exp(w * (-1j * machines.collision_time)[:, None])
-    u = (v * phase[:, None, :]) @ v.swapaxes(1, 2)
-    pairs = _gibbs_pair(machines.eps_s / machines.T), _gibbs_pair(machines.eps_v / machines.T_v)
-    rho_sv = np.zeros((lanes, 4, 4))
-    rho_sv[:, range(4), range(4)] = np.transpose([s * x for s in pairs[0] for x in pairs[1]])
-    rho_p = np.zeros((lanes, 2, 2), complex)
-    rho_p[:, 0, 0], rho_p[:, 1, 1] = p0, 1.0 - p0
-    rho = (rho_p[:, :, None, :, None] * rho_sv[:, None, :, None, :]).reshape(-1, 8, 8)
-    out = (u @ rho @ u.conj().swapaxes(1, 2)).reshape(-1, 2, 2, 2, 2, 2, 2)
-    reduced = np.einsum("nijkljk->nil", out)[:, 0, 0].real
-    return h, u, np.where(reduced <= 0.0, 0.0, np.minimum(reduced, 1.0))  # collide_oracle's clamp
+    """The triad oracle's one body over a stacked MachineConfig: (h, u, p0), each lane bit for bit
+    build_triad_hamiltonian, e^(-iHt) at pi / (2 eps_I) and collide_oracle's p0 (NaN stays NaN)."""
+    channel = _channel.__wrapped__(machines, None, machines.collision_time[:, None])
+    p0 = _evolve(_diagonal((machines.p00, 1.0 - machines.p00)), channel)[:, 0, 0].real
+    return channel[0], channel[2], np.where(p0 <= 0.0, 0.0, np.minimum(p0, 1.0))
 
 
 def collide_analytic(p0: float | np.ndarray, params: CollisionParams) -> float | np.ndarray:

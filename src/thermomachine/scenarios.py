@@ -105,8 +105,12 @@ class Scenario:
         if self.model not in ("steady", "transient"):  # another kind reads no model
             raise ValueError(f"unknown estimation model {self.model!r}")
         if self.kind != "verify":  # a kind that tunes machines, checked as its runner tunes them
-            for t_prior in self.priors or (self.T_prior,):
-                _probe_gap(self.eps_s, self.T_v, t_prior)
+            temps = np.array([T for T in (self.T, *self.temps) if T is not None])  # () on a T grid
+            for t_prior in self.priors or (self.T_prior,):  # MachineConfig checks each T and p00
+                MachineConfig(
+                    eps_s=self.eps_s, eps_p=_probe_gap(self.eps_s, self.T_v, t_prior), T=temps,
+                    T_v=self.T_v, T_prior=t_prior, p00=np.array((self.p00, *self.p00_values)),
+                )
             for sign in (1, -1) if self.kind == "noisy-ancilla" else ():
                 _mistuned_gap(self, NoisyAncillaSpec(self.delta_Tv_rel, sign))
 
@@ -317,12 +321,11 @@ def _random_configs(samples: int, seed: int) -> MachineConfig:
 def _run_verify(scenario: Scenario, meta: dict) -> Iterator[dict]:
     """Run the oracle-equivalence and conservation self-checks.
 
-    One row per check: (check index, ok flag, worst error), the
-    machine-checkable health gate behind the ``verify`` CLI command.  A NaN
-    error propagates to its row and fails the check.  Each check is an array expression over
-    the machines, and each closed form one call on the MachineConfig that tunes them all; so is
-    the exact oracle (``_triad_lanes``: every machine's Hamiltonian, unitary and collision in one
-    ``eigh``), each lane bit for bit what the single-machine oracle gives.
+    One row per check: (check index, ok flag, worst error), the machine-checkable health gate
+    behind the ``verify`` CLI command.  A NaN error propagates to its row and fails the check.
+    Each check is an array expression over the machines, and each closed form one call on the
+    MachineConfig that tunes them all; so is the exact oracle, whose one body (``_triad_lanes``)
+    collides every machine with one ``eigh``.
     """
     machines = _random_configs(scenario.samples, scenario.seed)
     p00, params = machines.p00, collision_params(machines)

@@ -363,12 +363,21 @@ def test_temperature_past_float_range_is_usage_error(capsys, recwarn, command):
 @pytest.mark.parametrize(
     "args, message",
     [
-        # Fields that only the runner's MachineConfig checks: the scenario builds, then is refused.
+        # A grid of no points tunes no machine, yet its scenario checks the one it would tune.
         (["steady", "--set", "points=0", "--set", "eps_s=-1"], "eps_s must be finite"),
         (["noisy", "--set", "points=0", "--set", "eps_s=-1"], "eps_s must be finite"),
+        # The fields MachineConfig checks, refused with its messages when the scenario is built.
+        (["transient", "--set", "T=-0.2"], "T must be finite and lie in (0, inf), got -0.2"),
+        (["transient", "--set", "eps_s=-1"], "eps_s must be finite and lie in (0, inf), got -1.0"),
+        (["transient", "--set", "temps=-0.2"], "T must be finite and lie in (0, inf), got -0.2"),
+        (["transient", "--set", "p00=1.5"], "p00 must be finite and lie in [0, 1], got 1.5"),
+        (["transient", "--set", "p00_values=1.5"], "p00 must be finite and lie in [0, 1], got 1.5"),
     ],
 )
-def test_empty_grid_still_builds_and_checks_its_machine(capsys, args, message):
+def test_a_machine_field_out_of_range_exits_1_when_the_scenario_is_built(
+    capsys, monkeypatch, args, message
+):
+    monkeypatch.setattr("thermomachine.cli.run_scenario", lambda scenario: pytest.fail("ran"))
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
     assert message in err

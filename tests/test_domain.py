@@ -68,6 +68,16 @@ def _tuned(**kw):
     return tune_config(**{"eps_s": 1.0, "T": 0.2, "T_prior": 0.25, "T_v": 1.0, **kw})
 
 
+def _sweep(**kw):
+    return Scenario("x", "transient-sweep", **{"T_prior": 0.25, "k_max": 3, "T": 0.2, **kw})
+
+
+def _collide_at(eps_p):
+    """collide_oracle at eps_I on a machine whose gaps dwarf the default eps_I = 1."""
+    machine = MachineConfig(eps_s=1.0, eps_p=eps_p, T=1.0, T_v=1.0, T_prior=1.0)
+    return lambda eps_I: collide_oracle(ProbeState(0.3), replace(machine, eps_I=eps_I))
+
+
 # (row id, call of the value, word the message names, a legal value, out-of-range values)
 FLOAT_ROWS = [
     ("thermal_population.gap", lambda x: thermal_population(x, 1.0), "gap", 1.0, (-0.5,)),
@@ -106,6 +116,10 @@ FLOAT_ROWS = [
         (5e307, 1e308),
     ),
     ("MachineConfig.p00", lambda x: replace(CONFIG, p00=x), "p00", 0.0, (-0.1, 1.1)),
+    # Machines the exact oracle cannot evolve, refused by their cause: the collision phase w t
+    # overflows (eps_p = 7e307), or eps_v + eps_I rounds to eps_v (eps_p = 1e300).
+    ("collide_oracle.eps_I[phase]", _collide_at(7e307), "eps_I", 1e300, (1.0, 1e-300)),
+    ("collide_oracle.eps_I[absorbed]", _collide_at(1e300), "eps_I", 1e290, (1.0,)),
     ("tune_config.eps_s", lambda x: _tuned(eps_s=x), "eps_s", 2.0, (0.0, -1.0)),
     ("tune_config.T", lambda x: _tuned(T=x), "T", 0.1, (0.0, -1.0)),
     ("tune_config.T_prior", lambda x: _tuned(T_prior=x), "T_prior", 0.5, (0.0, -1.0, 2.0)),
@@ -113,6 +127,12 @@ FLOAT_ROWS = [
     ("tune_config.eps_I", lambda x: _tuned(eps_I=x), "eps_I", 2.0, (0.0, -1.0)),
     ("tune_config.p00", lambda x: _tuned(p00=x), "p00", 0.5, (-0.1, 1.1)),
     ("ProbeState.p0", ProbeState, "p0", 1.0, (-0.1, 1.1)),
+    # A scenario refuses with MachineConfig's messages when built, not when its runner tunes it.
+    ("Scenario.eps_s", lambda x: _sweep(eps_s=x), "eps_s", 2.0, (0.0, -1.0)),
+    ("Scenario.T", lambda x: _sweep(T=x), "T", 0.3, (0.0, -0.2)),
+    ("Scenario.temps", lambda x: _sweep(T=None, temps=(0.2, x)), "T", 0.3, (0.0, -0.2)),
+    ("Scenario.p00", lambda x: _sweep(p00=x), "p00", 0.5, (-0.1, 1.5)),
+    ("Scenario.p00_values", lambda x: _sweep(p00_values=(1.0, x)), "p00", 0.5, (-0.1, 1.5)),
     (
         "DLevelSample.levels",
         lambda x: DLevelSample((0.0, x, 2.0), 0.2, (0, 2)),

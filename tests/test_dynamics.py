@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,21 +137,54 @@ def test_oracle_matches_analytic_on_random_configs():
             assert oracle == pytest.approx(collide_analytic(p0, params), abs=1e-10)
 
 
-#: A machine whose Hamiltonian is finite (its top level 1.4e308) but whose collision phase
-#: e^(-i w t) is not: w t overflows at t = pi / 2, so its collision is NaN.
-NAN_COLLISION = MachineConfig(eps_s=1.0, eps_p=7e307, T=1.0, T_v=1.0, T_prior=1.0)
+#: Machines MachineConfig keeps but the exact oracle cannot evolve, with the cause each names:
+#: at eps_p = 7e307 the top level is finite (1.4e308) but the collision phase w t overflows at
+#: t = pi / 2; at eps_p = 1e300 the phase is finite but eps_v + eps_I rounds to eps_v, where the
+#: oracle mapped p0 = 0.3 to 0.3 and the closed form gives 0.488.
+UNEVOLVABLE = [
+    (MachineConfig(eps_s=1.0, eps_p=7e307, T=1.0, T_v=1.0, T_prior=1.0), "collision phase w t"),
+    (MachineConfig(eps_s=1.0, eps_p=1e300, T=1.0, T_v=1.0, T_prior=1.0), r"\(eps_v \+ eps_I\)"),
+]
 
 
-def test_a_nan_collision_is_refused_not_clamped_to_zero(config):
-    with np.errstate(over="ignore", invalid="ignore"):  # the phase overflows
-        with pytest.raises(ValueError, match=r"^p0 must be finite and lie in \[0, 1\], got nan$"):
-            collide_oracle(ProbeState(p0=0.5), NAN_COLLISION)
+@pytest.mark.parametrize("machine, cause", UNEVOLVABLE)
+def test_a_machine_the_oracle_cannot_evolve_is_refused_by_its_cause(config, machine, cause):
+    sample = DLevelSample((0.0, machine.eps_s, 2.0 * machine.eps_s), machine.T, (0, 1))
     machines = MachineConfig(
-        *(np.array([getattr(c, f.name) for c in (config, NAN_COLLISION)]) for f in fields(config))
+        *(np.array([getattr(c, f.name) for c in (config, machine)]) for f in fields(config))
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # the phase overflows in its lane
-        _, _, p0 = dynamics._triad_lanes(machines)
-    assert p0[0] == collide_oracle(ProbeState(p0=config.p00), config).p0 and math.isnan(p0[1])
+    with np.errstate(all="raise"):  # refused before any floating-point fault
+        for call in (
+            lambda: collide_oracle(ProbeState(p0=0.3), machine),
+            lambda: collide_oracle_matrix(np.diag([0.3, 0.7]), machine),
+            lambda: collide_oracle_dlevel(0.3, sample, machine),
+            lambda: dynamics._triad_lanes(machines),  # the one body refuses a lane alike
+        ):
+            with pytest.raises(ValueError, match=f"^{cause}"):
+                call()
+
+
+def test_the_exact_oracle_is_written_once():
+    # One eigendecomposition and one partial trace serve single calls and the stacked triad, so
+    # verify's oracle rows run the code a single collide_oracle runs.
+    calls = [n for n in ast.walk(ast.parse(Path(dynamics.__file__).read_text()))
+             if isinstance(n, ast.Call)]
+    names = [ast.unparse(n.func) for n in calls]
+    subscripts = [n.args[0].value for n, name in zip(calls, names) if name == "np.einsum"]
+    traces = [s for s in subscripts if set(s.split("->")[0]) - set(s.split("->")[1]) - {"."}]
+    assert names.count("np.linalg.eigh") == 1 and len(traces) == 1
+
+
+def test_a_nan_collision_is_refused_not_clamped_to_zero(monkeypatch, config):
+    machines = MachineConfig(*(np.array([getattr(config, f.name)] * 2) for f in fields(config)))
+    single = collide_oracle(ProbeState(p0=config.p00), config).p0
+    evolve, nan_lane = dynamics._evolve, np.array([1.0, math.nan])[:, None, None]
+    monkeypatch.setattr(dynamics, "_evolve", lambda rho, c: evolve(rho, c) * nan_lane)
+    _, _, p0 = dynamics._triad_lanes(machines)
+    assert p0[0] == single and math.isnan(p0[1])
+    monkeypatch.setattr(dynamics, "collide_oracle_matrix", lambda rho, c: np.diag([math.nan, 0j]))
+    with pytest.raises(ValueError, match=r"^p0 must be finite and lie in \[0, 1\], got nan$"):
+        collide_oracle(ProbeState(p0=0.5), config)
 
 
 @pytest.mark.parametrize("eps_s, eps_p", [(1.0, sys.float_info.max / 2), (4e307, 4.9e307)])
@@ -427,6 +462,12 @@ def test_exact_unitary_is_the_textbook_eigh_form_byte_for_byte(dim):
         for h in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
             for t in (0.0, -0.0, rng.uniform(0.0, 5.0), -rng.uniform(0.0, 5.0), math.pi / 2):
                 assert exact_unitary(h, t).tobytes() == textbook_unitary(h, t).tobytes()
+
+
+def test_exact_unitary_raises_on_a_phase_past_the_float_range():
+    # w t = 2e308 overflows: an error, not numpy's warning and a NaN unitary.
+    with np.errstate(over="warn", invalid="warn"), pytest.raises(FloatingPointError, match="over"):
+        exact_unitary(np.diag([0.0, 2.0]), 1e308)
 
 
 def test_hamiltonian_is_exactly_symmetric():

@@ -342,7 +342,7 @@ def test_nan_error_fails_its_check(monkeypatch, capsys, target, patch, failed):
 
 
 #: The closed forms and the stacked oracle verify calls once over all machines, and the
-#: single-machine oracle calls it never makes.
+#: single-machine oracle calls it never makes (its one _unitary call is the stacked one).
 PER_BATTERY = (
     "collision_params", "heat_sample", "heat_ancilla", "probe_energy_change", "snr_steady",
     "perturbation_trajectory", "_triad_lanes",
@@ -368,7 +368,7 @@ def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
     assert verification_passed(run_verification(samples=200))
-    assert calls == dict.fromkeys(PER_BATTERY, 1)
+    assert calls == dict.fromkeys(PER_BATTERY + ("_unitary",), 1)
     assert shapes == [(200, 8, 8)]  # one eigendecomposition over the stacked Hamiltonians
 
 
