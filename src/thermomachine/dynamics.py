@@ -91,14 +91,17 @@ def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     return _unitary(h, t)
 
 
-@np.errstate(over="raise", invalid="raise")  # a phase w t past the float range raises, no NaN
+@np.errstate(over="raise", invalid="raise")  # a phase w t past the float range: no NaN
 def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     """e^(-i h t) for a Hermitian ``h``, unchecked (``_hamiltonian`` is symmetric); t finite.  A
     stack of matrices takes a t with its own lane axis, shape (lanes, 1)."""
     _check_range("t", t, -math.inf)
     w, v = np.linalg.eigh(h)
-    # -(w t) rounded once, as in exp(-1j * w * t), with one array op fewer; the real part is +-0.
-    return (v * np.exp(w * (-1j * t))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    try:  # -(w t) rounded once, as in exp(-1j * w * t), with one array op fewer; real part +-0
+        phase = np.exp(w * (-1j * t))
+    except FloatingPointError:
+        raise ValueError("collision phase w t overflows, t = pi / (2 eps_I) by default") from None
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=4)  # a constant: one machine's triad and d-level channels, never a sweep
@@ -111,10 +114,7 @@ def _channel(config: MachineConfig, sample, t: float) -> tuple:
         levels, pair, pops = sample.levels, sample.pair, sample.populations().tolist()
     ancilla = _gibbs_pair(config.eps_v / config.T_v)  # the config was checked when built
     h = _hamiltonian(config, levels, pair)
-    try:
-        u = _unitary(h, t)
-    except FloatingPointError:
-        raise ValueError("collision phase w t overflows, t = pi / (2 eps_I) by default") from None
+    u = _unitary(h, t)
     # Where eps_v + eps_I rounds to eps_v, eigh cannot split the coupled pair: the swap is lost.
     _check_range("(eps_v + eps_I) - eps_v", (config.eps_v + config.eps_I) - config.eps_v, 0.0)
     channel = h, _diagonal([s * a for s in pops for a in ancilla]), u, u.conj().swapaxes(-1, -2)
@@ -138,7 +138,7 @@ def _collide_exact(rho_probe, config: MachineConfig, sample=None, t=None) -> np.
     t = config.collision_time if t is None else t
     try:
         channel = _channel(config, sample, t)
-    except TypeError:  # unhashable: a 0-d array field of the config or the sample
+    except TypeError:  # unhashable: a 0-d array field of the config, or the sample's temperature
         if any(np.ndim(v) for v in vars(config).values()):
             raise ValueError("an oracle takes one machine, not a stacked MachineConfig") from None
         channel = _channel.__wrapped__(config, sample, t)

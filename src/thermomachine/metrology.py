@@ -1,9 +1,10 @@
 """Fisher information, sensitivities and signal-to-noise ratios.
 
 Every SNR here is assembled from populations and sensitivities through the
-single pipeline  snr = T * sqrt(M * F)  with  F = lambda^2 / (p0 p1); the
-equivalent closed forms are kept in the test suite as regression
-cross-checks rather than duplicated as code paths.
+single pipeline  snr = T * sqrt(M * F)  with  F = lambda^2 / (p0 p1), whose last step
+``_cramer_rao_snr`` alone reads M (``snr_thermal`` folds M into lambda gap / T^2 before
+the division); the equivalent closed forms are kept in the test suite as
+regression cross-checks rather than duplicated as code paths.
 
 SNR means T / (estimation error), so larger is better and the Cramer-Rao
 bound for M independent binary energy measurements reads
@@ -13,7 +14,8 @@ The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
 (as ``T`` or ``MachineConfig.T``).  Each formula has one path for both: an
 int k or a float T gives floats, and each array element equals that float
-bit for bit (``core.libm`` says why).
+bit for bit (``core.libm`` says why).  Every SNR also takes an integer ndarray M,
+broadcast against k or T, each element bit for bit the call with that int M.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _cramer_rao_snr(T, M, fisher):
+    """T sqrt(M F), the pipeline's last step (inf where F is); M an int or integer array."""
+    _check_count("M", M, 1)
+    return T * _sqrt(M * fisher)
+
+
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
     """(p0_inf, p1_inf) = logistics of +-(eps_v/T_v - eps_s/T)."""
     return _logistic_pair(config.eps_v / config.T_v - config.eps_s / config.T)
@@ -130,57 +138,45 @@ def _transient_slope(k, p00, config, params, q_k):
 
 
 def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
-    """Steady-state SNR of the probe for M energy measurements.
+    """Steady-state SNR of the probe for M (an int or integer array) energy measurements.
 
     The steady sensitivity is p0 p1 eps_s/T^2, so the Fisher information
     reduces to sensitivity * eps_s/T^2 with no population division; deep
     exponential tails therefore underflow to the true limit 0 instead of
     tripping the boundary singularity.
     """
-    _check_count("M", M, 1)
     p0, p1 = _steady_pair(config)
     lam = _population_slope(p0, p1, config.eps_s, config.T)
     fisher = lam * config.eps_s / (config.T * config.T)
     return SnrPoint(
-        T=config.T,
-        M=M,
-        k=math.inf,
-        snr=config.T * _sqrt(M * fisher),
-        sensitivity=lam,
-        fisher=fisher,
-        p0=p0,
+        T=config.T, M=M, k=math.inf, snr=_cramer_rao_snr(config.T, M, fisher),
+        sensitivity=lam, fisher=fisher, p0=p0,
     )
 
 
 def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrPoint:
     """Transient SNR after k collisions from initial ground population p00.
 
-    An integer array ``k`` gives a point whose fields (but T and M) are arrays.
+    An integer array ``k`` gives a point whose fields (but T and M) are arrays; an integer
+    array ``M`` broadcasts against ``k`` in ``snr`` alone.
     """
     params = collision_params(config)
     q = contraction_power(params.r, k)
     sensitivity = _transient_slope(k, p00, config, params, q)
-    _check_count("M", M, 1)
     _, p1_inf = _steady_pair(config)
     p0 = _relax(q, params.p0_inf, p00)
     fisher = _fisher_two_sided(p0, _relax(q, p1_inf, 1.0 - p00), sensitivity)
     return SnrPoint(
-        T=config.T,
-        M=M,
-        k=k * 1.0,
-        snr=config.T * _sqrt(M * fisher),  # inf where singular
-        sensitivity=sensitivity,
-        fisher=fisher,
-        p0=p0,
-        singular=fisher == math.inf,
+        T=config.T, M=M, k=k * 1.0, snr=_cramer_rao_snr(config.T, M, fisher),
+        sensitivity=sensitivity, fisher=fisher, p0=p0, singular=fisher == math.inf,
     )
 
 
 def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     """SNR of a probe fully thermalized at T with the given gap.
 
-    Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T); evaluated via
-    the common population/sensitivity pipeline.  M may be an integer array.
+    Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T), with M (an int or integer array)
+    folded in before the division by T^2, not by ``_cramer_rao_snr``: fig1b's bits pin that order.
     """
     _check_count("M", M, 1)
     qubit = thermal_population(gap, T)

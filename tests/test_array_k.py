@@ -153,6 +153,32 @@ def test_sensitivity_and_snr_match_scalar_bits(config, extra, M):
         assert bits(heat(ks, p00, config)) == bits([heat(int(k), p00, config) for k in ks])
 
 
+#: Measurement counts for an int64 M axis: small ones, and ones past 2^53 that round to a float.
+m_axes = st.lists(
+    st.one_of(st.integers(1, 10**6), st.sampled_from([2**53 + 1, 2**62 + 1, 2**63 - 1])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=machines, extra=extra_ks, Ms=m_axes)
+def test_an_m_axis_matches_the_per_m_scalar_bits(config, extra, Ms):
+    # An integer array M broadcasts against k (snr_transient) and T (snr_steady), and only the
+    # snr field reads it.  Where M F overflows, both give inf; numpy's warning is not a bit.
+    ks, T = edge_ks(collision_params(config).r, extra), np.array([config.T, 2.0 * config.T])
+    with np.errstate(over="ignore"):
+        point = snr_transient(ks, config.p00, config, np.array(Ms)[:, None])
+        steady = snr_steady(replace(config, T=T), np.array(Ms)[:, None])
+    assert bits(point.snr) == bits(
+        [[snr_transient(int(k), config.p00, config, M).snr for k in ks] for M in Ms]
+    )
+    assert bits(steady.snr) == bits(
+        [[snr_steady(replace(config, T=t), M).snr for t in T.tolist()] for M in Ms]
+    )
+    assert bits(point.fisher) == bits(snr_transient(ks, config.p00, config).fisher)
+
+
 def stack(configs) -> MachineConfig:
     """One config whose fields are arrays, one lane per machine."""
     return MachineConfig(

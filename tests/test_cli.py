@@ -57,6 +57,8 @@ def test_invalid_sweep_bounds_usage_error(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(["steady", "--set", "t_min=0.3", "--set", "t_max=0.1"], capsys)
     assert code == EXIT_USAGE
+    code, _, err = run(["steady", "--set", "t_min=0.3"], capsys)
+    assert code == EXIT_USAGE and "t_min and t_max must be given together" in err
 
 
 def test_explicit_temperature_bounds(capsys):
@@ -323,6 +325,32 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value):
     assert code == EXIT_USAGE
     assert "must be finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "contents, args, message",
+    [
+        (None, [], "cannot read config file"),  # no file at the path
+        ("{", [], "config file is not valid JSON"),
+        ("[0.25]", [], "config file must hold a JSON object"),
+        ("{}", ["--set", "points"], "--set needs KEY=VALUE, got 'points'"),
+    ],
+)
+def test_malformed_override_is_usage_error(tmp_path, capsys, contents, args, message):
+    cfg = tmp_path / "scenario.json"
+    if contents is not None:
+        cfg.write_text(contents)
+    code, out, err = run(["steady", "--config", str(cfg), *args], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+
+
+def test_an_empty_list_setting_clears_the_field(capsys):
+    # "temps=" gives (): fig2a then sweeps its one T, not its three temps.
+    args = ["preset", "fig2a", "--set", "temps=", "--set", "T=0.25", "--set", "k_max=3"]
+    code, out, _ = run(args, capsys)
+    assert code == EXIT_OK
+    assert {row[0] for row in from_csv(out).rows} == {0.25}
 
 
 @pytest.mark.parametrize("command", ["cost", "heat", "transient"])

@@ -168,7 +168,7 @@ FLOAT_ROWS = [
         lambda x: required_interactions(1.0, x, 1.0),
         "temperature",
         0.1,
-        (0.0,),
+        (0.0, 1.0 / 800.0),  # eps_s/T = 800: the one-qubit bound underflows to 0
     ),
     ("required_interactions.eps_s", lambda x: required_interactions(1, 0.1, x), "gap", 1, (-1.0,)),
     ("heat_sample.p00", lambda x: heat_sample(3, x, CONFIG), "p00", 0.0, (1.5,)),

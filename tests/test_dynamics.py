@@ -445,6 +445,16 @@ def test_a_sample_keeps_its_levels_and_pair_as_tuples(config, levels, pair):
     assert sample.pair == (0, 1) and isinstance(sample.pair, tuple)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [((0, 3), "distinct level indices"), ((-1, 1), "distinct level indices"),
+     ((1, 1), "distinct level indices"), ((1, 0), "ordered")],
+)
+def test_a_sample_refuses_a_pair_that_is_not_two_of_its_levels(config, pair, message):
+    with pytest.raises(ValueError, match=message):
+        DLevelSample((0.0, 1.0, 2.5), config.T, pair)
+
+
 @pytest.mark.parametrize("w", [-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308])
 def test_a_zero_t_of_either_sign_gives_one_phase(w):
     # At t = +-0, w * (-1j t) holds only signed zeros, whose signs depend on w's sign alone: these
@@ -465,8 +475,8 @@ def test_exact_unitary_is_the_textbook_eigh_form_byte_for_byte(dim):
 
 
 def test_exact_unitary_raises_on_a_phase_past_the_float_range():
-    # w t = 2e308 overflows: an error, not numpy's warning and a NaN unitary.
-    with np.errstate(over="warn", invalid="warn"), pytest.raises(FloatingPointError, match="over"):
+    # w t = 2e308 overflows: the oracles' named error, not numpy's warning and a NaN unitary.
+    with np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="phase w t"):
         exact_unitary(np.diag([0.0, 2.0]), 1e308)
 
 

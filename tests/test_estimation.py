@@ -242,6 +242,9 @@ def test_ml_steady_clamps_out_of_range_frequency(config):
     assert model(hi) < 0.999
     t_hat, clamped = ml_estimate(MeasurementRecord(999, 1000, 0), model, (lo, hi))
     assert clamped and t_hat == hi
+    # m0/M below p0_inf(0.2) on a narrower interval: no solution inside, must clamp low.
+    assert model(0.2) > 0.001
+    assert ml_estimate(MeasurementRecord(1, 1000, 0), model, (0.2, hi)) == (0.2, True)
 
 
 def decimal_steady_temperature(config, m0, M):

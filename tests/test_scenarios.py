@@ -31,7 +31,7 @@ from thermomachine.dynamics import (
     transient_population,
 )
 from thermomachine.heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_energy_change
-from thermomachine.metrology import fisher_binary, snr_steady
+from thermomachine.metrology import fisher_binary, snr_steady, snr_transient
 from thermomachine.scenarios import Scenario, verification_passed
 
 
@@ -204,16 +204,20 @@ def loop_battery(samples, seed):
     configs = scalar_configs(samples, seed)
     checks = []
 
-    ref = configs[0]
-    u = exact_unitary(build_triad_hamiltonian(ref), ref.collision_time)
-    checks.append(("unitarity", float(np.abs(u @ u.conj().T - np.eye(8)).max()), 1e-12))
+    unitaries = [exact_unitary(build_triad_hamiltonian(c), c.collision_time) for c in configs]
+    err = 0.0
+    for u in unitaries:
+        err = max(err, float(np.abs(u @ u.conj().T - np.eye(8)).max()))
+    checks.append(("unitarity", err, 1e-12))
 
     a, b = COUPLED_STATES
-    mags = np.abs(u)
-    err_swap = max(abs(mags[b, a] - 1.0), abs(mags[a, b] - 1.0))
-    for idx in range(8):
-        if idx not in (a, b):
-            err_swap = max(err_swap, abs(mags[idx, idx] - 1.0))
+    err_swap = 0.0
+    for u in unitaries:
+        mags = np.abs(u)
+        err_swap = max(err_swap, abs(mags[b, a] - 1.0), abs(mags[a, b] - 1.0))
+        for idx in range(8):
+            if idx not in (a, b):
+                err_swap = max(err_swap, abs(mags[idx, idx] - 1.0))
     checks.append(("full_swap_permutation", err_swap, 1e-10))
 
     err = 0.0
@@ -350,26 +354,41 @@ PER_BATTERY = (
 SINGLE_MACHINE = ("collide_oracle", "build_triad_hamiltonian", "exact_unitary", "_unitary")
 
 
+def count_calls(monkeypatch, module, names, calls):
+    """Wrap each of ``module``'s ``names`` so that a call adds one to ``calls[name]``."""
+    for name in names:
+        def call(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+
 def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):
     calls = Counter()
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    for name in PER_BATTERY:
-        monkeypatch.setattr(scenarios, name, counted(name, getattr(scenarios, name)))
-    for name in SINGLE_MACHINE:
-        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
+    count_calls(monkeypatch, scenarios, PER_BATTERY, calls)
+    count_calls(monkeypatch, dynamics, SINGLE_MACHINE, calls)
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
     assert verification_passed(run_verification(samples=200))
     assert calls == dict.fromkeys(PER_BATTERY + ("_unitary",), 1)
     assert shapes == [(200, 8, 8)]  # one eigendecomposition over the stacked Hamiltonians
+
+
+@pytest.mark.parametrize("name", ["fig3", "figS2-ratio"])
+def test_cost_comparison_evaluates_each_machine_once(monkeypatch, name):
+    # Both measurement counts read one transient and one steady point: only T sqrt(M F) differs.
+    scenario, calls = replace(PRESETS[name], k_max=400, M=3, M_alt=7), Counter()
+    count_calls(monkeypatch, scenarios, ("snr_transient", "snr_steady"), calls)
+    table = run_scenario(scenario)
+    assert calls == {"snr_transient": 1, "snr_steady": 1}
+    monkeypatch.undo()
+    config = scenarios._tuned(scenario, scenario.T)
+    k = np.arange(1, 401)
+    for M, column, meta in ((3, 1, "snr_machine_steady_m1"), (7, 2, "snr_machine_steady_m2")):
+        assert table.cells[:, column].tobytes() == snr_transient(k, 1.0, config, M).snr.tobytes()
+        assert table.meta[meta] == snr_steady(config, M).snr
 
 
 def test_scenario_validation():

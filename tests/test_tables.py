@@ -48,6 +48,8 @@ def test_width_mismatch_refused_by_result_table_and_from_csv():
 def test_an_empty_table_takes_its_width_from_the_columns():
     assert ResultTable(("a", "b", "c"), ()).cells.shape == (0, 3)
     assert from_csv("# seed=1\na,b\n").cells.shape == (0, 2)
+    with pytest.raises(ValueError, match="CSV has no header row"):
+        from_csv("# seed=1\n")
     assert ResultTable(("a", "b"), np.empty((0, 2))).cells.shape == (0, 2)
     with pytest.raises(ValueError, match=r"shape \(0, 3\), expected \(rows, 2\)"):
         ResultTable(("a", "b"), np.empty((0, 3)))  # only the shape (0,) takes the width
