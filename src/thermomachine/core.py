@@ -59,7 +59,7 @@ def _check_count(name: str, value: object, low: int) -> None:
         bad = value[~(value >= low)] if value.dtype.kind in "iu" else value.ravel()
         if bad.size == 0:
             return
-        value = bad[0].item()
+        value = bad[:1].tolist()[0]  # an object array holds Python ints, which have no .item()
     # __index__ marks a lossless integer, numpy's too, at a fraction of numbers.Integral's cost.
     elif not isinstance(value, bool) and hasattr(value, "__index__") and value >= low:
         return
@@ -73,16 +73,9 @@ def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
     return e ** (x < 0.0) / (1.0 + e)
 
 
-def _logistic_pair(x: float | np.ndarray) -> tuple:
-    """(1 / (1 + e^-x), 1 / (1 + e^x)) from one e = e^-|x|, so neither overflows; each in its
-    own scale, where 1 minus the other would quantize a tail at the ulp of 1."""
-    e = libm(math.exp, -abs(x))
-    total = 1.0 + e
-    return e ** (x < 0.0) / total, e ** (x >= 0.0) / total
-
-
 def _gibbs_pair(x: float | np.ndarray) -> tuple:
-    """:func:`_logistic_pair` bit for bit at an exponent x >= 0 (-0.0 too), with no sign select."""
+    """(stable_logistic(x), stable_logistic(-x)) bit for bit at an exponent x >= 0 (-0.0 too),
+    from one exp and with no sign select."""
     e = libm(math.exp, -x)
     total = 1.0 + e
     return 1.0 / total, e / total

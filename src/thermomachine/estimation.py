@@ -55,6 +55,9 @@ _DRAW_BLOCK = 2**15
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
 SMALL_M_THRESHOLD = 1000
 
+#: A study's floor on ``trials``: the empirical spread needs a real ensemble.
+MIN_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -298,22 +301,18 @@ def empirical_snr_study(
     trials: int,
     seed: int = DEFAULT_SEED,
     k: int | None = None,
-    p00: float | None = None,
 ) -> EstimationReport:
-    """Run ``trials`` independent simulate/estimate rounds and aggregate.
+    """Run ``trials`` (at least ``MIN_TRIALS``) independent simulate/estimate rounds and aggregate.
 
     ``k`` = None uses the steady-state model (closed-form inversion); an
-    integer k uses the transient model after k collisions from initial
-    ground population ``p00`` (default: the config's).  Identical inputs
-    give a bit-identical report.  The empirical spread needs a real
-    ensemble, hence the floor on ``trials``.
+    integer k uses the transient model after k collisions from the config's
+    initial ground population ``p00``.  Identical inputs give a
+    bit-identical report.
     """
-    _check_count("trials", trials, 100)
+    _check_count("trials", trials, MIN_TRIALS)
     _check_count("seed", seed, 0)
-    if p00 is None:
-        p00 = config.p00
 
-    crb = snr_steady(config, M) if k is None else snr_transient(k, p00, config, M)
+    crb = snr_steady(config, M) if k is None else snr_transient(k, config.p00, config, M)
     p_true = crb.p0  # the model at config.T, bit for bit: one closed form on the same floats
     singular = p_true <= 0.0 or p_true >= 1.0
     lo, hi = _checked(prior_interval(config))
@@ -332,7 +331,8 @@ def empirical_snr_study(
         pairs = [_invert_monotone(m, M, temperature, lo, hi) for m in distinct.tolist()]
         t_hat, was_clamped = np.array(pairs, float).T  # clamped reads 1.0, unclamped 0.0
     else:
-        t_hat, was_clamped = _bisect(transient_model(config, k, p00), lo, hi, distinct.tolist(), M)
+        model = transient_model(config, k, config.p00)
+        t_hat, was_clamped = _bisect(model, lo, hi, distinct.tolist(), M)
     estimates, clamped = t_hat[index], int(np.count_nonzero(was_clamped[index]))
 
     # Equal estimates have no spread: std and mean would read rounding (~1e-28, 1 ulp).

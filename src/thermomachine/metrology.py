@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, _logistic_pair, _probe_gap
-from .core import collision_params, thermal_population
+from .core import MachineConfig, _check_count, _check_range, _probe_gap
+from .core import collision_params, stable_logistic, thermal_population
 from .dynamics import _relax, contraction_power
 
 #: Asymptotic ratio between the best two-outcome measurement on k thermal
@@ -94,8 +94,10 @@ def _cramer_rao_snr(T, M, fisher):
 
 
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
-    """(p0_inf, p1_inf) = logistics of +-(eps_v/T_v - eps_s/T)."""
-    return _logistic_pair(config.eps_v / config.T_v - config.eps_s / config.T)
+    """(p0_inf, p1_inf) = logistics of +-(eps_v/T_v - eps_s/T), each in its own scale, where
+    1 minus the other would quantize a tail at the ulp of 1."""
+    x = config.eps_v / config.T_v - config.eps_s / config.T
+    return stable_logistic(x), stable_logistic(-x)
 
 
 def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:

@@ -16,10 +16,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .core import CollisionParams, MachineConfig, _check_count, _check_range, _probe_gap
+from .core import CollisionParams, MachineConfig, _check_count, _check_range
 from .core import collision_params, tune_config
 from .dynamics import COUPLED_STATES, _collide, _triad_lanes, collide_analytic, transient_population
-from .estimation import DEFAULT_SEED, empirical_snr_study
+from .estimation import DEFAULT_SEED, MIN_TRIALS, empirical_snr_study
 from .heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_energy_change
 from .metrology import (
     SQRT_TWO_OVER_PI,
@@ -86,7 +86,8 @@ class Scenario:
         for name in ("priors", "temps", "p00_values"):  # a numpy array would compare per element
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         counts = dict(
-            points=0, k_min=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, samples=1, seed=0
+            points=0, k_min=0, k_step=1, k_max=self.k_min, M=1, M_alt=1, trials=MIN_TRIALS,
+            samples=1, seed=0,
         )
         for name, low in counts.items():
             _check_count(name, getattr(self, name), low)
@@ -105,15 +106,17 @@ class Scenario:
                 raise ValueError(f"{self.kind} needs {group.replace('|', ' or ')}")
         if self.model not in ("steady", "transient"):  # another kind reads no model
             raise ValueError(f"unknown estimation model {self.model!r}")
-        if self.kind != "verify":  # a kind that tunes machines, checked as its runner tunes them
+        if self.kind != "verify":  # a kind that tunes machines, built as its runner builds them
             temps = np.array([T for T in (self.T, *self.temps) if T is not None])  # () on a T grid
             for t_prior in self.priors or (self.T_prior,):  # MachineConfig checks each T and p00
-                MachineConfig(
-                    eps_s=self.eps_s, eps_p=_probe_gap(self.eps_s, self.T_v, t_prior), T=temps,
-                    T_v=self.T_v, T_prior=t_prior, p00=np.array((self.p00, *self.p00_values)),
-                )
+                _tuned(self, temps, np.array((self.p00, *self.p00_values)), t_prior)
             for sign in (1, -1) if self.kind == "noisy-ancilla" else ():
                 _mistuned_gap(self, NoisyAncillaSpec(self.delta_Tv_rel, sign))
+        if self.kind == "cost-comparison" and not snr_sample_bound(1, self.T, self.eps_s) > 0.0:
+            raise ValueError(
+                f"eps_s/T = {self.eps_s / self.T:g} is past ~745, where e^(-eps_s/T) "
+                "underflows: the sample bound is 0 and ratio_to_bound undefined"
+            )
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
@@ -161,11 +164,12 @@ def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
     return replace(scenario, **settings)
 
 
-def _tuned(scenario: Scenario, T: float, p00: float | None = None) -> MachineConfig:
+def _tuned(scenario: Scenario, T, p00=None, T_prior=None) -> MachineConfig:
+    """The one builder of a scenario's machines; p00 and T_prior default to the scenario's."""
     return tune_config(
         eps_s=scenario.eps_s,
         T=T,
-        T_prior=scenario.T_prior,
+        T_prior=scenario.T_prior if T_prior is None else T_prior,
         T_v=scenario.T_v,
         p00=scenario.p00 if p00 is None else p00,
     )
@@ -197,7 +201,7 @@ def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u, M = scenario.eps_s, scenario.M  # temperatures reported in units of eps_s
     for t_prior in scenario.priors or (scenario.T_prior,):
         T = _temperature_grid(scenario, t_prior)
-        pt = snr_steady(_tuned(replace(scenario, T_prior=t_prior), T), M)
+        pt = snr_steady(_tuned(scenario, T, T_prior=t_prior), M)
         yield {
             "T_prior": t_prior / u, "T": T / u, "p0_inf": pt.p0, "sensitivity": pt.sensitivity * u,
             "snr": pt.snr, "snr_thermal": snr_thermal(T, scenario.eps_s, M),
@@ -223,11 +227,6 @@ def _run_transient_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
 
 
 def _run_cost_comparison(scenario: Scenario, meta: dict) -> Iterator[dict]:
-    if not snr_sample_bound(1, scenario.T, scenario.eps_s) > 0.0:
-        raise ValueError(
-            f"eps_s/T = {scenario.eps_s / scenario.T:g} is past ~745, where e^(-eps_s/T) "
-            "underflows: the sample bound is 0 and ratio_to_bound undefined"
-        )
     config, Ms = _tuned(scenario, scenario.T), (scenario.M, scenario.M_alt)
     k = _k_values(scenario, max(1, scenario.k_min))
     # One point per machine for both M, each a Python int: no integer array holds M = 10^308.
@@ -288,7 +287,6 @@ def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
         trials=scenario.trials,
         seed=scenario.seed,
         k=scenario.k_measure,
-        p00=scenario.p00,
     )
     meta["model"] = scenario.model
     meta["small_m_warning"] = report.small_m_warning

@@ -10,6 +10,7 @@ import ast
 import math
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from thermomachine import (
     tune_config,
 )
 from thermomachine.cli import _DEFAULTS
-from thermomachine.core import _gibbs_pair, _logistic_pair, _params_at, libm, stable_logistic
+from thermomachine.core import _gibbs_pair, _params_at, libm, stable_logistic
 from thermomachine.dynamics import (
     ProbeState,
     _triad_lanes,
@@ -52,6 +53,7 @@ from thermomachine.dynamics import (
     contraction_power,
     exact_unitary,
 )
+from thermomachine.metrology import _steady_pair
 from thermomachine.scenarios import _temperature_grid
 from thermomachine.tables import ResultTable
 
@@ -358,9 +360,14 @@ def test_logistic_matches_scalar_bits(xs, lo):
     x = np.array(logistic_edges + xs + [lo, -lo])
     assert bits(stable_logistic(x)) == bits([stable_logistic(v) for v in x.tolist()])
     want = [[branched_logistic(v) for v in x.tolist()], [branched_logistic(-v) for v in x.tolist()]]
-    scalar = list(zip(*map(_logistic_pair, x.tolist())))
-    for pair in (_logistic_pair(x), scalar):
+    scalar = list(zip(*(_steady_pair(exponent(v)) for v in x.tolist())))
+    for pair in (_steady_pair(exponent(x)), scalar):
         assert [bits(pair[0]), bits(pair[1])] == [bits(want[0]), bits(want[1])]
+
+
+def exponent(x):
+    """A stand-in machine whose steady exponent eps_v/T_v - eps_s/T is x itself, bit for bit."""
+    return SimpleNamespace(eps_v=x, T_v=1.0, eps_s=0.0, T=1.0)
 
 
 def signed_pair(x):
@@ -369,6 +376,14 @@ def signed_pair(x):
     e = libm(math.exp, -abs(x))
     total = 1.0 + e
     return e ** (x < 0.0) / total, e ** (x >= 0.0) / total
+
+
+def test_steady_pair_is_the_signed_pair():
+    # The steady pair's two logistics of +-x are the one-exp signed pair, NaN and both zeros too.
+    x = np.array(logistic_edges + [math.nan])
+    want = [bits(half) for half in signed_pair(x)]
+    assert [bits(half) for half in _steady_pair(exponent(x))] == want
+    assert [bits(half) for half in zip(*(_steady_pair(exponent(v)) for v in x.tolist()))] == want
 
 
 gibbs_exponents = [0.0, -0.0, 5e-324, 1e-300, 36.7, 709.78, 745.13, 746.0, 1e308]
@@ -383,7 +398,8 @@ def test_gibbs_pair_is_the_signed_pair_at_non_negative_exponents():
     both = np.array(gibbs_exponents + [-v for v in gibbs_exponents])
     assert bits(stable_logistic(both)) == bits(signed_pair(both)[0])
     assert bits([stable_logistic(v) for v in both.tolist()]) == bits(signed_pair(both)[0])
-    assert [bits(half) for half in _logistic_pair(both)] == [bits(h) for h in signed_pair(both)]
+    want = [bits(half) for half in signed_pair(both)]
+    assert [bits(half) for half in _steady_pair(exponent(both))] == want
 
 
 def branched_logistic(x: float) -> float:

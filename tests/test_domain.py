@@ -231,13 +231,6 @@ FLOAT_ROWS = [
         0.3,
         (0.0, -0.1),
     ),
-    (
-        "empirical_snr_study.p00",
-        lambda x: empirical_snr_study(CONFIG, 1000, 100, k=10, p00=x),
-        "p00",
-        1.0,
-        (1.5,),
-    ),
 ]
 
 
@@ -288,6 +281,8 @@ def test_the_overflow_check_is_the_top_level_s_own():
 # (row id, call of the count, word the message names, a legal value, illegal values)
 COUNT_ROWS = [
     ("snr_steady.M", lambda n: snr_steady(CONFIG, n), "M", 3, (0, 2.5, True)),
+    # numpy holds an int past 2^63 as an object, whose elements are Python ints.
+    ("snr_steady.M[object]", lambda n: snr_steady(CONFIG, n), "M", 3, (np.array([10**308, 2]),)),
     ("snr_transient.M", lambda n: snr_transient(3, 1.0, CONFIG, n), "M", 3, (0, 2.5)),
     ("snr_thermal.M", lambda n: snr_thermal(0.2, 1.0, n), "M", np.arange(1, 3), (np.arange(2),)),
     (
@@ -339,6 +334,13 @@ COUNT_ROWS = [
         "k_min",
         0,
         (-5, 0.5),
+    ),
+    (
+        "Scenario.trials",
+        lambda n: Scenario("x", "montecarlo", T=0.2, T_prior=0.25, trials=n),
+        "trials",
+        100,
+        (99, 100.0),
     ),
     (
         "Scenario.k_measure",

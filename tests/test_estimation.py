@@ -382,7 +382,7 @@ def test_study_requires_a_real_ensemble(config):
 
 def test_study_transient_model_near_crb():
     config = tune_config(eps_s=1.0, T=0.25, T_prior=0.25, T_v=1.0, p00=1.0)
-    report = empirical_snr_study(config, M=4000, trials=300, seed=21, k=60, p00=1.0)
+    report = empirical_snr_study(config, M=4000, trials=300, seed=21, k=60)
     assert report.clamped_fraction < 0.05
     assert report.empirical_snr == pytest.approx(report.crb_snr, rel=0.12)
 
@@ -632,8 +632,8 @@ COLD_ANCILLA = MachineConfig(eps_s=1.0, eps_p=1.0, T=0.2, T_v=0.02, T_prior=0.25
 @pytest.mark.parametrize("k", [50, 60])
 def test_transient_study_equals_per_call_reference(k, p00):
     machine, M, seed = STUDY_MACHINES[k]
-    config = tune_config(**machine)
-    report = empirical_snr_study(config, M=M, trials=100, seed=seed, k=k, p00=p00)
+    config = tune_config(**machine, p00=p00)
+    report = empirical_snr_study(config, M=M, trials=100, seed=seed, k=k)
     mean, std, rmse, clamped = reference_study(config, M, 100, seed, k, p00)
     assert (report.t_hat_mean, report.t_hat_std, report.rmse) == (mean, std, rmse)
     assert report.clamped_fraction == clamped
@@ -803,7 +803,7 @@ def test_constant_model_study_is_all_clamped():
     # p0 = 1.0 at every T of the prior interval: no count carries information,
     # and every estimate is the clamp to lo (the grid+golden search returned
     # grid[1], 4.9e-4, unclamped, for an empirical SNR of 1.8e18).
-    report = empirical_snr_study(COLD_ANCILLA, M=1000, trials=100, seed=0x5EED, k=5, p00=1.0)
+    report = empirical_snr_study(COLD_ANCILLA, M=1000, trials=100, seed=0x5EED, k=5)
     assert report.singular and report.clamped_fraction == 1.0
     assert report.t_hat_mean == prior_interval(COLD_ANCILLA)[0]
     assert report.t_hat_std == 0.0 and report.empirical_snr == math.inf

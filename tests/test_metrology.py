@@ -406,6 +406,12 @@ def test_required_interactions_refuses_targets_past_2_to_53():
     k = required_interactions(target, 0.1, 1.0)
     assert 0.99e12 < k < 1.01e12
     assert snr_sample_bound(k - 1, 0.1, 1.0) < target <= snr_sample_bound(k, 0.1, 1.0)
+    # The estimate ratio^2 reads 2999999999999999.5, past which 1e-9 is below an ulp: its
+    # ceiling 3e15 overshoots the smallest k by one, and the downward step takes it back.
+    target = snr_sample_bound(1, 1.0, 1.0) * math.sqrt(3e15)
+    k = required_interactions(target, 1.0, 1.0)
+    assert k == 2999999999999999
+    assert snr_sample_bound(k - 1, 1.0, 1.0) < target <= snr_sample_bound(k, 1.0, 1.0)
 
 
 def test_required_interactions_exponential_scaling():

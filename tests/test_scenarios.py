@@ -584,7 +584,7 @@ def tuning_scenarios(draw):
     if kind in ("steady-sweep", "transient-sweep", "cost-comparison", "noisy-ancilla"):
         given["M"] = draw(st.integers(1, 10**6))
     if kind == "montecarlo":
-        given.update(M=draw(st.integers(1, 2000)), trials=100)
+        given.update(M=draw(st.integers(1, 2000)), trials=draw(st.integers(95, 105)))
         if draw(st.booleans()):
             given.update(model="transient", k_measure=draw(st.integers(0, 40)))
         else:
@@ -595,35 +595,53 @@ def tuning_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(given=tuning_scenarios())
 def test_a_tuning_scenario_that_builds_runs_to_a_table_without_nan(given):
-    """A scenario is refused when built, runs to a table with no NaN cell, or is a cost
-    comparison whose sample bound underflows to 0: physics, not a field."""
-    try:
-        scenario = Scenario("fuzz", **given)
-    except ValueError:
-        return
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GapOrderingWarning)
-            table = run_scenario(scenario)
-    except ValueError as exc:
-        assert given["kind"] == "cost-comparison" and "underflows" in str(exc)
-        return
+    """A scenario is refused when built or runs to a table with no NaN cell."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GapOrderingWarning)
+        try:
+            scenario = Scenario("fuzz", **given)
+        except ValueError:
+            return
+        table = run_scenario(scenario)
     assert not np.isnan(table.cells).any()
 
 
 def test_no_runner_checks_a_field():
-    """A scenario is checked when it is built, so run_scenario and the runners raise only the
-    cost comparison's refusal of a sample bound that underflows to 0 (physics, not a field)."""
-    source = inspect.getsource(scenarios)
+    """A scenario is checked when it is built, so neither run_scenario nor a runner raises."""
     raises = [
-        (fn.name, "underflows" in ast.get_source_segment(source, node))
-        for fn in ast.parse(source).body
+        fn.name
+        for fn in ast.parse(inspect.getsource(scenarios)).body
         if isinstance(fn, ast.FunctionDef)
         and (fn.name == "run_scenario" or fn.name.startswith("_run_"))
         for node in ast.walk(fn)
         if isinstance(node, ast.Raise)
     ]
-    assert raises == [("_run_cost_comparison", True)]
+    assert raises == []
+
+
+#: (kind, fields, machines the constructor builds, machines the run builds)
+TUNED_MACHINES = [
+    ("steady-sweep", dict(priors=(0.25, 0.125), points=5), 2, 2),
+    ("transient-sweep", dict(T_prior=0.25, temps=(0.2, 0.3), p00_values=(0.5, 1.0)), 1, 4),
+    ("cost-comparison", dict(T=0.2, T_prior=0.25, k_max=5), 1, 1),
+    ("heat-trajectory", dict(T_prior=0.25, temps=(0.2, 0.3), k_min=1, k_max=5), 1, 2),
+    ("noisy-ancilla", dict(T_prior=0.25, delta_Tv_rel=0.1, points=5), 1, 1),
+    ("montecarlo", dict(T=0.2, T_prior=0.25, M=100, trials=100), 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, given, built, ran", TUNED_MACHINES, ids=[r[0] for r in TUNED_MACHINES]
+)
+def test_building_and_running_make_machines_through_tuned(monkeypatch, kind, given, built, ran):
+    # The constructor builds each prior's machine, every T and p00 a lane, and the runner its
+    # own, all through the one builder: scenarios constructs no MachineConfig of its own.
+    calls = Counter()
+    count_calls(monkeypatch, scenarios, ("_tuned", "tune_config", "MachineConfig"), calls)
+    scenario = Scenario("x", kind, **given)
+    assert calls == {"_tuned": built, "tune_config": built}
+    run_scenario(scenario)
+    assert calls == {"_tuned": built + ran, "tune_config": built + ran}
 
 
 @pytest.mark.parametrize(
@@ -644,7 +662,11 @@ def test_multi_valued_fields_take_arrays_and_write_the_tuples_bytes(kind, given)
 
 
 def test_gap_ordering_warns_once_per_prior():
-    scenario = Scenario(name="x", kind="steady-sweep", priors=(0.25, 0.3), T_v=0.4, points=50)
-    with pytest.warns(GapOrderingWarning) as record:
+    # When the scenario is built, like every tuning check, and again from the same line when
+    # it runs, which Python's default filter shows once.
+    with pytest.warns(GapOrderingWarning) as built:
+        scenario = Scenario(name="x", kind="steady-sweep", priors=(0.25, 0.3), T_v=0.4, points=50)
+    with pytest.warns(GapOrderingWarning) as ran:
         run_scenario(scenario)
-    assert len(record) == 2
+    assert len(built) == len(ran) == 2
+    assert [(w.lineno, str(w.message)) for w in built] == [(w.lineno, str(w.message)) for w in ran]
