@@ -27,7 +27,7 @@ from .scenarios import (
     run_scenario,
     verification_passed,
 )
-from .tables import _csv_chunks, _json_chunks, export
+from .tables import _chunks, export
 
 OUT_DIR_ENV = "THERMOMACHINE_OUT_DIR"
 
@@ -158,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             export(table, args.format, _resolve_out(args.out))
         else:
-            sys.stdout.writelines((_csv_chunks if args.format == "csv" else _json_chunks)(table))
+            sys.stdout.writelines(_chunks(table, args.format))
     except ValueError as exc:  # JSON refuses a non-finite meta value, before a byte is written
         print(f"error: cannot write the table as {args.format}: {exc}", file=sys.stderr)
         return EXIT_USAGE

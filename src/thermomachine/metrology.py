@@ -1,14 +1,10 @@
 """Fisher information, sensitivities and signal-to-noise ratios.
 
-Every SNR here is assembled from populations and sensitivities through the
-single pipeline  snr = T * sqrt(M * F)  with  F = lambda^2 / (p0 p1), whose last step
-``_cramer_rao_snr`` alone reads M (``snr_thermal`` folds M into lambda gap / T^2 before
-the division); the equivalent closed forms are kept in the test suite as
-regression cross-checks rather than duplicated as code paths.
-
-SNR means T / (estimation error), so larger is better and the Cramer-Rao
-bound for M independent binary energy measurements reads
-snr <= T * sqrt(M * F).
+SNR means T / (estimation error), so larger is better.  Every SNR here is the Cramer-Rao bound
+for M independent binary energy measurements, snr = T sqrt(M F) with F = lambda^2 / (p0 p1),
+assembled from populations and sensitivities through one pipeline whose last step
+``_cramer_rao_snr`` alone reads M (``snr_thermal`` folds M into lambda gap / T^2 before the
+division); the equivalent closed forms are kept in the test suite as regression cross-checks.
 
 The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
@@ -102,6 +98,8 @@ def _steady_pair(config: MachineConfig) -> tuple[float, float]:
 
 def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:
     """p0 p1 gap / T^2: the T-derivative of a population 1 / (1 + e^(+-gap/T))."""
+    if not np.asarray(T * T > 0.0).all():  # every T^2 division of the module runs after this one
+        raise ValueError(f"T = {np.min(T)} is past the float range (T^2 = 0 at T < ~1.57e-162)")
     return p0 * p1 * gap / (T * T)
 
 
@@ -119,24 +117,8 @@ def jump_rate_derivative(config: MachineConfig) -> float:
 
 
 def sensitivity_transient(k: int, p00: float, config: MachineConfig) -> float:
-    """d p0_k / dT after k (int or integer array) completed collisions.
-
-    [1 - (1-r)^k] lambda_inf + k (p0_inf - p00) (dr/dT) (1-r)^(k-1);
-    k = 0 returns 0 (the initial state carries no temperature information).
-    """
-    params = collision_params(config)
-    return _transient_slope(k, p00, config, params, contraction_power(params.r, k))
-
-
-def _transient_slope(k, p00, config, params, q_k):
-    """sensitivity_transient given the collision params and q_k = (1-r)^k already formed."""
-    _check_range("p00", p00, 0.0, 1.0, closed=True)
-    # At k = 0 the exponent k - 1 is clamped to 0; both terms are then +0.
-    q_km1 = contraction_power(params.r, k - (k > 0))
-    lam_inf = sensitivity_steady(config)
-    return (1.0 - q_k) * lam_inf + k * (params.p0_inf - p00) * jump_rate_derivative(
-        config
-    ) * q_km1
+    """d p0_k / dT after k (int or integer array) collisions, as ``snr_transient`` forms it."""
+    return snr_transient(k, p00, config).sensitivity
 
 
 def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
@@ -159,14 +141,19 @@ def snr_steady(config: MachineConfig, M: int = 1) -> SnrPoint:
 def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrPoint:
     """Transient SNR after k collisions from initial ground population p00.
 
-    An integer array ``k`` gives a point whose fields (but T and M) are arrays; an integer
-    array ``M`` broadcasts against ``k`` in ``snr`` alone.
+    Its sensitivity d p0_k / dT, [1 - (1-r)^k] lambda_inf + k (p0_inf - p00) (dr/dT) (1-r)^(k-1),
+    is 0 at k = 0 (the initial state carries no temperature information).  An integer array
+    ``k`` gives array fields (but T and M); an integer array ``M`` broadcasts with ``k`` in ``snr``.
     """
     params = collision_params(config)
     q = contraction_power(params.r, k)
-    sensitivity = _transient_slope(k, p00, config, params, q)
-    _, p1_inf = _steady_pair(config)
-    p0 = _relax(q, params.p0_inf, p00)
+    _check_range("p00", p00, 0.0, 1.0, closed=True)
+    # At k = 0 the exponent k - 1 is clamped to 0; both terms of the slope are then +0.
+    q_km1 = contraction_power(params.r, k - (k > 0))
+    p0_inf, p1_inf = _steady_pair(config)
+    lam_inf = _population_slope(p0_inf, p1_inf, config.eps_s, config.T)
+    sensitivity = (1.0 - q) * lam_inf + k * (p0_inf - p00) * jump_rate_derivative(config) * q_km1
+    p0 = _relax(q, p0_inf, p00)
     fisher = _fisher_two_sided(p0, _relax(q, p1_inf, 1.0 - p00), sensitivity)
     return SnrPoint(
         T=config.T, M=M, k=k * 1.0, snr=_cramer_rao_snr(config.T, M, fisher),

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -171,16 +172,20 @@ _META_SCHEMA = json.loads(schema_text())["properties"]["meta"]["properties"]
 _TEXT_META = {key for key, spec in _META_SCHEMA.items() if spec["type"] == "string"}
 
 
-def export(table: ResultTable, fmt: str, destination: str | Path) -> Path:
-    """Write the table as ``fmt`` ("csv" or "json") to ``destination``, a block at a time."""
+def _chunks(table: ResultTable, fmt: str) -> Iterator[str]:
+    """The table as ``fmt`` ("csv" or "json"), a block at a time, its head formed on the call."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
     chunks = _csv_chunks(table) if fmt == "csv" else _json_chunks(table)
-    head = next(chunks)  # a table to_json refuses raises here, before the file is opened
+    return chain([next(chunks)], chunks)  # a table to_json refuses raises before a byte is written
+
+
+def export(table: ResultTable, fmt: str, destination: str | Path) -> Path:
+    """Write the table as ``fmt`` ("csv" or "json") to ``destination``, a block at a time."""
+    chunks = _chunks(table, fmt)  # its head is formed before the file is opened
     path = Path(destination)
     try:
         with path.open("w") as out:
-            out.write(head)
             out.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

@@ -109,3 +109,13 @@ def decimal_relaxation(config: MachineConfig, k: int, p00: float, x_s: Decimal |
         p0_inf = one / (one + (x_s - x_v).exp())
         change = (p0_inf - Decimal(p00)) * (one - (one - r) ** k)
     return SimpleNamespace(p1_s=p1_s, p1_v=p1_v, r=r, p0_inf=p0_inf, change=change)
+
+
+def count_calls(monkeypatch, module, names, calls):
+    """Wrap each of ``module``'s ``names`` so that a call adds one to ``calls[name]``."""
+    for name in names:
+        def call(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)

@@ -36,13 +36,16 @@ from thermomachine import (
     fisher_binary,
     heat_ancilla,
     heat_sample,
+    jump_rate_derivative,
     max_thermal_snr,
     ml_estimate,
     perturbation_trajectory,
     probe_energy_change,
     required_interactions,
     sample_measurements,
+    sensitivity_steady,
     sensitivity_transient,
+    snr_noisy_ancilla,
     snr_sample_bound,
     snr_steady,
     snr_thermal,
@@ -70,6 +73,10 @@ def _tuned(**kw):
 
 def _sweep(**kw):
     return Scenario("x", "transient-sweep", **{"T_prior": 0.25, "k_max": 3, "T": 0.2, **kw})
+
+
+def _at(T):
+    return replace(CONFIG, T=T)
 
 
 def _collide_at(eps_p):
@@ -276,6 +283,33 @@ def test_the_overflow_check_is_the_top_level_s_own():
             else:
                 config = MachineConfig(eps_s=a, eps_p=b, T=1.0, T_v=1.0, T_prior=1.0)
                 assert build_triad_hamiltonian(config).max() == top
+
+
+# (row id, call of a temperature x): every formula dividing by T^2 takes x = 1e-150 and refuses
+# x = 1e-170, whose square underflows to 0, by name (one check, in metrology._population_slope).
+UNDERFLOW_ROWS = [
+    ("sensitivity_steady", lambda x: sensitivity_steady(_at(x))),
+    ("sensitivity_steady[array]", lambda x: sensitivity_steady(_at(np.array([0.2, x])))),
+    ("snr_steady", lambda x: snr_steady(_at(x))),
+    ("snr_steady[array]", lambda x: snr_steady(_at(np.array([0.2, x])))),
+    ("jump_rate_derivative", lambda x: jump_rate_derivative(_at(x))),
+    ("snr_transient", lambda x: snr_transient(3, 1.0, _at(x))),
+    ("snr_transient[array]", lambda x: snr_transient(3, 1.0, _at(np.array([0.2, x])))),
+    ("sensitivity_transient", lambda x: sensitivity_transient(np.arange(3), 1.0, _at(x))),
+    ("snr_noisy_ancilla", lambda x: snr_noisy_ancilla(_at(x), NoisyAncillaSpec(0.1))),
+    ("snr_thermal[array]", lambda x: snr_thermal(np.array([0.2, x]), 1.0)),
+    ("snr_sample_bound", lambda x: snr_sample_bound(3, x, 1.0)),
+    ("max_thermal_snr", max_thermal_snr),
+    ("required_interactions", lambda x: required_interactions(1.0, x, x)),  # eps_s/T = 1
+    ("Scenario[cost]", lambda x: Scenario("x", "cost-comparison", eps_s=x, T=x, T_prior=x)),
+]
+
+
+@pytest.mark.parametrize("call", [r[1] for r in UNDERFLOW_ROWS], ids=[r[0] for r in UNDERFLOW_ROWS])
+def test_a_temperature_whose_square_underflows_is_refused_by_name(call):
+    call(1e-150)
+    with pytest.raises(ValueError, match=r"^T = 1e-170 is past the float range \(T\^2 = 0 at"):
+        call(1e-170)
 
 
 # (row id, call of the count, word the message names, a legal value, illegal values)

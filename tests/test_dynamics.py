@@ -185,6 +185,9 @@ def test_a_nan_collision_is_refused_not_clamped_to_zero(monkeypatch, config):
     monkeypatch.setattr(dynamics, "collide_oracle_matrix", lambda rho, c: np.diag([math.nan, 0j]))
     with pytest.raises(ValueError, match=r"^p0 must be finite and lie in \[0, 1\], got nan$"):
         collide_oracle(ProbeState(p0=0.5), config)
+    monkeypatch.setattr(dynamics, "_collide_exact", lambda rho, c, sample: np.diag([math.nan, 0j]))
+    sample = DLevelSample((0.0, config.eps_s, 3.0), config.T, (0, 1))
+    assert math.isnan(collide_oracle_dlevel(0.5, sample, config))
 
 
 @pytest.mark.parametrize("eps_s, eps_p", [(1.0, sys.float_info.max / 2), (4e307, 4.9e307)])
@@ -207,9 +210,26 @@ def test_the_oracle_collides_a_machine_at_the_overflow_bound(eps_s, eps_p):
     "x", [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, math.inf]
 )
 def test_the_oracle_clamps_as_min_of_one_and_max_of_zero(monkeypatch, config, x):
+    want = np.float64(min(1.0, max(0.0, x))).tobytes()
     monkeypatch.setattr(dynamics, "collide_oracle_matrix", lambda rho, c: np.diag([x, 0j]))
     got = collide_oracle(ProbeState(p0=0.5), config).p0
-    assert np.float64(got).tobytes() == np.float64(min(1.0, max(0.0, x))).tobytes()
+    assert np.float64(got).tobytes() == want
+    monkeypatch.setattr(dynamics, "_collide_exact", lambda rho, c, sample: np.diag([x, 0j]))
+    got = collide_oracle_dlevel(0.5, DLevelSample((0.0, config.eps_s, 3.0), config.T, (0, 1)), config)
+    assert type(got) is float and np.float64(got).tobytes() == want
+
+
+def test_the_dlevel_oracle_gives_a_population_it_takes_back():
+    # Rounding put this collision's ground population one ulp past 1 before the read-out clamped it.
+    eps_s, T = 2.238587321443997, 1.4385805432216259
+    config = MachineConfig(
+        eps_s=eps_s, eps_p=3.714654630740684, T=T, T_v=0.08005343884460445, T_prior=1.0,
+        eps_I=2.0070407662760408,
+    )
+    sample = DLevelSample((0.0, eps_s, 2.514124209244738), T, (0, 1))
+    p0 = collide_oracle_dlevel(1.0, sample, config)
+    assert p0 == 1.0
+    assert 0.0 <= collide_oracle_dlevel(p0, sample, config) <= 1.0
 
 
 def test_diagonal_states_stay_diagonal(config):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from conftest import random_machine_configs
+from conftest import count_calls, random_machine_configs
 
 from thermomachine import (
     PRESETS,
@@ -33,6 +34,8 @@ from thermomachine import (
     transient_population,
     tune_config,
 )
+from thermomachine import metrology
+from thermomachine.dynamics import contraction_power
 from dataclasses import replace
 
 # Frozen from 50-digit decimal evaluations of the closed forms.
@@ -106,6 +109,46 @@ def test_sensitivity_transient_matches_finite_difference():
             ) / (2.0 * h)
             lam = sensitivity_transient(k, config.p00, config)
             assert lam == pytest.approx(fd, rel=1e-5, abs=floor)
+
+
+def _two_term_slope(k, p00, config):
+    """d p0_k / dT formed apart from ``snr_transient``, as the bit reference: its own collision
+    params and powers, lambda_inf through ``sensitivity_steady``."""
+    params = collision_params(config)
+    q_k, q_km1 = contraction_power(params.r, k), contraction_power(params.r, k - (k > 0))
+    return (1.0 - q_k) * sensitivity_steady(config) + k * (
+        params.p0_inf - p00
+    ) * jump_rate_derivative(config) * q_km1
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+def test_the_transient_slope_keeps_its_two_term_bits(name):
+    preset = PRESETS[name]
+    grid = np.arange(preset.k_min, preset.k_max + 1, preset.k_step)
+    for T in preset.temps:
+        for p00 in (0.0, 0.5, 1.0):
+            config = tune_config(preset.eps_s, T, preset.T_prior, preset.T_v, p00=p00)
+            for k in (grid, 0, 1, int(grid[-1])):
+                want = np.float64(_two_term_slope(k, p00, config)).tobytes()
+                assert np.float64(sensitivity_transient(k, p00, config)).tobytes() == want
+                assert np.float64(snr_transient(k, p00, config).sensitivity).tobytes() == want
+            assert type(sensitivity_transient(0, p00, config)) is float
+
+
+def test_snr_transient_forms_its_machine_once(monkeypatch, config):
+    # The slope is formed inline: one steady pair gives p0_inf, p1_inf and lambda_inf.
+    assert not hasattr(metrology, "_transient_slope")
+    calls = Counter()
+    once = {"_steady_pair": 1, "collision_params": 1, "jump_rate_derivative": 1}
+    count_calls(monkeypatch, metrology, once, calls)
+    for call in (
+        lambda: metrology.snr_transient(np.arange(5), 0.5, config, 3),
+        lambda: metrology.snr_transient(7, 1.0, config),
+        lambda: metrology.sensitivity_transient(7, 0.5, config),
+    ):
+        calls.clear()
+        call()
+        assert calls == once
 
 
 @pytest.mark.xfail(

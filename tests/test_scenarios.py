@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_configs
+from conftest import count_calls, scalar_configs
 from thermomachine import PRESETS, SQRT_TWO_OVER_PI, __version__, run_scenario, run_verification
 from thermomachine import cli, dynamics, scenarios, to_csv
 from thermomachine.core import GapOrderingWarning, collision_params, tune_config
@@ -352,16 +352,6 @@ PER_BATTERY = (
     "perturbation_trajectory", "_triad_lanes",
 )
 SINGLE_MACHINE = ("collide_oracle", "build_triad_hamiltonian", "exact_unitary", "_unitary")
-
-
-def count_calls(monkeypatch, module, names, calls):
-    """Wrap each of ``module``'s ``names`` so that a call adds one to ``calls[name]``."""
-    for name in names:
-        def call(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, call)
 
 
 def test_verify_calls_each_closed_form_once_over_all_machines(monkeypatch):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from itertools import zip_longest
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermomachine import PRESETS, ResultTable, from_csv, run_scenario, to_csv, to_json
+from thermomachine import PRESETS, ResultTable, cli, from_csv, run_scenario, to_csv, to_json
 from thermomachine.cli import EXIT_OK, main
 from thermomachine.scenarios import Scenario
-from thermomachine.tables import _BLOCK, export, schema_text
+from thermomachine.tables import _BLOCK, _chunks, export, schema_text
 
 
 def small_table() -> ResultTable:
@@ -427,6 +429,18 @@ def test_validator_agrees_with_full_schema_validation(validate_table_json):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         export(small_table(), "yaml", tmp_path / "t.yaml")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_format_is_chosen_in_tables_alone(fmt):
+    table = small_table()
+    assert "".join(_chunks(table, fmt)) == (to_csv(table) if fmt == "csv" else to_json(table))
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        _chunks(table, "yaml")
+    with pytest.raises(ValueError, match="not JSON compliant"):  # on the call, not on a next()
+        _chunks(ResultTable(("a",), np.ones((3, 1)), {"bad": math.inf}), "json")
+    # The CLI's stdout branch takes the same chunks: it names no writer of its own.
+    assert not re.search(r"_(csv|json)_chunks", Path(cli.__file__).read_text())
 
 
 def test_json_writes_non_finite_cells_as_null(validate_table_json):
