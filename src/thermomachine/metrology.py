@@ -96,10 +96,15 @@ def _steady_pair(config: MachineConfig) -> tuple[float, float]:
     return stable_logistic(x), stable_logistic(-x)
 
 
+def _check_slope_temperature(T: float) -> None:
+    """Refuse T unless 2^-511 <= T < 2^512, where T^2 is a normal float; arrays per element.
+    Past 2^512 T^2 overflows and a slope reads 0; below 2^-511 it is subnormal and drops digits."""
+    _check_range("T", T, 2.0**-511, 2.0**512 * (1.0 - 2.0**-53), closed=True)  # T, not T^2
+
+
 def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:
     """p0 p1 gap / T^2: the T-derivative of a population 1 / (1 + e^(+-gap/T))."""
-    if not np.asarray(T * T > 0.0).all():  # every T^2 division of the module runs after this one
-        raise ValueError(f"T = {np.min(T)} is past the float range (T^2 = 0 at T < ~1.57e-162)")
+    _check_slope_temperature(T)  # every T^2 division of the module runs after this one
     return p0 * p1 * gap / (T * T)
 
 

@@ -24,6 +24,7 @@ from .heat import heat_ancilla, heat_sample, perturbation_trajectory, probe_ener
 from .metrology import (
     SQRT_TWO_OVER_PI,
     NoisyAncillaSpec,
+    _check_slope_temperature,
     _cramer_rao_snr,
     _fisher_two_sided,
     _mistuned_gap,
@@ -45,11 +46,11 @@ _BLOCK_NEEDS = ("T_prior", "T|temps")
 class Scenario:
     """One runnable experiment description, checked when it is built (and by ``replace``).
 
-    A scenario that can be built can be run: it sets every field its kind needs, and
-    no field its kind never reads differs from its default.  Energies are in units of
-    eps_s and temperature-like fields are set as fractions of eps_s.  Multi-valued
-    fields (``priors``, ``temps``, ``p00_values``) take any sequence of numbers, kept as a
-    tuple of floats, and produce long-format tables with one block per combination.
+    A scenario that can be built can be run: it sets every field its kind needs, no field
+    its kind never reads differs from its default, and it builds each block's machine once,
+    as ``_machines`` (not a field: ==, repr and ``replace`` skip it).  Energies and
+    temperatures are in units of eps_s.  Multi-valued fields (``priors``, ``temps``,
+    ``p00_values``) take any sequence of numbers, kept as a tuple of floats: one block each.
     """
 
     name: str
@@ -106,12 +107,13 @@ class Scenario:
                 raise ValueError(f"{self.kind} needs {group.replace('|', ' or ')}")
         if self.model not in ("steady", "transient"):  # another kind reads no model
             raise ValueError(f"unknown estimation model {self.model!r}")
-        if self.kind != "verify":  # a kind that tunes machines, built as its runner builds them
-            temps = np.array([T for T in (self.T, *self.temps) if T is not None])  # () on a T grid
-            for t_prior in self.priors or (self.T_prior,):  # MachineConfig checks each T and p00
-                _tuned(self, temps, np.array((self.p00, *self.p00_values)), t_prior)
-            for sign in (1, -1) if self.kind == "noisy-ancilla" else ():
-                _mistuned_gap(self, NoisyAncillaSpec(self.delta_Tv_rel, sign))
+        object.__setattr__(self, "_machines", () if self.kind == "verify" else _machines_of(self))
+        for machine in self._machines if "M" in _KINDS[self.kind][1] else ():  # forms a slope
+            _check_slope_temperature(machine.T)
+        for name in ("T", "T_prior", "p00"):  # untuned where a multi-valued twin gives the blocks
+            _check_range(name, getattr(self, name) or 1.0, -math.inf)  # None and 0 pass
+        for sign in (1, -1) if self.kind == "noisy-ancilla" else ():
+            _mistuned_gap(self, NoisyAncillaSpec(self.delta_Tv_rel, sign))
         if self.kind == "cost-comparison" and not snr_sample_bound(1, self.T, self.eps_s) > 0.0:
             raise ValueError(
                 f"eps_s/T = {self.eps_s / self.T:g} is past ~745, where e^(-eps_s/T) "
@@ -129,19 +131,12 @@ def coerce_setting(name: str, raw: str) -> object:
     if decl.startswith("tuple"):
         if raw.strip() == "":
             return ()
-        return tuple(_finite(name, x) for x in raw.split(","))
+        return tuple(map(float, raw.split(",")))
     if decl.startswith("int"):
         return int(raw, 0)
     if decl.startswith("float"):
-        return _finite(name, raw)
+        return float(raw)
     return raw
-
-
-def _finite(name: str, text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
-    return value
 
 
 def _refuse_unread(kind: str, model: str, names: Iterable[str]) -> None:
@@ -164,15 +159,16 @@ def apply_settings(scenario: Scenario, settings: dict[str, object]) -> Scenario:
     return replace(scenario, **settings)
 
 
-def _tuned(scenario: Scenario, T, p00=None, T_prior=None) -> MachineConfig:
-    """The one builder of a scenario's machines; p00 and T_prior default to the scenario's."""
-    return tune_config(
-        eps_s=scenario.eps_s,
-        T=T,
-        T_prior=scenario.T_prior if T_prior is None else T_prior,
-        T_v=scenario.T_v,
-        p00=scenario.p00 if p00 is None else p00,
-    )
+def _machines_of(scenario: Scenario) -> tuple[MachineConfig, ...]:
+    """The machine of each block: one per prior, on its grid, for a kind with a T axis, else one
+    per (T, p00) pair, temperature outermost.  MachineConfig checks each T and p00."""
+    eps_s, T_v, T_prior, p00 = scenario.eps_s, scenario.T_v, scenario.T_prior, scenario.p00
+    if "points" in _KINDS[scenario.kind][1]:
+        blocks = [(_temperature_grid(scenario, t), t, p00) for t in scenario.priors or (T_prior,)]
+    else:
+        p00s = scenario.p00_values or (p00,)
+        blocks = [(T, T_prior, p) for T in scenario.temps or (scenario.T,) for p in p00s]
+    return tuple(tune_config(eps_s, T, t_prior, T_v, p00=p) for T, t_prior, p in blocks)
 
 
 def _temperature_grid(scenario: Scenario, t_prior: float) -> np.ndarray:
@@ -184,6 +180,7 @@ def _temperature_grid(scenario: Scenario, t_prior: float) -> np.ndarray:
     """
     if scenario.t_min is not None:
         return np.linspace(scenario.t_min, scenario.t_max, scenario.points)
+    _check_range("T_prior", t_prior, 0.0)  # before linspace, which warns on a non-finite bound
     return np.linspace(0.0, 2.0 * t_prior, scenario.points + 1)[1:]
 
 
@@ -199,9 +196,8 @@ def _k_values(scenario: Scenario, k_lo: int) -> np.ndarray:
 
 def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u, M = scenario.eps_s, scenario.M  # temperatures reported in units of eps_s
-    for t_prior in scenario.priors or (scenario.T_prior,):
-        T = _temperature_grid(scenario, t_prior)
-        pt = snr_steady(_tuned(scenario, T, T_prior=t_prior), M)
+    for config in scenario._machines:
+        T, t_prior, pt = config.T, config.T_prior, snr_steady(config, M)
         yield {
             "T_prior": t_prior / u, "T": T / u, "p0_inf": pt.p0, "sensitivity": pt.sensitivity * u,
             "snr": pt.snr, "snr_thermal": snr_thermal(T, scenario.eps_s, M),
@@ -209,31 +205,25 @@ def _run_steady_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
         }
 
 
-def _blocks(scenario: Scenario) -> list[tuple[float, float]]:
-    """The (T, p00) pair of each block of a k sweep, temperature outermost."""
-    p00s = scenario.p00_values or (scenario.p00,)
-    return [(T, p00) for T in scenario.temps or (scenario.T,) for p00 in p00s]
-
-
 def _run_transient_sweep(scenario: Scenario, meta: dict) -> Iterator[dict]:
     u = scenario.eps_s
     k = _k_values(scenario, scenario.k_min)
-    for T, p00 in _blocks(scenario):
-        pt = snr_transient(k, p00, _tuned(scenario, T, p00), scenario.M)
+    for config in scenario._machines:
+        pt = snr_transient(k, config.p00, config, scenario.M)
         yield {
-            "T": T / u, "p00": p00, "k": pt.k, "p0_k": pt.p0,
+            "T": config.T / u, "p00": config.p00, "k": pt.k, "p0_k": pt.p0,
             "sensitivity": pt.sensitivity * u, "snr": pt.snr,
         }
 
 
 def _run_cost_comparison(scenario: Scenario, meta: dict) -> Iterator[dict]:
-    config, Ms = _tuned(scenario, scenario.T), (scenario.M, scenario.M_alt)
+    (config,), Ms = scenario._machines, (scenario.M, scenario.M_alt)
     k = _k_values(scenario, max(1, scenario.k_min))
     # One point per machine for both M, each a Python int: no integer array holds M = 10^308.
-    machine, steady = snr_transient(k, scenario.p00, config), snr_steady(config)
+    machine, steady = snr_transient(k, config.p00, config), snr_steady(config)
     snr_m1, snr_m2 = (_cramer_rao_snr(config.T, M, machine.fisher) for M in Ms)
     # The k-qubit sample bound is the thermal SNR of k qubits: one column, written twice.
-    bound = snr_sample_bound(k, scenario.T, scenario.eps_s)
+    bound = snr_sample_bound(k, config.T, scenario.eps_s)
     meta["ref_sqrt_2_over_pi"] = SQRT_TWO_OVER_PI
     # The plateau the transient columns climb toward; the measurement-cost
     # comparison reads the thermal column against these steady limits.
@@ -254,33 +244,31 @@ def _run_heat_trajectory(scenario: Scenario, meta: dict) -> Iterator[dict]:
     k = _k_values(scenario, max(1, scenario.k_min))
     j = k - 1
     u = scenario.eps_s
-    for T, p00 in _blocks(scenario):
-        config = _tuned(scenario, T, p00)
-        traj = perturbation_trajectory(scenario.k_max, p00, config)
+    for config in scenario._machines:
+        traj = perturbation_trajectory(scenario.k_max, config.p00, config)
         yield {
-            "T": T / u, "p00": p00, "k": k, "delta_p": traj.delta_p[j],
+            "T": config.T / u, "p00": config.p00, "k": k, "delta_p": traj.delta_p[j],
             "sample_p0": traj.sample_p0[j], "ancilla_p0": traj.ancilla_p0[j],
-            "q_sample": heat_sample(k, p00, config) / u,
-            "q_ancilla": heat_ancilla(k, p00, config) / u,
+            "q_sample": heat_sample(k, config.p00, config) / u,
+            "q_ancilla": heat_ancilla(k, config.p00, config) / u,
         }
 
 
 def _run_noisy_ancilla(scenario: Scenario, meta: dict) -> Iterator[dict]:
-    T = _temperature_grid(scenario, scenario.T_prior)
-    config, M = _tuned(scenario, T), scenario.M
+    (config,), M = scenario._machines, scenario.M
     plus, minus = (
         snr_noisy_ancilla(config, NoisyAncillaSpec(scenario.delta_Tv_rel, sign), M).snr
         for sign in (1, -1)
     )
     meta["delta_Tv_rel"] = scenario.delta_Tv_rel
     yield {
-        "T": T / scenario.eps_s, "snr_ideal": snr_steady(config, M).snr,
+        "T": config.T / scenario.eps_s, "snr_ideal": snr_steady(config, M).snr,
         "snr_plus": plus, "snr_minus": minus,
     }
 
 
 def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
-    config = _tuned(scenario, scenario.T)
+    (config,) = scenario._machines
     report = empirical_snr_study(
         config,
         M=scenario.M,
@@ -293,7 +281,7 @@ def _run_montecarlo(scenario: Scenario, meta: dict) -> Iterator[dict]:
     meta["singular"] = report.singular
     u = scenario.eps_s
     yield {
-        "T_true": scenario.T / u,
+        "T_true": config.T / u,
         "M": scenario.M,
         "trials": report.trials,
         "t_hat_mean": report.t_hat_mean / u,

@@ -305,13 +305,27 @@ def test_dead_knobs_are_usage_errors(capsys, args, field):
         ["steady", "--set", "T_prior=nan"],
         ["cost", "--set", "T=inf"],
         ["steady", "--set", "priors=0.25,-inf"],
+        ["transient", "--set", "temps=0.2,nan"],
+        ["transient", "--set", "p00_values=0.5,inf"],
+        ["noisy", "--set", "delta_Tv_rel=inf"],
+        # A scalar whose multi-valued twin gives the blocks tunes no machine, and is checked too.
+        ["transient", "--set", "temps=0.2,0.3", "--set", "T=nan"],
+        ["transient", "--set", "p00_values=0.5", "--set", "p00=inf"],
+        ["steady", "--set", "priors=0.25", "--set", "T_prior=-inf"],
     ],
 )
 def test_non_finite_setting_is_usage_error(capsys, args):
+    # Refused when the scenario is built, under the scalar field's name.
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
     assert "must be finite" in err
     assert out == ""
+
+
+def test_non_finite_prior_is_refused_before_its_grid_is_formed():
+    # np.linspace(0, 2 inf) would warn: the prior is checked first, under the name it tunes.
+    with pytest.raises(ValueError, match="^T_prior must be finite"):
+        Scenario("x", "steady-sweep", priors=(0.25, math.inf))
 
 
 @pytest.mark.parametrize(
@@ -377,13 +391,28 @@ def test_arithmetic_failure_is_usage_error(capsys, command):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["steady", "noisy"])
-def test_temperature_past_float_range_is_usage_error(capsys, recwarn, command):
-    # T * T underflows to 0 at T ~ 1e-300, so the slope would be 0/0 = NaN.
-    args = [command, "--set", "t_min=1e-300", "--set", "t_max=1e-299", "--set", "points=3"]
+def test_heat_forms_no_slope_and_keeps_its_wider_temperature_range(capsys):
+    args = ["heat", "--set", "T=1e-300", "--set", "T_prior=1e-299", "--set", "k_max=3"]
+    code, out, err = run(args, capsys)
+    assert code == EXIT_OK and err == ""
+    assert len(out.splitlines()) > 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # T * T underflows to 0 at T ~ 1e-300, so the slope would be 0/0 = NaN.
+        ["steady", "--set", "t_min=1e-300", "--set", "t_max=1e-299", "--set", "points=3"],
+        ["noisy", "--set", "t_min=1e-300", "--set", "t_max=1e-299", "--set", "points=3"],
+        # T^2 = 1e310 overflows: every slope read 0, and the table printed 0 snr cells.
+        ["transient", "--set", "T=1e155", "--set", "T_prior=1e155", "--set", "T_v=2e155"],
+    ],
+    ids=["steady", "noisy", "transient-1e155"],
+)
+def test_temperature_past_float_range_is_usage_error(capsys, recwarn, args):
     code, out, err = run(args, capsys)
     assert code == EXIT_USAGE
-    assert "float range" in err and "Traceback" not in err
+    assert "T must be finite and lie in [1.49167e-154, " in err and "Traceback" not in err
     assert out == ""
     assert not recwarn.list
 

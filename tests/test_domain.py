@@ -13,6 +13,7 @@ import ast
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,8 +286,10 @@ def test_the_overflow_check_is_the_top_level_s_own():
                 assert build_triad_hamiltonian(config).max() == top
 
 
-# (row id, call of a temperature x): every formula dividing by T^2 takes x = 1e-150 and refuses
-# x = 1e-170, whose square underflows to 0, by name (one check, in metrology._population_slope).
+# (row id, call of a temperature x): every formula dividing by T^2 takes x = 1e-150 and refuses by
+# name a T outside [2^-511, 2^512), where T^2 is no normal float: 1e-170, whose square underflows
+# to 0, 1e-160, whose square is subnormal, and 1e155, whose square overflows (one check, in
+# metrology._population_slope).
 UNDERFLOW_ROWS = [
     ("sensitivity_steady", lambda x: sensitivity_steady(_at(x))),
     ("sensitivity_steady[array]", lambda x: sensitivity_steady(_at(np.array([0.2, x])))),
@@ -301,15 +304,30 @@ UNDERFLOW_ROWS = [
     ("snr_sample_bound", lambda x: snr_sample_bound(3, x, 1.0)),
     ("max_thermal_snr", max_thermal_snr),
     ("required_interactions", lambda x: required_interactions(1.0, x, x)),  # eps_s/T = 1
-    ("Scenario[cost]", lambda x: Scenario("x", "cost-comparison", eps_s=x, T=x, T_prior=x)),
+    # Scenarios that built and then failed when run, or ran to 0 slope cells: each kind that
+    # forms a slope refuses its machines' T when it is built (a one-point grid at x for steady).
+    ("Scenario[transient]", lambda x: Scenario("x", "transient-sweep", T=x, T_prior=x, T_v=2 * x)),
+    (
+        "Scenario[steady]",
+        lambda x: Scenario("x", "steady-sweep", T_prior=0.25, t_min=x, t_max=2 * x, points=1),
+    ),
+    # eps_s / T = 1e-3: at x = 1e155 the tuning product eps_s (T_v - T_prior) stays finite.
+    (
+        "Scenario[cost]",
+        lambda x: Scenario("x", "cost-comparison", eps_s=x / 1e3, T=x, T_prior=x, T_v=2 * x),
+    ),
 ]
 
 
+@pytest.mark.parametrize("bad", [1e-170, 1e-160, 1e155])
 @pytest.mark.parametrize("call", [r[1] for r in UNDERFLOW_ROWS], ids=[r[0] for r in UNDERFLOW_ROWS])
-def test_a_temperature_whose_square_underflows_is_refused_by_name(call):
+def test_a_temperature_whose_square_underflows_is_refused_by_name(call, bad):
     call(1e-150)
-    with pytest.raises(ValueError, match=r"^T = 1e-170 is past the float range \(T\^2 = 0 at"):
-        call(1e-170)
+    message = re.escape(f"T must be finite and lie in [1.49167e-154, 1.34078e+154], got {bad}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(bad)
 
 
 # (row id, call of the count, word the message names, a legal value, illegal values)

@@ -22,7 +22,6 @@ from thermomachine import (
     transient_population,
     tune_config,
 )
-from thermomachine.scenarios import _blocks, _tuned
 
 
 @pytest.fixture
@@ -110,8 +109,8 @@ def test_heats_are_the_decimal_relaxation_to_1e14(name):
     table = run_scenario(scenario)
     column = {c: table.cells[:, i] for i, c in enumerate(table.columns)}
     u = scenario.eps_s
-    for T, p00 in _blocks(scenario):
-        config = _tuned(scenario, T, p00)
+    for config in scenario._machines:
+        T, p00 = config.T, config.p00
         in_block = (column["T"] == T / u) & (column["p00"] == p00)
         for k in sorted({*scalar_ks, *table_ks}):
             change = decimal_relaxation(config, k, p00).change

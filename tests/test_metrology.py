@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
 
@@ -471,3 +472,56 @@ def test_required_interactions_exponential_scaling():
 
 def test_reference_constant():
     assert SQRT_TWO_OVER_PI == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
+
+
+#: Each reads a slope at a T outside [2^-511, 2^512), where T^2 is no normal float: past it
+#: T^2 overflows and the slope read 0, below it T^2 is subnormal (the steady sensitivity at
+#: eps_s = T = 1e-158 was off by 1.6e-8) or 0, and an SNR read inf.
+SLOPES_PAST_THE_RANGE = [
+    ("max_thermal_snr(1e155)", lambda: max_thermal_snr(1e155)),
+    ("max_thermal_snr(1e-160)", lambda: max_thermal_snr(1e-160)),
+    ("snr_thermal(1e-155)", lambda: snr_thermal(1e-155, 1e-155)),
+    *(
+        (f"sensitivity_steady({T:g})", lambda T=T: sensitivity_steady(tune_config(T, T, T, 2 * T)))
+        for T in (1e-155, 1e-158, 1e-160, 1e-161)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [r[1] for r in SLOPES_PAST_THE_RANGE], ids=[r[0] for r in SLOPES_PAST_THE_RANGE]
+)
+def test_a_slope_past_the_normal_range_of_t_squared_is_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^T must be finite and lie in \[1.49167e-154, "):
+            call()
+
+
+@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("T", [2.0**-511, 1e-150, 1e-3, 1e3, 1e150, 2.0**512 * (1 - 2.0**-53)])
+def test_the_thermal_peak_snr_does_not_depend_on_the_scale_of_t(T, M):
+    # sqrt(M) y* / (2 cosh(y*/2)) at every T: the peak is a function of gap/T alone.
+    assert max_thermal_snr(T, M)[1] == pytest.approx(max_thermal_snr(1.0, M)[1], rel=1e-15, abs=0)
+
+
+#: T^2 is normal at T = 1.5e-154, but T sqrt(M F) forms M F ~ 1e313 before the square root.
+_M_F_OVERFLOWS = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at T = 1.5e-154 and M = 10^6 the product M * F overflows to inf before the square "
+    "root is taken (ROADMAP item 2's reordered division)",
+)
+
+
+@_M_F_OVERFLOWS
+def test_steady_snr_at_the_bottom_of_the_range_is_finite():
+    T = 1.5e-154  # eps_s = T, balanced at the prior: p0 = 1/2 and snr = sqrt(M) / 2
+    assert snr_steady(tune_config(T, T=T, T_prior=T, T_v=2 * T), 10**6).snr == pytest.approx(500.0)
+
+
+@_M_F_OVERFLOWS
+def test_thermal_snr_at_the_bottom_of_the_range_is_finite():
+    T = 1.5e-154
+    want = 1000.0 * max_thermal_snr(1.0)[1]  # ~662.7
+    assert snr_thermal(T, 2.3993572805154675 * T, 10**6) == pytest.approx(want)

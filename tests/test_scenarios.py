@@ -374,7 +374,7 @@ def test_cost_comparison_evaluates_each_machine_once(monkeypatch, name):
     table = run_scenario(scenario)
     assert calls == {"snr_transient": 1, "snr_steady": 1}
     monkeypatch.undo()
-    config = scenarios._tuned(scenario, scenario.T)
+    (config,) = scenario._machines
     k = np.arange(1, 401)
     for M, column, meta in ((3, 1, "snr_machine_steady_m1"), (7, 2, "snr_machine_steady_m2")):
         assert table.cells[:, column].tobytes() == snr_transient(k, 1.0, config, M).snr.tobytes()
@@ -609,29 +609,67 @@ def test_no_runner_checks_a_field():
     assert raises == []
 
 
-#: (kind, fields, machines the constructor builds, machines the run builds)
+#: (kind, fields, machines the constructor builds: one per prior or per (T, p00) block)
 TUNED_MACHINES = [
-    ("steady-sweep", dict(priors=(0.25, 0.125), points=5), 2, 2),
-    ("transient-sweep", dict(T_prior=0.25, temps=(0.2, 0.3), p00_values=(0.5, 1.0)), 1, 4),
-    ("cost-comparison", dict(T=0.2, T_prior=0.25, k_max=5), 1, 1),
-    ("heat-trajectory", dict(T_prior=0.25, temps=(0.2, 0.3), k_min=1, k_max=5), 1, 2),
-    ("noisy-ancilla", dict(T_prior=0.25, delta_Tv_rel=0.1, points=5), 1, 1),
-    ("montecarlo", dict(T=0.2, T_prior=0.25, M=100, trials=100), 1, 1),
+    ("steady-sweep", dict(priors=(0.25, 0.125), points=5), 2),
+    ("transient-sweep", dict(T_prior=0.25, temps=(0.2, 0.3), p00_values=(0.5, 1.0)), 4),
+    ("cost-comparison", dict(T=0.2, T_prior=0.25, k_max=5), 1),
+    ("heat-trajectory", dict(T_prior=0.25, temps=(0.2, 0.3), k_min=1, k_max=5), 2),
+    ("noisy-ancilla", dict(T_prior=0.25, delta_Tv_rel=0.1, points=5), 1),
+    ("montecarlo", dict(T=0.2, T_prior=0.25, M=100, trials=100), 1),
 ]
 
 
-@pytest.mark.parametrize(
-    "kind, given, built, ran", TUNED_MACHINES, ids=[r[0] for r in TUNED_MACHINES]
-)
-def test_building_and_running_make_machines_through_tuned(monkeypatch, kind, given, built, ran):
-    # The constructor builds each prior's machine, every T and p00 a lane, and the runner its
-    # own, all through the one builder: scenarios constructs no MachineConfig of its own.
+@pytest.mark.parametrize("kind, given, built", TUNED_MACHINES, ids=[r[0] for r in TUNED_MACHINES])
+def test_building_tunes_each_machine_once_and_running_tunes_none(monkeypatch, kind, given, built):
+    # The constructor tunes each block's machine once, and the runner evaluates those machines:
+    # scenarios constructs no MachineConfig of its own, and a run tunes none.
     calls = Counter()
-    count_calls(monkeypatch, scenarios, ("_tuned", "tune_config", "MachineConfig"), calls)
+    count_calls(monkeypatch, scenarios, ("tune_config", "MachineConfig"), calls)
     scenario = Scenario("x", kind, **given)
-    assert calls == {"_tuned": built, "tune_config": built}
+    assert calls == {"tune_config": built} and len(scenario._machines) == built
     run_scenario(scenario)
-    assert calls == {"_tuned": built + ran, "tune_config": built + ran}
+    assert calls == {"tune_config": built}
+
+
+def _machines_the_runners_tuned(scenario):
+    """The machines the runners tuned before a scenario kept its own: a reference copy."""
+    s = scenario
+    if s.kind in ("steady-sweep", "noisy-ancilla"):
+        return [
+            tune_config(s.eps_s, scenarios._temperature_grid(s, t), t, s.T_v, p00=s.p00)
+            for t in s.priors or (s.T_prior,)
+        ]
+    return [
+        tune_config(s.eps_s, T, s.T_prior, s.T_v, p00=p)
+        for T in s.temps or (s.T,)
+        for p in s.p00_values or (s.p00,)
+    ]
+
+
+BUILT = {**PRESETS, **{f"cli-{name}": s for name, s in cli._DEFAULTS.items() if name != "verify"}}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_machines_are_the_ones_the_runners_tuned(name):
+    # Field by field and bit for bit, the block order included.
+    scenario = BUILT[name]
+    want = _machines_the_runners_tuned(scenario)
+    assert len(scenario._machines) == len(want)
+    for got, ref in zip(scenario._machines, want):
+        for f in fields(ref):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(ref, f.name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, f.name)
+
+
+def test_machines_are_no_field():
+    # So ==, repr, replace and the field list read as before; replace builds its own machines.
+    scenario, verify = PRESETS["fig2a"], Scenario("v", "verify")
+    assert "_machines" not in repr(scenario) + " ".join(f.name for f in fields(scenario))
+    copy = replace(scenario)
+    assert copy == scenario and copy._machines == scenario._machines
+    assert copy._machines is not scenario._machines
+    assert verify._machines == () and replace(verify, samples=3) != verify
 
 
 @pytest.mark.parametrize(
@@ -652,11 +690,10 @@ def test_multi_valued_fields_take_arrays_and_write_the_tuples_bytes(kind, given)
 
 
 def test_gap_ordering_warns_once_per_prior():
-    # When the scenario is built, like every tuning check, and again from the same line when
-    # it runs, which Python's default filter shows once.
+    # When the scenario is built, like every tuning check; the run tunes no machine.
     with pytest.warns(GapOrderingWarning) as built:
         scenario = Scenario(name="x", kind="steady-sweep", priors=(0.25, 0.3), T_v=0.4, points=50)
-    with pytest.warns(GapOrderingWarning) as ran:
+    assert len(built) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         run_scenario(scenario)
-    assert len(built) == len(ran) == 2
-    assert [(w.lineno, str(w.message)) for w in built] == [(w.lineno, str(w.message)) for w in ran]
