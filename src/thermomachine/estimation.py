@@ -12,11 +12,15 @@ product, so u < p0 holds iff x < ceil(p0 2^53) 2^11, and counting words
 below that threshold counts the same trials without forming any uniform
 (p0 = 1, whose threshold 2^64 exceeds uint64, counts all M).  The words
 are drawn from that one stream in blocks of 2^15, which gives the counts
-of a single draw of all M while holding one block in memory.  Trial t's
-seed is SeedSequence(master, spawn_key=(t,)) -> first uint64, independent of
-execution order, and its stream is Philox(SeedSequence(seed)).  A study
-hashes every trial's seed and key in one pass, SeedSequence's hash on uint32
-arrays, and restarts one Philox at each key.
+of a single draw of all M while holding one block per drawing thread in
+memory.  Trial t's seed is SeedSequence(master, spawn_key=(t,)) -> first
+uint64, independent of execution order, and its stream is
+Philox(SeedSequence(seed)).  A study hashes every trial's seed and key in
+one pass, SeedSequence's hash on uint32 arrays.  When a trial draws at
+least one full block, its trials are split into contiguous runs, one per
+CPU the process may run on; each run is drawn by its own thread on its own
+Philox, restarted at each trial's key, so the counts are independent of
+the split.
 
 Maximum likelihood
 ------------------
@@ -32,6 +36,8 @@ them in lockstep on one float array, one model call per step for all.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,7 +55,9 @@ DEFAULT_SEED = 0x5EED
 #: open end T -> 0 of the prior interval is represented by this point.
 _INTERVAL_FLOOR = 1e-12
 
-#: Raw Philox words per draw; one block lives at a time (two ran 30% slower at M = 1e5).
+#: Raw Philox words per draw; one block lives at a time in each drawing thread (two
+#: ran 30% slower at M = 1e5).  A study whose M is below one block draws on one
+#: thread: each trial's ~5 us of Python would run under the GIL.
 _DRAW_BLOCK = 2**15
 
 #: Empirical CRB checks are only meaningful for M >= this (ML regularity).
@@ -142,23 +150,53 @@ def _ground_threshold(p0: float) -> int:
     return math.ceil(p0 * 2.0**53) << 11
 
 
-def _ground_counts(p0: float, M: int, trials: int, stream: Callable) -> list[int]:
-    """Each trial's m0: the count of ``stream(trial)``'s next M words below p0's threshold."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the OS reports one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _ground_counts(p0: float, M: int, keys: np.ndarray) -> list[int]:
+    """Each trial's m0: the count of M words below p0's threshold, from Philox at its (2,) key.
+
+    The calling thread draws the first run of trials, a helper each other run, all joined here.
+    """
     _check_count("M", M, 1)
     _check_range("p0", p0, 0.0, 1.0, closed=True)
     if p0 == 1.0:
-        return [M] * trials
-    threshold, counts = np.uint64(_ground_threshold(p0)), []
-    for bitgen in map(stream, range(trials)):
-        sizes = (min(_DRAW_BLOCK, M - start) for start in range(0, M, _DRAW_BLOCK))
-        counts.append(sum(int(np.count_nonzero(bitgen.random_raw(n) < threshold)) for n in sizes))
+        return [M] * len(keys)
+    threshold, counts, errors = np.uint64(_ground_threshold(p0)), [0] * len(keys), []
+    sizes = [min(_DRAW_BLOCK, M - start) for start in range(0, M, _DRAW_BLOCK)]
+
+    def draw(run: range) -> None:  # on its own Philox: a shared one's lock serialises them
+        try:
+            bitgen, zeros = np.random.Philox(key=keys[run.start]), np.zeros(4, np.uint64)
+            for t in run:  # restarted as Philox(SeedSequence(seed)) starts
+                state = {"counter": zeros, "key": keys[t]}
+                bitgen.state = {"bit_generator": "Philox", "state": state, "buffer": zeros,
+                                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                words = (bitgen.random_raw(n) for n in sizes)
+                counts[t] = sum(int(np.count_nonzero(x < threshold)) for x in words)
+        except BaseException as error:  # raised in the caller once every thread is joined
+            errors.append(error)
+
+    n = min(_usable_cpus(), len(keys)) if M >= _DRAW_BLOCK else 1  # contiguous runs
+    runs = [range(len(keys) * w // n, len(keys) * (w + 1) // n) for w in range(n)]
+    helpers = [threading.Thread(target=draw, args=(run,)) for run in runs[1:]]
+    for thread in helpers:
+        thread.start()
+    draw(runs[0])
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return counts
 
 
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:
     """Draw m0 ~ Binomial(M, p0) from the Philox stream keyed by ``seed``."""
     _check_count("seed", seed, 0)
-    (m0,) = _ground_counts(p0, M, 1, lambda _: np.random.Philox(np.random.SeedSequence(seed)))
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)  # Philox(SeedSequence(seed))'s
+    (m0,) = _ground_counts(p0, M, key[None])
     return MeasurementRecord(m0=m0, M=M, seed=seed)
 
 
@@ -317,14 +355,7 @@ def empirical_snr_study(
     singular = p_true <= 0.0 or p_true >= 1.0
     lo, hi = _checked(prior_interval(config))
     keys = _seed_state([], _trial_seeds(seed, np.arange(trials, dtype=np.uint64)), 2)
-    bitgen, zeros = np.random.Philox(key=keys[0]), np.zeros(4, np.uint64)
-
-    def restart(trial: int) -> np.random.BitGenerator:  # as Philox(SeedSequence(seed)) starts
-        state = {"state": {"counter": zeros, "key": keys[trial]}, "buffer": zeros, "buffer_pos": 4}
-        bitgen.state = {"bit_generator": "Philox", **state, "has_uint32": 0, "uinteger": 0}
-        return bitgen
-
-    m0 = _ground_counts(p_true, M, trials, restart)
+    m0 = _ground_counts(p_true, M, keys)
     distinct, index = np.unique(m0, return_inverse=True)
     if k is None:
         temperature = steady_model(config).temperature

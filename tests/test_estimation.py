@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+import threading
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -163,18 +165,86 @@ def test_batch_seeds_and_philox_keys_are_numpys(master, trials, small_seeds):
 @pytest.mark.parametrize("p0", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("M", [1, 2**15, 2**15 + 1])
 def test_study_draws_the_per_call_m0_of_every_trial(config, monkeypatch, p0, M):
-    # The study's shared Philox, restarted at each batch-hashed key, against one
-    # sample_measurements call per trial; p0 is set at the draw itself.
+    # The study's draws at its batch-hashed keys against one sample_measurements
+    # call per trial; p0 is set at the draw itself.
     drawn, draw = [], estimation._ground_counts
 
-    def at_p0(p_true, M, trials, stream):
-        drawn.append(draw(p0, M, trials, stream))
+    def at_p0(p_true, M, keys):
+        drawn.append(draw(p0, M, keys))
         return drawn[-1]
 
     monkeypatch.setattr(estimation, "_ground_counts", at_p0)
     for seed in (0x5EED, 2**64 + 3):
         empirical_snr_study(config, M=M, trials=100, seed=seed)
         assert drawn.pop() == [sample_measurements(p0, M, trial_seed(seed, i)).m0 for i in range(100)]
+
+
+def counted_threads(monkeypatch) -> list:
+    """The threads started from now on, in order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def study_keys(seed: int, trials: int) -> tuple[list[int], np.ndarray]:
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    return seeds, np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds])
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("M", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
+def test_counts_do_not_depend_on_the_split(monkeypatch, p0, M):
+    trials = 5
+    seeds, keys = study_keys(0x5EED, trials)
+    expected = [sample_measurements(p0, M, s).m0 for s in seeds]
+    started = counted_threads(monkeypatch)
+    for cpus in (1, 2, 3, trials + 2):
+        monkeypatch.setattr(estimation, "_usable_cpus", lambda: cpus)
+        before = len(started)
+        assert estimation._ground_counts(p0, M, keys) == expected, cpus
+        # p0 = 1 draws nothing; below one block every trial is drawn on the calling thread.
+        helpers = 0 if p0 == 1.0 or M < 2**15 else min(cpus, trials) - 1
+        assert len(started) - before == helpers, cpus
+
+
+def test_more_threads_than_cpus_with_a_short_switch_interval_lose_no_count(monkeypatch):
+    seeds, keys = study_keys(11, 8)
+    expected = [sample_measurements(0.37, 2**15 + 1, s).m0 for s in seeds]
+    monkeypatch.setattr(estimation, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert estimation._ground_counts(0.37, 2**15 + 1, keys) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("trials, bad", [(4, 3), (4, 0), (5, 2)])
+def test_an_error_in_any_drawing_thread_reaches_the_caller(monkeypatch, trials, bad):
+    _, keys = study_keys(7, trials)
+    philox = np.random.Philox
+
+    def random_raw(self, size=None, output=True):
+        if self.state["state"]["key"].tolist() == keys[bad].tolist():
+            raise RuntimeError(f"trial {bad} failed")
+        return philox.random_raw(self, size, output)
+
+    # The state setter checks the class name, so the stand-in keeps Philox's.
+    failing = type("Philox", (philox,), {"random_raw": random_raw})
+    monkeypatch.setattr(estimation.np.random, "Philox", failing)
+    monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
+    started, before = counted_threads(monkeypatch), threading.active_count()
+    with pytest.raises(RuntimeError, match=f"trial {bad} failed"):
+        estimation._ground_counts(0.37, 2**15, keys)
+    assert len(started) == 1
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_record_validation():
