@@ -279,6 +279,37 @@ def test_degenerate_rates(r):
 
     params = CollisionParams(r=r, p0_inf=0.25)
     assert collide_analytic(0.9, params) == (0.9 if r == 0.0 else 0.25)
+    assert contraction_power(r, 2) == 1.0 - r
+    assert transient_population(2, 0.9, params) == (0.9 if r == 0.0 else 0.25)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="neither checks r: contraction_power(1.5, 2) reads 0.0 where (1 - 1.5)^2 = 0.25, and "
+    "transient_population(2, 1.0, CollisionParams(1.5, 0.25)) 0.25 where two collide_analytic "
+    "steps give 0.4375; the check would sit on the transient bisection's hot path",
+)
+def test_a_rate_outside_the_unit_interval_is_refused_by_name():
+    from thermomachine import CollisionParams
+
+    def refuses(call) -> bool:
+        try:
+            call()
+        except ValueError as error:
+            return str(error).startswith("r ")
+        return False
+
+    accepted = [
+        (name, r)
+        for r in (-0.5, -5e-324, math.nextafter(1.0, 2.0), 1.5, math.inf, math.nan)
+        for name, call in [
+            ("contraction_power", lambda: contraction_power(r, 2)),
+            ("transient_population", lambda: transient_population(2, 1.0, CollisionParams(r, 0.25))),
+        ]
+        if not refuses(call)
+    ]
+    assert accepted == []
 
 
 def test_transient_population_edges(config):

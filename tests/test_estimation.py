@@ -192,41 +192,71 @@ def counted_threads(monkeypatch) -> list:
     return started
 
 
+@functools.lru_cache(maxsize=None)
 def study_keys(seed: int, trials: int) -> tuple[list[int], np.ndarray]:
     seeds = [trial_seed(seed, t) for t in range(trials)]
     return seeds, np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds])
 
 
+@functools.lru_cache(maxsize=None)
+def per_call_counts(p0: float, M: int, seed: int, trials: int) -> list[int]:
+    return [sample_measurements(p0, M, s).m0 for s in study_keys(seed, trials)[0]]
+
+
+#: The smallest study that splits: 2^12 words per trial, 2^22 in all.
+SPLIT_M, SPLIT_TRIALS = 2**12, 2**10
+
+
 @pytest.mark.parametrize("p0", [0.0, 0.37, 1.0])
-@pytest.mark.parametrize("M", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
-def test_counts_do_not_depend_on_the_split(monkeypatch, p0, M):
-    trials = 5
-    seeds, keys = study_keys(0x5EED, trials)
-    expected = [sample_measurements(p0, M, s).m0 for s in seeds]
+@pytest.mark.parametrize(
+    "M, trials, split",
+    [
+        (2**12, 2**10, True),
+        (2**12 - 1, 2**10 + 1, False),
+        (2**12, 2**10 - 1, False),
+        # Several blocks per trial, the last one partial or of one word.
+        (3 * 2**15 + 7, 43, True),
+        (2**15 + 1, 128, True),
+    ],
+)
+@pytest.mark.parametrize("cpus", [1, 2, 3, "trials + 2"])
+def test_counts_do_not_depend_on_the_split(monkeypatch, p0, M, trials, split, cpus):
+    cpus = trials + 2 if cpus == "trials + 2" else cpus
+    _, keys = study_keys(0x5EED, trials)
+    monkeypatch.setattr(estimation, "_usable_cpus", lambda: cpus)
     started = counted_threads(monkeypatch)
-    for cpus in (1, 2, 3, trials + 2):
-        monkeypatch.setattr(estimation, "_usable_cpus", lambda: cpus)
-        before = len(started)
-        assert estimation._ground_counts(p0, M, keys) == expected, cpus
-        # p0 = 1 draws nothing; below one block every trial is drawn on the calling thread.
-        helpers = 0 if p0 == 1.0 or M < 2**15 else min(cpus, trials) - 1
-        assert len(started) - before == helpers, cpus
+    assert estimation._ground_counts(p0, M, keys) == per_call_counts(p0, M, 0x5EED, trials)
+    # p0 = 1 draws nothing; a trial below 2^12 words or a study below 2^22 draws on the caller.
+    assert len(started) == (min(cpus, trials) - 1 if split and p0 != 1.0 else 0)
+
+
+def test_a_narrow_numpy_sample_size_splits_by_its_value(config, monkeypatch):
+    # 2^15 words per trial over 128 trials is 2^22 in all, past what a uint16 product holds.
+    monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
+    started = counted_threads(monkeypatch)
+    report = empirical_snr_study(config, M=np.uint16(2**15), trials=128, seed=3)
+    assert len(started) == 1
+    assert report == empirical_snr_study(config, M=2**15, trials=128, seed=3)
 
 
 def test_more_threads_than_cpus_with_a_short_switch_interval_lose_no_count(monkeypatch):
-    seeds, keys = study_keys(11, 8)
-    expected = [sample_measurements(0.37, 2**15 + 1, s).m0 for s in seeds]
+    _, keys = study_keys(11, SPLIT_TRIALS)
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
+    started, interval = counted_threads(monkeypatch), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert estimation._ground_counts(0.37, 2**15 + 1, keys) == expected
+        counts = estimation._ground_counts(0.37, SPLIT_M, keys)
     finally:
         sys.setswitchinterval(interval)
+    assert len(started) == 7
+    assert counts == per_call_counts(0.37, SPLIT_M, 11, SPLIT_TRIALS)
 
 
-@pytest.mark.parametrize("trials, bad", [(4, 3), (4, 0), (5, 2)])
+@pytest.mark.parametrize(
+    "trials, bad", [(SPLIT_TRIALS, SPLIT_TRIALS - 1), (SPLIT_TRIALS, 0), (SPLIT_TRIALS + 1, SPLIT_TRIALS // 2)]
+)
 def test_an_error_in_any_drawing_thread_reaches_the_caller(monkeypatch, trials, bad):
+    # Two runs: the helper draws the second, from trial trials // 2 on.
     _, keys = study_keys(7, trials)
     philox = np.random.Philox
 
@@ -241,7 +271,7 @@ def test_an_error_in_any_drawing_thread_reaches_the_caller(monkeypatch, trials, 
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
     started, before = counted_threads(monkeypatch), threading.active_count()
     with pytest.raises(RuntimeError, match=f"trial {bad} failed"):
-        estimation._ground_counts(0.37, 2**15, keys)
+        estimation._ground_counts(0.37, SPLIT_M, keys)
     assert len(started) == 1
     assert threading.active_count() == before
     assert not any(thread.is_alive() for thread in started)
