@@ -32,9 +32,10 @@ def contraction_power(r: float | np.ndarray, k: int | np.ndarray) -> float | np.
     give a float, and each array element the scalar call bit for bit (see :func:`core.libm`).
     """
     _check_count("k", k, 0)
+    _check_range("r", r, 0.0, 1.0, closed=True)
     full = r >= 1.0  # log1p(-r) is a domain error there; (1 - r)^k is 0.0 (1.0 at k = 0)
-    live = 1 - full  # r ** live is r, or 1.0 where full (inf included): log1p(0.0) there
-    q = libm(math.exp, k * libm(math.log1p, full - r ** live))
+    live = 1 - full
+    q = libm(math.exp, k * libm(math.log1p, full - r))  # full - r is 0.0 where full
     return q * (live | (k == 0))
 
 

@@ -18,9 +18,9 @@ uint64, independent of execution order, and its stream is
 Philox(SeedSequence(seed)).  A study hashes every trial's seed and key in
 one pass, SeedSequence's hash on uint32 arrays.  When each trial draws at
 least 2^12 words and the study at least 2^22, its trials are split into
-contiguous runs, one per CPU the process may run on; each run is drawn by
-its own thread on its own Philox, restarted at each trial's key, so the
-counts are independent of the split.
+contiguous runs, one per CPU the process may run on; the calling thread or
+a pool thread draws each run on its own Philox, restarted at each trial's
+key, so the counts are independent of the split.
 
 Maximum likelihood
 ------------------
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,39 +163,33 @@ def _usable_cpus() -> int:
 def _ground_counts(p0: float, M: int, keys: np.ndarray) -> list[int]:
     """Each trial's m0: the count of M words below p0's threshold, from Philox at its (2,) key.
 
-    The calling thread draws the first run of trials, a helper each other run, all joined here.
+    The calling thread draws the first run of trials, a pool thread each other run.
     """
     _check_count("M", M, 1)
     _check_range("p0", p0, 0.0, 1.0, closed=True)
     if p0 == 1.0:
         return [M] * len(keys)
-    threshold, counts, errors = np.uint64(_ground_threshold(p0)), [0] * len(keys), []
+    threshold = np.uint64(_ground_threshold(p0))
     sizes = [min(_DRAW_BLOCK, M - start) for start in range(0, M, _DRAW_BLOCK)]
 
-    def draw(run: range) -> None:  # on its own Philox: a shared one's lock serialises them
-        try:
-            bitgen, zeros = np.random.Philox(key=keys[run.start]), np.zeros(4, np.uint64)
-            for t in run:  # restarted as Philox(SeedSequence(seed)) starts
-                state = {"counter": zeros, "key": keys[t]}
-                bitgen.state = {"bit_generator": "Philox", "state": state, "buffer": zeros,
-                                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-                words = (bitgen.random_raw(n) for n in sizes)
-                counts[t] = sum(int(np.count_nonzero(x < threshold)) for x in words)
-        except BaseException as error:  # raised in the caller once every thread is joined
-            errors.append(error)
+    def draw(run: range) -> list[int]:  # on its own Philox: a shared one's lock serialises them
+        bitgen, zeros, counts = np.random.Philox(key=keys[run.start]), np.zeros(4, np.uint64), []
+        for t in run:  # restarted as Philox(SeedSequence(seed)) starts
+            state = {"counter": zeros, "key": keys[t]}
+            bitgen.state = {"bit_generator": "Philox", "state": state, "buffer": zeros,
+                            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            words = (bitgen.random_raw(n) for n in sizes)
+            counts.append(sum(int(np.count_nonzero(x < threshold)) for x in words))
+        return counts
 
     split = M >= _SPLIT_TRIAL and operator.index(M) * len(keys) >= _SPLIT_STUDY  # no numpy product
     n = min(_usable_cpus(), len(keys)) if split else 1  # contiguous runs
     runs = [range(len(keys) * w // n, len(keys) * (w + 1) // n) for w in range(n)]
-    helpers = [threading.Thread(target=draw, args=(run,)) for run in runs[1:]]
-    for thread in helpers:
-        thread.start()
-    draw(runs[0])
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return counts
+    from concurrent.futures import ThreadPoolExecutor  # not at module level: it imports logging and queue
+    with ThreadPoolExecutor(n) as pool:  # its exit joins every thread, also when a draw raises
+        rest = pool.map(draw, runs[1:])
+        counts = draw(runs[0])  # on the caller, so a serial study starts no thread
+    return counts + [m0 for run in rest for m0 in run]  # raises a pool thread's error
 
 
 def sample_measurements(p0: float, M: int, seed: int) -> MeasurementRecord:

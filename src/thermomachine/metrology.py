@@ -170,7 +170,8 @@ def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     """SNR of a probe fully thermalized at T with the given gap.
 
     Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T), with M (an int or integer array)
-    folded in before the division by T^2, not by ``_cramer_rao_snr``: fig1b's bits pin that order.
+    folded in before the division by T^2, not by ``_cramer_rao_snr``: the k-qubit bound columns
+    (M = k) of fig3 and ``cost`` pin that order; at M = 1 both orders give the same bits.
     """
     _check_count("M", M, 1)
     qubit = thermal_population(gap, T)

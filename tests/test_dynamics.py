@@ -283,13 +283,6 @@ def test_degenerate_rates(r):
     assert transient_population(2, 0.9, params) == (0.9 if r == 0.0 else 0.25)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="neither checks r: contraction_power(1.5, 2) reads 0.0 where (1 - 1.5)^2 = 0.25, and "
-    "transient_population(2, 1.0, CollisionParams(1.5, 0.25)) 0.25 where two collide_analytic "
-    "steps give 0.4375; the check would sit on the transient bisection's hot path",
-)
 def test_a_rate_outside_the_unit_interval_is_refused_by_name():
     from thermomachine import CollisionParams
 

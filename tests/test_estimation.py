@@ -179,17 +179,21 @@ def test_study_draws_the_per_call_m0_of_every_trial(config, monkeypatch, p0, M):
         assert drawn.pop() == [sample_measurements(p0, M, trial_seed(seed, i)).m0 for i in range(100)]
 
 
-def counted_threads(monkeypatch) -> list:
-    """The threads started from now on, in order."""
-    started = []
+def runs_off_the_caller(monkeypatch) -> list:
+    """The thread of each run drawn from now on off the calling thread, in order.
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    Each run builds one Philox.  Runs are counted, not threads: the pool may reuse a thread.
+    """
+    caller, drawn, philox = threading.get_ident(), [], estimation.np.random.Philox
 
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
+    def __init__(self, *args, **kwargs):
+        if threading.get_ident() != caller:
+            drawn.append(threading.current_thread())
+        philox.__init__(self, *args, **kwargs)
+
+    # The state setter checks the class name, so the stand-in keeps Philox's.
+    monkeypatch.setattr(estimation.np.random, "Philox", type("Philox", (philox,), {"__init__": __init__}))
+    return drawn
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,31 +228,31 @@ def test_counts_do_not_depend_on_the_split(monkeypatch, p0, M, trials, split, cp
     cpus = trials + 2 if cpus == "trials + 2" else cpus
     _, keys = study_keys(0x5EED, trials)
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: cpus)
-    started = counted_threads(monkeypatch)
+    drawn = runs_off_the_caller(monkeypatch)
     assert estimation._ground_counts(p0, M, keys) == per_call_counts(p0, M, 0x5EED, trials)
     # p0 = 1 draws nothing; a trial below 2^12 words or a study below 2^22 draws on the caller.
-    assert len(started) == (min(cpus, trials) - 1 if split and p0 != 1.0 else 0)
+    assert len(drawn) == (min(cpus, trials) - 1 if split and p0 != 1.0 else 0)
 
 
 def test_a_narrow_numpy_sample_size_splits_by_its_value(config, monkeypatch):
     # 2^15 words per trial over 128 trials is 2^22 in all, past what a uint16 product holds.
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
-    started = counted_threads(monkeypatch)
+    drawn = runs_off_the_caller(monkeypatch)
     report = empirical_snr_study(config, M=np.uint16(2**15), trials=128, seed=3)
-    assert len(started) == 1
+    assert len(drawn) == 1
     assert report == empirical_snr_study(config, M=2**15, trials=128, seed=3)
 
 
 def test_more_threads_than_cpus_with_a_short_switch_interval_lose_no_count(monkeypatch):
     _, keys = study_keys(11, SPLIT_TRIALS)
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: 8)
-    started, interval = counted_threads(monkeypatch), sys.getswitchinterval()
+    drawn, interval = runs_off_the_caller(monkeypatch), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         counts = estimation._ground_counts(0.37, SPLIT_M, keys)
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 7
+    assert len(drawn) == 7
     assert counts == per_call_counts(0.37, SPLIT_M, 11, SPLIT_TRIALS)
 
 
@@ -256,7 +260,7 @@ def test_more_threads_than_cpus_with_a_short_switch_interval_lose_no_count(monke
     "trials, bad", [(SPLIT_TRIALS, SPLIT_TRIALS - 1), (SPLIT_TRIALS, 0), (SPLIT_TRIALS + 1, SPLIT_TRIALS // 2)]
 )
 def test_an_error_in_any_drawing_thread_reaches_the_caller(monkeypatch, trials, bad):
-    # Two runs: the helper draws the second, from trial trials // 2 on.
+    # Two runs: a pool thread draws the second, from trial trials // 2 on.
     _, keys = study_keys(7, trials)
     philox = np.random.Philox
 
@@ -269,12 +273,12 @@ def test_an_error_in_any_drawing_thread_reaches_the_caller(monkeypatch, trials, 
     failing = type("Philox", (philox,), {"random_raw": random_raw})
     monkeypatch.setattr(estimation.np.random, "Philox", failing)
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
-    started, before = counted_threads(monkeypatch), threading.active_count()
+    drawn, before = runs_off_the_caller(monkeypatch), threading.active_count()
     with pytest.raises(RuntimeError, match=f"trial {bad} failed"):
         estimation._ground_counts(0.37, SPLIT_M, keys)
-    assert len(started) == 1
+    assert len(drawn) == 1
     assert threading.active_count() == before
-    assert not any(thread.is_alive() for thread in started)
+    assert not any(thread.is_alive() for thread in drawn)
 
 
 def test_record_validation():
