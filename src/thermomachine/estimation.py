@@ -185,10 +185,12 @@ def _ground_counts(p0: float, M: int, keys: np.ndarray) -> list[int]:
     split = M >= _SPLIT_TRIAL and operator.index(M) * len(keys) >= _SPLIT_STUDY  # no numpy product
     n = min(_usable_cpus(), len(keys)) if split else 1  # contiguous runs
     runs = [range(len(keys) * w // n, len(keys) * (w + 1) // n) for w in range(n)]
+    if n == 1:  # a serial study builds no pool and starts no thread
+        return draw(runs[0])
     from concurrent.futures import ThreadPoolExecutor  # not at module level: it imports logging and queue
     with ThreadPoolExecutor(n) as pool:  # its exit joins every thread, also when a draw raises
         rest = pool.map(draw, runs[1:])
-        counts = draw(runs[0])  # on the caller, so a serial study starts no thread
+        counts = draw(runs[0])  # on the caller
     return counts + [m0 for run in rest for m0 in run]  # raises a pool thread's error
 
 

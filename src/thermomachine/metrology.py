@@ -3,8 +3,8 @@
 SNR means T / (estimation error), so larger is better.  Every SNR here is the Cramer-Rao bound
 for M independent binary energy measurements, snr = T sqrt(M F) with F = lambda^2 / (p0 p1),
 assembled from populations and sensitivities through one pipeline whose last step
-``_cramer_rao_snr`` alone reads M (``snr_thermal`` folds M into lambda gap / T^2 before the
-division); the equivalent closed forms are kept in the test suite as regression cross-checks.
+``_cramer_rao_snr`` alone reads M and takes the square root; the equivalent closed forms are
+kept in the test suite as regression cross-checks.
 
 The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
@@ -169,14 +169,13 @@ def snr_transient(k: int, p00: float, config: MachineConfig, M: int = 1) -> SnrP
 def snr_thermal(T: float, gap: float, M: int = 1) -> float:
     """SNR of a probe fully thermalized at T with the given gap.
 
-    Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T), with M (an int or integer array)
-    folded in before the division by T^2, not by ``_cramer_rao_snr``: the k-qubit bound columns
-    (M = k) of fig3 and ``cost`` pin that order; at M = 1 both orders give the same bits.
+    Equals sqrt(M) e^(-gap/2T) / (1 + e^(-gap/T)) * (gap/T).  As in ``snr_steady`` the Fisher
+    information is lambda gap / T^2, with no population division; ``_cramer_rao_snr`` folds
+    in M (an int or integer array).
     """
-    _check_count("M", M, 1)
     qubit = thermal_population(gap, T)
     lam = _population_slope(qubit.p0, qubit.p1, gap, T)
-    return T * _sqrt(M * lam * gap / (T * T))
+    return _cramer_rao_snr(T, M, lam * gap / (T * T))
 
 
 def max_thermal_snr(T: float, M: int = 1) -> tuple[float, float]:
@@ -224,32 +223,27 @@ def snr_noisy_ancilla(
     return snr_steady(replace(config, eps_p=_mistuned_gap(config, noisy)), M)
 
 
-def _peak_temperature(config: MachineConfig, noisy: NoisyAncillaSpec) -> float:
-    """T_prior / (1 +/- delta), where the mistuned exponent x_T vanishes."""
-    return config.T_prior / (1.0 + noisy.sign * noisy.delta_Tv_rel)
-
-
 def noisy_peak(
     config: MachineConfig, noisy: NoisyAncillaSpec, M: int = 1
 ) -> tuple[float, SnrPoint]:
     """Temperature and value of the x_T = 0 peak of the noisy-tuned SNR.
 
     The peak sits at T = T_prior / (1 +/- delta) with value
-    (sqrt(M)/2)(1 +/- delta) eps_s / T_prior.
+    (sqrt(M)/2)(1 +/- delta) eps_s / T_prior.  Where 1 - delta <= 0 there is no peak: its T
+    reads inf and is refused by name.
     """
-    t_peak = _peak_temperature(config, noisy)
-    point = snr_noisy_ancilla(replace(config, T=t_peak), noisy, M)
-    return t_peak, point
+    scale = 1.0 + noisy.sign * noisy.delta_Tv_rel
+    t_peak = config.T_prior / scale if scale > 0.0 else math.inf
+    return t_peak, snr_noisy_ancilla(replace(config, T=t_peak), noisy, M)
 
 
 def noisy_peak_in_prior(config: MachineConfig, noisy: NoisyAncillaSpec) -> bool:
     """Whether the x_T = 0 peak lies in the prior interval (0, 2 T_prior].
 
     The right endpoint counts as inside: the undershoot branch at
-    delta = 1/2 peaks exactly at 2 T_prior.
+    delta = 1/2 peaks exactly at 2 T_prior, and where 1 - delta <= 0 there is no peak.
     """
-    t_peak = _peak_temperature(config, noisy)
-    return 0.0 < t_peak <= 2.0 * config.T_prior
+    return 1.0 + noisy.sign * noisy.delta_Tv_rel >= 0.5
 
 
 def snr_sample_bound(k: int, T: float, eps_s: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
 import sys
@@ -228,10 +229,16 @@ def test_counts_do_not_depend_on_the_split(monkeypatch, p0, M, trials, split, cp
     cpus = trials + 2 if cpus == "trials + 2" else cpus
     _, keys = study_keys(0x5EED, trials)
     monkeypatch.setattr(estimation, "_usable_cpus", lambda: cpus)
-    drawn = runs_off_the_caller(monkeypatch)
+    drawn, pools, pool = runs_off_the_caller(monkeypatch), [], concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: pools.append(n) or pool(n))
     assert estimation._ground_counts(p0, M, keys) == per_call_counts(p0, M, 0x5EED, trials)
     # p0 = 1 draws nothing; a trial below 2^12 words or a study below 2^22 draws on the caller.
     assert len(drawn) == (min(cpus, trials) - 1 if split and p0 != 1.0 else 0)
+    # Only a study drawn on more than one thread builds a pool; one trial is drawn on the caller.
+    built = [min(cpus, trials)] if split and p0 != 1.0 and min(cpus, trials) > 1 else []
+    assert pools == built
+    sample_measurements(p0, M, 0x5EED)
+    assert pools == built
 
 
 def test_a_narrow_numpy_sample_size_splits_by_its_value(config, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import warnings
 from collections import Counter
@@ -38,6 +39,7 @@ from thermomachine import (
 from thermomachine import metrology
 from thermomachine.dynamics import contraction_power
 from dataclasses import replace
+from pathlib import Path
 
 # Frozen from 50-digit decimal evaluations of the closed forms.
 SNR_STEADY_T02 = 2.217047209925184771
@@ -354,11 +356,19 @@ def test_noisy_ancilla_overshoot_example():
 
 
 @pytest.mark.parametrize(
-    "delta, inside", [(0.3, True), (0.5, True), (0.500001, False), (0.7, False)]
+    "delta, inside",
+    [(0.3, True), (0.5, True), (0.500001, False), (0.7, False), (1.0, False), (1.5, False)],
 )
 def test_noisy_undershoot_peak_interval(delta, inside):
     config = tune_config(eps_s=1.0, T=0.05, T_prior=0.1, T_v=1.0)
     assert noisy_peak_in_prior(config, NoisyAncillaSpec(delta, sign=-1)) is inside
+
+
+def test_an_undershoot_without_a_peak_refuses_its_t():
+    # Where 1 - delta <= 0 the mistuned exponent never vanishes: no T has a peak.
+    config = tune_config(eps_s=1.0, T=0.05, T_prior=0.1, T_v=1.0)
+    with pytest.raises(ValueError, match=r"^T must be"):
+        noisy_peak(config, NoisyAncillaSpec(1.0, sign=-1))
 
 
 def test_noisy_ancilla_closed_form_regression():
@@ -505,12 +515,35 @@ def test_the_thermal_peak_snr_does_not_depend_on_the_scale_of_t(T, M):
     assert max_thermal_snr(T, M)[1] == pytest.approx(max_thermal_snr(1.0, M)[1], rel=1e-15, abs=0)
 
 
+def test_every_thermal_snr_reaches_the_one_cramer_rao_step(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, metrology, ["_cramer_rao_snr"], calls)
+    for call in (
+        lambda: metrology.snr_thermal(0.3, 0.7, 4),
+        lambda: metrology.snr_sample_bound(np.arange(1, 5), 0.3, 0.7),
+        lambda: metrology.max_thermal_snr(0.3, 2),
+    ):
+        calls.clear()
+        call()
+        assert calls == {"_cramer_rao_snr": 1}
+
+
+def test_the_square_root_of_every_snr_is_taken_in_the_cramer_rao_step():
+    tree = ast.parse(Path(metrology.__file__).read_text())
+    (step,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_cramer_rao_snr"]
+
+    def sqrt_calls(node):
+        return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_sqrt" for n in ast.walk(node))
+
+    assert sqrt_calls(tree) == sqrt_calls(step) == 1
+
+
 #: T^2 is normal at T = 1.5e-154, but T sqrt(M F) forms M F ~ 1e313 before the square root.
 _M_F_OVERFLOWS = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="at T = 1.5e-154 and M = 10^6 the product M * F overflows to inf before the square "
-    "root is taken (ROADMAP item 2's reordered division)",
+    "root is taken in _cramer_rao_snr, the one site that reads M (ROADMAP item 2's reorder)",
 )
 
 
