@@ -6,9 +6,9 @@ overrides, then dedicated flags, with later sources winning.  Seeds accept
 decimal or hex (0x...) notation.  When THERMOMACHINE_OUT_DIR is set,
 relative --out paths are written inside that directory.
 
-Exit codes: 0 success, 1 usage error, unevaluable scenario, a table the
-format cannot hold or a run out of memory (a k or T axis too long to
-allocate), 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error (a scenario name UTF-8 cannot encode too),
+unevaluable scenario, a table the format or stdout's encoding cannot hold or a run
+out of memory (a k or T axis too long to allocate), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
             export(table, args.format, _resolve_out(args.out))
         else:
             sys.stdout.writelines(_chunks(table, args.format))
-    except ValueError as exc:  # JSON refuses a non-finite meta value, before a byte is written
+    except ValueError as exc:  # a non-finite meta value in JSON, or text stdout cannot encode
         print(f"error: cannot write the table as {args.format}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -3,8 +3,8 @@
 SNR means T / (estimation error), so larger is better.  Every SNR here is the Cramer-Rao bound
 for M independent binary energy measurements, snr = T sqrt(M F) with F = lambda^2 / (p0 p1),
 assembled from populations and sensitivities through one pipeline whose last step
-``_cramer_rao_snr`` alone reads M and takes the square root; the equivalent closed forms are
-kept in the test suite as regression cross-checks.
+``_cramer_rao_snr`` alone reads M and takes the roots of M and F apart (M F could overflow);
+the equivalent closed forms are kept in the test suite as regression cross-checks.
 
 The k-dependent forms also take an integer ndarray of collision counts, and
 the steady, thermal and noisy-ancilla forms a float ndarray of temperatures
@@ -84,9 +84,9 @@ def _sqrt(x):
 
 
 def _cramer_rao_snr(T, M, fisher):
-    """T sqrt(M F), the pipeline's last step (inf where F is); M an int or integer array."""
+    """sqrt(M) (T sqrt(F)), the pipeline's last step (inf where F is); M an int or integer array."""
     _check_count("M", M, 1)
-    return T * _sqrt(M * fisher)
+    return _sqrt(M) * (T * _sqrt(fisher))
 
 
 def _steady_pair(config: MachineConfig) -> tuple[float, float]:
@@ -109,8 +109,8 @@ def _population_slope(p0: float, p1: float, gap: float, T: float) -> float:
 
 
 def sensitivity_steady(config: MachineConfig) -> float:
-    """d p0_inf / dT = p0_inf p1_inf eps_s / T^2."""
-    return _population_slope(*_steady_pair(config), config.eps_s, config.T)
+    """d p0_inf / dT = p0_inf p1_inf eps_s / T^2, as ``snr_steady`` forms it."""
+    return snr_steady(config).sensitivity
 
 
 def jump_rate_derivative(config: MachineConfig) -> float:

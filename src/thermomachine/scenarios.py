@@ -79,9 +79,11 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        # The name is a CSV meta line, which from_csv splits and strips.
+        # The name is a CSV meta line, which from_csv splits and strips, written as UTF-8.
         if len(self.name.splitlines()) > 1 or self.name != self.name.strip():
             raise ValueError(f"scenario name {self.name!r} has a line break or edge whitespace")
+        if self.name.encode(errors="replace").decode() != self.name:  # only a surrogate fails
+            raise ValueError(f"scenario name {self.name!r} cannot be encoded as UTF-8")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         for name in ("priors", "temps", "p00_values"):  # a numpy array would compare per element

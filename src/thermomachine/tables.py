@@ -60,13 +60,13 @@ def _meta_value(value: object) -> str:
 def _row_specs(block: np.ndarray, fmt: str, whole: str) -> tuple[list[str], list[float]]:
     """Each column's text in the block's row template, and the cells left to format.
 
-    A column whose cells all have row 0's bits is formatted once.  One of integers
-    below 2^53 in magnitude, none -0.0 (bits -2^63), takes ``whole``, which writes
-    them as ``fmt`` does; the rest take ``fmt``.
+    A finite column whose cells all have row 0's bits is formatted once.  One of integers
+    below 2^53 in magnitude, none -0.0 (bits -2^63), takes ``whole``, which writes them
+    as ``fmt`` does; the rest take ``fmt``, so every non-finite cell is left to format.
     """
     bits = block.view(np.int64)
-    same = bits[-1] == bits[0]  # a full-column test runs only where row 0 (and -1) pass it
-    same[same] = (bits[:, same] == bits[0, same]).all(axis=0)
+    same = (bits[-1] == bits[0]) & np.isfinite(block[0])
+    same[same] = (bits[:, same] == bits[0, same]).all(axis=0)  # only where rows 0, -1 pass
     integer = ~same & (block[0] == np.trunc(block[0]))
     c = block[:, integer]
     integer[integer] = ((abs(c) < 2**53) & (c == np.trunc(c)) & (c.view("i8") != -(2**63))).all(0)
@@ -91,11 +91,9 @@ def _json_chunks(table: ResultTable) -> Iterator[str]:
     yield text[:-3] + "\n" if len(table.cells) else text + "\n"
     for start in range(0, len(table.cells), _BLOCK):
         block = table.cells[start : start + _BLOCK]
-        if np.isfinite(block).all():
-            specs, values = _row_specs(block, "%s", "%d.0")
-        else:
-            specs = ["%s"] * block.shape[1]
-            values = [x if math.isfinite(x) else "null" for x in block.ravel().tolist()]
+        specs, values = _row_specs(block, "%s", "%d.0")
+        if not np.isfinite(block).all():
+            values = [x if math.isfinite(x) else "null" for x in values]
         row = "    [" + ",".join("\n      " + s for s in specs) + "\n    ]" if specs else "    []"
         end = ",\n" if start + _BLOCK < len(table.cells) else "\n  ]\n}\n"
         yield (",\n".join([row] * len(block)) + end) % tuple(values)
@@ -108,9 +106,9 @@ def to_csv(table: ResultTable) -> str:
 def to_json(table: ResultTable) -> str:
     """JSON export, byte for byte ``json.dumps(payload, indent=2, allow_nan=False)``.
 
-    A non-finite cell (the documented singular snr = inf) is null.  The head
-    goes through json.dumps, so a non-finite meta value is still refused; the
-    rows are "%s"-formatted a block at a time, as json writes a float's repr.
+    The head goes through json.dumps, so a non-finite meta value is still refused.  The
+    rows take the CSV's row template with "%s", as json writes a float's repr, and a
+    non-finite cell (the documented singular snr = inf) is null.
     """
     return "".join(_json_chunks(table))
 
@@ -185,7 +183,7 @@ def export(table: ResultTable, fmt: str, destination: str | Path) -> Path:
     chunks = _chunks(table, fmt)  # its head is formed before the file is opened
     path = Path(destination)
     try:
-        with path.open("w") as out:
+        with path.open("w", encoding="utf-8") as out:
             out.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

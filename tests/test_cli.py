@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -162,26 +164,39 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
 
 
-#: M = 10^308 overflows the cost table's steady SNR meta value to inf, which JSON cannot hold.
-INF_META_COST = ["cost", "--set", "M=1" + "0" * 308, "--set", "k_max=3"]
+#: M = 10^308: sqrt(M) (T sqrt(F)) keeps the cost table's steady SNR meta value finite.
+HUGE_M_COST = ["cost", "--set", "M=1" + "0" * 308, "--set", "k_max=3"]
 
 
-def test_json_refused_table_to_stdout_is_usage_error(capsys):
-    code, out, err = run([*INF_META_COST, "--format", "json"], capsys)
+def test_a_stdout_that_cannot_encode_the_table_is_usage_error(capsys, monkeypatch):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["steady", "--set", "points=2", "--set", "name=é"]
+    code, _, err = run(argv, capsys)
     assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error: ") and "not JSON compliant" in err
-    code, out, _ = run([*INF_META_COST, "--format", "csv"], capsys)
-    assert code == EXIT_OK and "# snr_machine_steady_m1=inf\n" in out
+    assert err.startswith("error: cannot write the table as csv: 'ascii' codec can't encode")
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+    # JSON escapes every non-ASCII character, so the same stdout takes it whole.
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    stdout.flush()
+    assert json.loads(stdout.buffer.getvalue())["meta"]["scenario"] == "é"
+    monkeypatch.undo()
+    code, out, _ = run(HUGE_M_COST, capsys)
+    assert code == EXIT_OK and "# snr_machine_steady_m1=4.8775038618354065e+154\n" in out
+    assert main([*HUGE_M_COST, "--format", "json"]) == EXIT_OK
 
 
-def test_json_refused_table_to_out_keeps_the_file(tmp_path, capsys):
-    path = tmp_path / "keep.json"
+def test_a_name_utf8_cannot_encode_keeps_an_existing_out_file(tmp_path, capsys):
+    # The name is refused when the scenario is built, before export opens the file.
+    path = tmp_path / "keep.csv"
     path.write_bytes(b"earlier bytes\n")
-    code, out, err = run([*INF_META_COST, "--format", "json", "--out", str(path)], capsys)
-    assert code == EXIT_USAGE
-    assert out == "" and err.startswith("error: ") and "not JSON compliant" in err
-    assert path.read_bytes() == b"earlier bytes\n"
+    for fmt in ("csv", "json"):
+        argv = ["steady", "--set", "points=2", "--set", "name=\udcff", "--format", fmt]
+        code, out, err = run([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: scenario name '\\udcff' cannot be encoded as UTF-8\n"
+        assert path.read_bytes() == b"earlier bytes\n"
 
 
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):

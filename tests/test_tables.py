@@ -450,6 +450,15 @@ def test_json_writes_non_finite_cells_as_null(validate_table_json):
     assert payload["rows"] == [[None, 1.5], [2.0, None]]
     validate_table_json(payload)
     assert "inf" in to_csv(table)  # CSV still carries the undefined marker
+    # A constant inf column, and a lone inf row (a montecarlo table whose empirical_snr is
+    # inf), take the row template: their inf cells still reach the null swap.
+    for cells, rows in (
+        (((math.inf, 1.0), (math.inf, 2.5)), [[None, 1.0], [None, 2.5]]),
+        (((7.0, math.inf),), [[7.0, None]]),
+    ):
+        payload = json.loads(to_json(ResultTable(("a", "b"), cells, meta)))
+        assert payload["rows"] == rows
+        validate_table_json(payload)
     # The pure-start k = 0 rows of fig2a carry the documented snr = inf.
     fig2a = json.loads(to_json(run_scenario(PRESETS["fig2a"])))
     validate_table_json(fig2a)
