@@ -55,15 +55,17 @@ def _check_range(name: str, x, low: float, high: float = sys.float_info.max, clo
 
 def _check_count(name: str, value: object, low: int) -> None:
     """Refuse a count that is not an integer >= low (bool and float alike); arrays per element."""
+    note = ""
     if isinstance(value, np.ndarray):
         bad = value[~(value >= low)] if value.dtype.kind in "iu" else value.ravel()
         if bad.size == 0:
             return
+        note = "" if value.dtype.kind in "iu" else f" (an array of dtype {value.dtype})"
         value = bad[:1].tolist()[0]  # an object array holds Python ints, which have no .item()
     # __index__ marks a lossless integer, numpy's too, at a fraction of numbers.Integral's cost.
     elif not isinstance(value, bool) and hasattr(value, "__index__") and value >= low:
         return
-    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}{note}")
 
 
 def stable_logistic(x: float | np.ndarray) -> float | np.ndarray:
@@ -209,17 +211,13 @@ def collision_params(config: MachineConfig) -> CollisionParams:
     r = p1_s p0_v + p0_s p1_v from the sample and ancilla Gibbs states;
     p0_inf = 1 / (1 + e^(eps_s/T - eps_v/T_v)).
     """
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    return _params_at(config.eps_s / config.T, ancilla, config.eps_v / config.T_v)
+    return _params_at(config.eps_s / config.T, config.eps_v / config.T_v)
 
 
-def _params_at(x_s: float, ancilla: ThermalQubit, x_v: float) -> CollisionParams:
-    """(r, p0_inf) at sample exponent x_s = eps_s/T >= 0; ancilla and x_v = eps_v/T_v fixed.
-
-    The T-dependent half of :func:`collision_params`, so a model that varies
-    only T builds the ancilla state once.  A float array x_s gives array-valued
-    params, each element bit for bit the float call.
-    """
-    sample_p0, sample_p1 = _gibbs_pair(x_s)
-    r = sample_p1 * ancilla.p0 + sample_p0 * ancilla.p1
+def _params_at(x_s: float, x_v: float) -> CollisionParams:
+    """(r, p0_inf) at sample exponent x_s = eps_s/T >= 0 and ancilla exponent x_v = eps_v/T_v >= 0:
+    :func:`collision_params`' body, for a model that varies only T.  A float array x_s gives
+    array-valued params, each element bit for bit the float call."""
+    (sample_p0, sample_p1), (ancilla_p0, ancilla_p1) = _gibbs_pair(x_s), _gibbs_pair(x_v)
+    r = sample_p1 * ancilla_p0 + sample_p0 * ancilla_p1
     return CollisionParams(r=r, p0_inf=stable_logistic(x_v - x_s))  # 1 / (1 + e^(x_s - x_v))

@@ -59,10 +59,12 @@ def _diagonal(entries) -> np.ndarray:
     return m
 
 
-def _hamiltonian(config: MachineConfig, levels, pair, detuning: float = 0.0) -> np.ndarray:
-    """Probe x sample x ancilla Hamiltonian for a sample with ``levels``: basis index
-    (i_P * d + level) * 2 + k_v; the interaction couples a = |0_P j 1_v> with b = |1_P j' 0_v> at
-    strength eps_I, (j, j') = ``pair``.  Array fields give a stack, one matrix per lane."""
+def _hamiltonian(config: MachineConfig, sample=None, detuning: float = 0.0) -> np.ndarray:
+    """Probe x sample x ancilla Hamiltonian for ``sample`` (None: the triad's qubit, levels
+    (0, eps_s) on the pair (0, 1)): basis index (i_P * d + level) * 2 + k_v; the interaction couples
+    a = |0_P j 1_v> with b = |1_P j' 0_v> at strength eps_I, (j, j') = the sample's ``pair``.
+    Array fields give a stack, one matrix per lane."""
+    levels, pair = ((0.0, config.eps_s), (0, 1)) if sample is None else (sample.levels, sample.pair)
     eps_p, eps_v = config.eps_p, config.eps_v + detuning
     h = _diagonal([i * eps_p + e + k * eps_v for i in (0, 1) for e in levels for k in (0, 1)])
     a, b = 2 * pair[0] + 1, 2 * (len(levels) + pair[1])
@@ -78,7 +80,7 @@ def build_triad_hamiltonian(config: MachineConfig, detuning: float = 0.0) -> np.
     default 0 keeps [H_I, H_free] = 0 exactly.
     """
     _check_range("detuning", detuning, -math.inf)
-    return _hamiltonian(config, (0.0, config.eps_s), (0, 1), detuning)
+    return _hamiltonian(config, None, detuning)
 
 
 def exact_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -109,12 +111,9 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
 def _channel(config: MachineConfig, sample, t: float) -> tuple:
     """Read-only (h, rho_s (x) rho_v, e^(-iHt), its adjoint) of a machine and ``sample`` (None: the
     triad's qubit), or a stack of lanes; t = -0.0 reads t = 0.0's entry, whose phase bits match."""
-    if sample is None:
-        levels, pair, pops = (0.0, config.eps_s), (0, 1), _gibbs_pair(config.eps_s / config.T)
-    else:
-        levels, pair, pops = sample.levels, sample.pair, sample.populations().tolist()
+    pops = _gibbs_pair(config.eps_s / config.T) if sample is None else sample.populations().tolist()
     ancilla = _gibbs_pair(config.eps_v / config.T_v)  # the config was checked when built
-    h = _hamiltonian(config, levels, pair)
+    h = _hamiltonian(config, sample)
     u = _unitary(h, t)
     # Where eps_v + eps_I rounds to eps_v, eigh cannot split the coupled pair: the swap is lost.
     _check_range("(eps_v + eps_I) - eps_v", (config.eps_v + config.eps_I) - config.eps_v, 0.0)

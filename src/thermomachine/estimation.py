@@ -43,8 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, _params_at, stable_logistic
-from .core import thermal_population
+from .core import MachineConfig, _check_count, _check_range, _params_at
 from .dynamics import transient_population
 from .metrology import snr_steady, snr_transient
 
@@ -297,7 +296,7 @@ def steady_model(config: MachineConfig) -> Callable[[float], float]:
 
     def p0_of(T: float) -> float:
         _check_range("T", T, 0.0)
-        return stable_logistic(x_v - eps_s / T)
+        return _params_at(eps_s / T, x_v).p0_inf
 
     p0_of.temperature = lambda logit: eps_s / (x_v - logit) if logit < x_v else math.inf
     return p0_of
@@ -306,9 +305,8 @@ def steady_model(config: MachineConfig) -> Callable[[float], float]:
 def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[float], float]:
     """T -> probe ground population after k collisions from p00.
 
-    The ancilla state and eps_v/T_v are computed once; each call forms
-    (r, p0_inf) from T alone, bit for bit as ``collision_params`` would.
-    A float ndarray T gives the scalar calls element by element, bit for bit.
+    eps_v/T_v is computed once; each call forms (r, p0_inf) from T alone, bit for bit as
+    ``collision_params`` would, and a float ndarray T the scalar calls per element, bit for bit.
 
     The model is non-decreasing in T for every machine, k and p00, which
     ``_bisect`` relies on.  With q_j = (1-r)^j and
@@ -320,11 +318,10 @@ def transient_model(config: MachineConfig, k: int, p00: float) -> Callable[[floa
     where lam_inf = d p0_inf/dT; every factor is >= 0.
     """
     eps_s, x_v = config.eps_s, config.eps_v / config.T_v
-    ancilla = thermal_population(config.eps_v, config.T_v)
 
     def p0_of(T: float) -> float:
         _check_range("T", T, 0.0)
-        return transient_population(k, p00, _params_at(eps_s / T, ancilla, x_v))
+        return transient_population(k, p00, _params_at(eps_s / T, x_v))
 
     return p0_of
 

@@ -432,8 +432,8 @@ sample_exponents = st.one_of(
 def test_shared_sample_exponential_is_the_two_logistic_form(xs, gap, t_v):
     ancilla, x_v = thermal_population(gap, t_v), gap / t_v
     want = [two_logistic_params(x, ancilla, x_v) for x in xs]
-    scalar = [_params_at(x, ancilla, x_v) for x in xs]
-    array = _params_at(np.array(xs), ancilla, x_v)
+    scalar = [_params_at(x, x_v) for x in xs]
+    array = _params_at(np.array(xs), x_v)
     for i, field in enumerate(("r", "p0_inf")):
         expected = bits([w[i] for w in want])
         assert bits([getattr(p, field) for p in scalar]) == expected, field

@@ -483,3 +483,30 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
     assert out == ""
+
+
+def test_a_float_range_error_is_usage_error(capsys, monkeypatch):
+    # Raised here: an input that reaches this branch today stops reaching it once it is mended.
+    def overflows(scenario):
+        raise FloatingPointError("overflow encountered in divide")
+
+    monkeypatch.setattr("thermomachine.cli.run_scenario", overflows)
+    code, out, err = run(["steady"], capsys)
+    assert code == EXIT_USAGE
+    assert err.rstrip("\n").endswith("an input lies outside the formulas' float range")
+    assert out == ""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a scenario that builds must run: this one tunes eps_p = 100 T at T = 2^-511, and "
+    "snr_steady's Fisher information lam eps_s / (T T) overflows where the SNR is finite, so it "
+    "exits 1 with 'overflow encountered in divide' (ROADMAP item 2)",
+)
+def test_a_steady_scenario_at_the_bottom_of_the_range_runs(capsys):
+    T = 2.0**-511  # 1.4916681462400413e-154
+    settings = dict(eps_s=100 * T, T_prior=T, T_v=2 * T, t_min=T, t_max=2 * T, points=2)
+    args = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value!r}")]
+    code, _, err = run(["steady", *args], capsys)
+    assert code == EXIT_OK, err

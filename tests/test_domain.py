@@ -414,6 +414,14 @@ def test_illegal_count_is_refused_by_name(call, word, legal, illegal):
             call(n)
 
 
+def test_a_count_array_of_another_dtype_is_refused_by_its_dtype():
+    # The M[object] row's 10**308 and 2**70 are integers >= 1: the dtype is what is refused.
+    for n in (np.array([10**308, 2]), np.array([2**70], dtype=object)):
+        message = r"^M must be an integer >= 1, got \d+ \(an array of dtype object\)$"
+        with pytest.raises(ValueError, match=message):
+            snr_steady(CONFIG, n)
+
+
 # (row id, call of a machine): an oracle takes one machine and refuses a MachineConfig stacking
 # several (here two temperatures) by name, not with numpy's IndexError or one lane's float.
 STACKED = tune_config(eps_s=1.0, T=np.array([0.2, 0.3]), T_prior=0.25, T_v=1.0)

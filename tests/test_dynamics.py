@@ -425,7 +425,7 @@ def test_oracles_equal_the_kron_reference_bit_for_bit(seed):
         for sample in (three, replace(three, temperature=1.5 * config.T), four):
             pops_d = gibbs_levels(sample.levels, sample.temperature)
             assert sample.populations().tobytes() == pops_d.tobytes()
-            h = _hamiltonian(config, sample.levels, sample.pair)
+            h = _hamiltonian(config, sample)
             reduced = kron_collide(np.diag([p0, 1.0 - p0]), pops_d, h, config, tc)
             for _ in range(2):
                 assert collide_oracle_dlevel(p0, sample, config) == float(reduced[0, 0].real)
@@ -530,8 +530,8 @@ def test_hamiltonian_is_exactly_symmetric():
         for h in (
             build_triad_hamiltonian(config),
             build_triad_hamiltonian(config, detuning=0.37),
-            _hamiltonian(config, three.levels, three.pair),
-            _hamiltonian(config, four.levels, four.pair),
+            _hamiltonian(config, three),
+            _hamiltonian(config, four),
         ):
             assert h.dtype == np.float64
             assert np.array_equal(h, h.T)

@@ -455,6 +455,10 @@ def test_required_interactions_inverts_bound():
     # Just below the k = 100 bound value still needs all 100 qubits.
     assert required_interactions(4.0767, 0.2, 1.0) == 100
     assert required_interactions(SAMPLE_BOUND_X5_K100 * 1.000001, 0.2, 1.0) == 101
+    # One ulp past the k = 2 bound, ceil(ratio^2 - 1e-9) is still 2: the upward step takes k to 3.
+    target = math.nextafter(snr_sample_bound(2, 1 / 11, 1.0), math.inf)
+    assert required_interactions(target, 1 / 11, 1.0) == 3
+    assert snr_sample_bound(2, 1 / 11, 1.0) < target <= snr_sample_bound(3, 1 / 11, 1.0)
 
 
 def test_required_interactions_refuses_targets_past_2_to_53():
@@ -549,6 +553,20 @@ def test_the_square_root_of_every_snr_is_taken_in_the_cramer_rao_step():
 def test_steady_snr_at_the_bottom_of_the_range_is_finite():
     T = 1.5e-154  # eps_s = T, balanced at the prior: p0 = 1/2 and snr = sqrt(M) / 2
     assert snr_steady(tune_config(T, T=T, T_prior=T, T_v=2 * T), 10**6).snr == pytest.approx(500.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="snr_steady forms its Fisher information lam eps_s / (T T) before any square root, and "
+    "at eps_s = 100 T, T = 2^-511 it overflows to inf, so snr reads inf with singular=False where "
+    "the truth is 50; the fix moves every steady cell's bits (ROADMAP item 2)",
+)
+def test_steady_snr_with_a_large_gap_at_the_bottom_of_the_range_is_finite():
+    T = 2.0**-511  # balanced: p0 = 1/2, and snr = (eps_s / T) sqrt(p0 p1) = 50
+    point = snr_steady(MachineConfig(eps_s=100 * T, eps_p=100 * T, T=T, T_v=2 * T, T_prior=T))
+    assert point.p0 == 0.5
+    assert point.snr == pytest.approx(50.0, rel=1e-15)
 
 
 def test_thermal_snr_at_the_bottom_of_the_range_is_finite():
