@@ -117,8 +117,10 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in raw.items():
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            settings[key] = coerce_setting(key, text)
+            items = value if isinstance(value, list) else [value]
+            if any(item is None or isinstance(item, (bool, dict, list)) for item in items):
+                raise UsageError(f"config field {key!r} cannot hold {json.dumps(value)}")
+            settings[key] = coerce_setting(key, ",".join(map(str, items)))
     for item in args.settings:
         key, sep, value = item.partition("=")
         if not sep:

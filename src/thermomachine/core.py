@@ -92,7 +92,7 @@ class ThermalQubit:
 
 
 def thermal_population(gap: float, temperature: float | np.ndarray) -> ThermalQubit:
-    """Thermal ground/excited populations: p0 = 1 / (1 + e^(-gap/T)).
+    """Checked ground/excited populations at a caller's own (gap, T): p0 = 1 / (1 + e^(-gap/T)).
 
     Parameters
     ----------

@@ -13,13 +13,13 @@ fastest), so the two states coupled by the interaction sit at indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import CollisionParams, MachineConfig, _check_count, _check_range, collision_params
-from .core import _gibbs_pair, libm
+from .core import _gibbs_pair, _params_at, libm
 
 #: Flat indices of the swap-coupled pair |0_P 0_s 1_v> and |1_P 1_s 0_v>.
 COUPLED_STATES = (1, 6)
@@ -279,7 +279,7 @@ def reduce_d_level(
             f"(got {config.eps_s}, pair gap {gap})"
         )
     # The pair then acts as the machine's own sample qubit at the sample's T.
-    return sample.pair_weight, collision_params(replace(config, T=sample.temperature))
+    return sample.pair_weight, _params_at(config.eps_s / sample.temperature, config.eps_v / config.T_v)
 
 
 def collide_oracle_dlevel(p0_probe: float, sample: DLevelSample, config: MachineConfig) -> float:

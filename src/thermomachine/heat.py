@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, collision_params, libm
-from .core import thermal_population
+from .core import MachineConfig, _check_count, _check_range, _gibbs_pair, collision_params, libm
 from .dynamics import transient_population
 
 
@@ -89,10 +88,9 @@ def perturbation_trajectory(k_max: int, p00: float, config: MachineConfig) -> He
     _check_count("k_max", k_max, 1)
     _check_range("p00", p00, 0.0, 1.0, closed=True)
     params = collision_params(config)
-    sample = thermal_population(config.eps_s, config.T)
-    ancilla = thermal_population(config.eps_v, config.T_v)
+    sample, ancilla = _gibbs_pair(config.eps_s / config.T), _gibbs_pair(config.eps_v / config.T_v)
     delta, p0 = np.empty((k_max, *np.broadcast_shapes(np.shape(params.r), np.shape(p00)))), p00
     for j in range(k_max):
         delta[j] = step = params.r * (params.p0_inf - p0)
         p0 = p0 + step  # never in place: an array p00 is the caller's
-    return HeatTrajectory(delta_p=delta, sample_p0=sample.p0 + delta, ancilla_p0=ancilla.p0 - delta)
+    return HeatTrajectory(delta_p=delta, sample_p0=sample[0] + delta, ancilla_p0=ancilla[0] - delta)

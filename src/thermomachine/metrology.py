@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MachineConfig, _check_count, _check_range, _probe_gap
+from .core import MachineConfig, _check_count, _check_range, _gibbs_pair, _probe_gap
 from .core import collision_params, stable_logistic, thermal_population
 from .dynamics import _relax, contraction_power
 
@@ -114,11 +114,9 @@ def sensitivity_steady(config: MachineConfig) -> float:
 
 
 def jump_rate_derivative(config: MachineConfig) -> float:
-    """dr/dT = (d p1_s / dT)(p0_v - p1_v); only the sample depends on T."""
-    sample = thermal_population(config.eps_s, config.T)
-    ancilla = thermal_population(config.eps_v, config.T_v)
-    dp1s = _population_slope(sample.p0, sample.p1, config.eps_s, config.T)
-    return dp1s * (ancilla.p0 - ancilla.p1)
+    """dr/dT = (d p1_s / dT)(p0_v - p1_v); only the sample depends on T; the config is checked."""
+    sample, ancilla = _gibbs_pair(config.eps_s / config.T), _gibbs_pair(config.eps_v / config.T_v)
+    return _population_slope(*sample, config.eps_s, config.T) * (ancilla[0] - ancilla[1])
 
 
 def sensitivity_transient(k: int, p00: float, config: MachineConfig) -> float:

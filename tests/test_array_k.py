@@ -606,14 +606,15 @@ def test_temperature_sweeps_equal_the_per_point_loop(base, rebuild, settings_):
 
 
 #: The functions that may tell a float from an array.  libm maps a libm function per
-#: element; a domain check or square root on a float costs ~0.1 us, on a 0-d array ~2.7 us.
-TYPE_BRANCH_EXEMPT = {"libm", "_check_range", "_check_count", "_sqrt"}
+#: element; a domain check or square root on a float costs ~0.1 us, on a 0-d array ~2.7 us;
+#: _fisher_two_sided's np.where returns a 0-d array for float inputs, which it reads back.
+TYPE_BRANCH_EXEMPT = {"libm", "_check_range", "_check_count", "_sqrt", "_fisher_two_sided"}
 ONE_PATH_MODULES = ("core", "dynamics", "heat", "metrology")
 
 
 def _type_branches(source: str) -> list[str]:
-    """Each ``isinstance(x, <ndarray or float>)`` and ``type(x) is [not] float`` outside the
-    functions in ``TYPE_BRANCH_EXEMPT``."""
+    """Each ``isinstance(x, <ndarray or float>)``, ``type(x) is [not] float`` and conditional
+    on ``ndim`` with a ``float(...)`` branch outside the functions in ``TYPE_BRANCH_EXEMPT``."""
 
     def mentions_float_or_array(node: ast.AST) -> bool:
         return any(
@@ -624,9 +625,17 @@ def _type_branches(source: str) -> list[str]:
     def calls(node: ast.AST, name: str) -> bool:
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
+    def switches_on_ndim(node: ast.AST) -> bool:
+        reads = (getattr(n, "id", getattr(n, "attr", None)) == "ndim" for n in ast.walk(node.test))
+        statement = isinstance(node, ast.If)  # an if statement's branches are lists
+        branches = [*node.body, *node.orelse] if statement else [node.body, node.orelse]
+        return any(reads) and any(calls(n, "float") for b in branches for n in ast.walk(b))
+
     def tells_type(node: ast.AST) -> bool:
         if calls(node, "isinstance"):
             return mentions_float_or_array(node.args[1])
+        if isinstance(node, (ast.If, ast.IfExp)):
+            return switches_on_ndim(node)
         return (
             isinstance(node, ast.Compare)
             and any(calls(side, "type") for side in (node.left, *node.comparators))
@@ -655,9 +664,11 @@ def f(x):
     y = x if isinstance(x, (int, float)) else 0.0
     if type(x) is float:
         return y
-    return y if type(x) is not float else 1.0
+    if x.ndim == 0:
+        y = float(x)
+    return y if type(x) is not float else float(x) if not np.ndim(x) else x
 """
-    assert len(_type_branches(flagged)) == 4
+    assert len(_type_branches(flagged)) == 6
     passed = """
 def libm(fn, x):
     if isinstance(x, np.ndarray):
@@ -667,6 +678,12 @@ def _check_count(name, value, low):
     return isinstance(value, bool) or type(value) is float
 def g(x, y):
     return isinstance(x, bool) or type(x) is type(y)
+def exact_unitary(h, t):
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("hamiltonian must be square")
+    if any(np.ndim(v) for v in t):
+        raise ValueError("an oracle takes one machine")
+    return float(np.abs(h).max())
 """
     assert _type_branches(passed) == []
 

@@ -226,6 +226,19 @@ def test_config_file_list_value(tmp_path, capsys):
     assert temps == {0.2, 0.25}
 
 
+@pytest.mark.parametrize(
+    "value", [None, True, {"a": 1}, [0.2, None], [False], [{"a": 1}], [[0.2]]]
+)
+def test_config_value_that_is_no_number_or_text_is_usage_error(tmp_path, capsys, value):
+    # str() would turn a JSON null, boolean, object or inner list into the text None, True,
+    # {'a': 1} or [0.2].
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"name": value}))
+    code, out, err = run(["steady", "--config", str(cfg), "--set", "points=2"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: config field 'name' cannot hold {json.dumps(value)}\n"
+
+
 def test_fig3_preset_has_expected_columns(capsys):
     code, out, _ = run(["preset", "fig3", "--set", "k_max=10"], capsys)
     assert code == EXIT_OK

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import ast
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermomachine
 from thermomachine import (
+    DLevelSample,
     GapOrderingWarning,
     MachineConfig,
     ProbeState,
     collide_oracle,
     collision_params,
+    jump_rate_derivative,
+    perturbation_trajectory,
+    reduce_d_level,
     thermal_population,
     tune_config,
 )
@@ -182,3 +189,37 @@ def test_steady_population_monotone_in_temperature():
         for t in temps
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_a_built_machine_is_read_through_its_checked_exponents(monkeypatch):
+    # thermal_population checks a caller's own (gap, T); a MachineConfig was checked when it was
+    # built, so its readers form its populations from eps_s/T and eps_v/T_v through core's
+    # unchecked _gibbs_pair and _params_at, with the same bits as the checked entries.
+    src = Path(thermomachine.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    callers = {
+        (module, func.name)
+        for module, tree in trees.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "thermal_population"
+    }
+    assert callers == {("metrology", "snr_thermal")}
+
+    def imported(module):
+        nodes = ast.walk(trees[module])
+        return {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+
+    assert "thermal_population" not in imported("heat") and "replace" not in imported("dynamics")
+
+    config = tune_config(eps_s=0.9, T=0.3, T_prior=0.2, T_v=0.9, p00=0.4)
+    sample = DLevelSample(levels=(0.0, 0.4, 1.3, 2.1), temperature=0.25, pair=(1, 2))
+    reference = collision_params(replace(config, T=sample.temperature))
+    s, v = thermal_population(config.eps_s, config.T), thermal_population(config.eps_v, config.T_v)
+    trajectory = perturbation_trajectory(3, config.p00, config)
+    assert jump_rate_derivative(config) == s.p0 * s.p1 * config.eps_s / config.T**2 * (v.p0 - v.p1)
+    assert np.array_equal(trajectory.sample_p0, s.p0 + trajectory.delta_p)
+    assert np.array_equal(trajectory.ancilla_p0, v.p0 - trajectory.delta_p)
+    monkeypatch.setattr(MachineConfig, "__post_init__", lambda self: pytest.fail("built a machine"))
+    assert reduce_d_level(sample, config)[1] == reference

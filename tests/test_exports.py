@@ -1,6 +1,11 @@
-"""The package's public export list."""
+"""The package's public export list, and README's library example that uses it."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
 
 import thermomachine
 
@@ -70,3 +75,19 @@ EXPORTS = [
 def test_exported_names_are_pinned():
     assert thermomachine.__all__ == EXPORTS
 
+
+def test_the_readme_library_example_runs_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []  # each bare expression's value, in order
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    steady, _, sweep = values
+    cfg, report = namespace["cfg"], namespace["report"]
+    assert (cfg.eps_v, cfg.eps_p) == (4.0, 3.0)
+    assert repr(steady).startswith("2.217")
+    assert sweep.dtype == np.float64 and sweep.shape == (301,)
+    assert abs(report.empirical_snr / report.crb_snr - 1.0) < 0.1

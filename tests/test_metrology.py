@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import warnings
 from collections import Counter
@@ -13,16 +14,20 @@ import pytest
 from conftest import count_calls, random_machine_configs
 
 from thermomachine import (
+    GapOrderingWarning,
     PRESETS,
     MachineConfig,
     NoisyAncillaSpec,
     SQRT_TWO_OVER_PI,
     collision_params,
     fisher_binary,
+    heat_ancilla,
+    heat_sample,
     jump_rate_derivative,
     max_thermal_snr,
     noisy_peak,
     noisy_peak_in_prior,
+    probe_energy_change,
     required_interactions,
     run_scenario,
     sensitivity_steady,
@@ -180,6 +185,89 @@ def test_transient_sensitivity_is_never_negative_on_cold_machines():
         if not sensitivity_transient(k, p00, config) >= 0.0:
             negative.append((x, k, p00))
     assert negative == []
+
+
+#: Collision counts of the legal-domain draws; row 0 is k = 0.
+LEGAL_K = np.array([0, 1, 2, 10, 10**3, 10**6])[:, None]
+
+
+@functools.cache
+def _legal_machines():
+    """400 machines drawn log-uniform over ROADMAP item 17's legal domain at seed 17: eps_s and
+    T_prior in [1e-6, 1e6], T / T_prior in [1e-3, 2], T_v / T_prior in [1, 1e6], eps_I in
+    [1e-3, 1e3], and p00 0, 1 or uniform.  One lane per machine."""
+    rng = np.random.default_rng(17)
+
+    def log_uniform(low, high):
+        return np.exp(rng.uniform(np.log(low), np.log(high), 400))
+
+    eps_s, T_prior = log_uniform(1e-6, 1e6), log_uniform(1e-6, 1e6)
+    T, T_v = T_prior * log_uniform(1e-3, 2.0), T_prior * log_uniform(1.0, 1e6)
+    eps_I = log_uniform(1e-3, 1e3)
+    p00 = np.choose(rng.integers(0, 3, 400), [0.0, 1.0, rng.uniform(0.0, 1.0, 400)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GapOrderingWarning)  # a bath below 2 T_prior is legal
+        return tune_config(eps_s, T, T_prior, T_v, eps_I, p00)
+
+
+def test_a_legal_machine_gives_finite_cells():
+    # At T > 0 every true population is interior, so every value below is finite.
+    machines = _legal_machines()
+    point = snr_transient(LEGAL_K, machines.p00, machines)
+    for values in (
+        snr_steady(machines).snr,
+        snr_thermal(machines.T, machines.eps_s),
+        heat_sample(LEGAL_K, machines.p00, machines),
+        heat_ancilla(LEGAL_K, machines.p00, machines),
+        probe_energy_change(LEGAL_K, machines.p00, machines),
+        point.sensitivity,
+        point.p0,
+    ):
+        assert np.isfinite(values).all()
+
+
+def _known_fault(cause):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=cause)
+
+
+# Each known cause of a non-finite transient SNR on a legal machine; the counts are at seed 17.
+@pytest.mark.parametrize(
+    "cells",
+    [
+        pytest.param(
+            lambda snr, q: snr[1:][q[1:] == 1.0],
+            id="rounding",
+            marks=_known_fault(
+                "where k r is below an ulp of 1, (1-r)^k rounds to 1.0, p0_k reads a pure p00 and "
+                "lambda^2 / (p0 p1) reads inf, though the true p0_k is interior: 456 of the 2,000 "
+                "k >= 1 cells (456 in ROADMAP item 17's 400-draw run; item 2)"
+            ),
+        ),
+        pytest.param(
+            lambda snr, q: snr[1:][q[1:] != 1.0],
+            id="underflow",
+            marks=_known_fault(
+                "past eps_s/T ~ 745, e^(-eps_s/T) underflows, p0_k rounds to 0 or 1 and "
+                "lambda^2 / (p0 p1) reads inf where the true SNR is finite: 21 of the 2,000 "
+                "k >= 1 cells (21 in ROADMAP item 17's 400-draw run; item 18)"
+            ),
+        ),
+        pytest.param(
+            lambda snr, q: snr[0],
+            id="k0",
+            marks=_known_fault(
+                "at k = 0 from p00 in {0, 1} the slope and the Fisher information are 0, but the "
+                "pure state reads inf: 261 of the 400 machines (261 in ROADMAP item 17's 400-draw "
+                "run; item 15)"
+            ),
+        ),
+    ],
+)
+def test_a_legal_machine_gives_a_finite_transient_snr(cells):
+    machines = _legal_machines()
+    snr = snr_transient(LEGAL_K, machines.p00, machines).snr
+    q = contraction_power(collision_params(machines).r, LEGAL_K)
+    assert np.isfinite(cells(snr, q)).all()
 
 
 def test_jump_rate_derivative_matches_finite_difference(config):
